@@ -4,7 +4,7 @@ Memory-independent lower bounds on the words a processor must send or
 receive when P processors multiply an n1 x n2 by an n2 x n3 matrix, the
 KKT machinery certifying the underlying constrained minimization, grid
 selection for the 3D algorithm (which attains the bound), an exact
-message-counting simulator, and brute-force projection oracles for tiny
+message-counting simulator, and exact projection oracles for tiny
 problems.
 """
 

@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,6 +106,17 @@ def _parse_procs(value) -> tuple[int, int]:
     return lo, hi
 
 
+def _int_triple(value, message: str) -> tuple[int, int, int]:
+    """Three integers from a flag or a JSON list, else a ConfigError."""
+    try:
+        triple = tuple(map(operator.index, value)) if isinstance(value, list) else ()
+    except TypeError:
+        triple = ()
+    if len(triple) != 3:
+        raise ConfigError(f"{message}, got {value!r}")
+    return triple
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="commbounds",
@@ -145,20 +157,30 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     shape = pick("shape")
     if shape is not None:
-        shape = tuple(int(v) for v in shape)
-        if len(shape) != 3:
-            raise ConfigError(f"--shape needs three dimensions, got {shape}")
+        shape = _int_triple(shape, "--shape needs three dimensions")
     procs = pick("procs")
     if procs is not None:
         procs = _parse_procs(procs)
+    memory = pick("memory")
+    if memory is not None:
+        try:
+            Fraction(memory)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"--memory needs a finite number, got {memory!r}")
     grid = pick("grid")
     if grid is not None:
-        grid = tuple(int(v) for v in grid)
-        if len(grid) != 3:
-            raise ConfigError(f"--grid needs three factors, got {grid}")
+        grid = _int_triple(grid, "--grid needs three factors")
+    seed = pick("seed", 0)
+    try:
+        seed = int(seed)
+    except (TypeError, ValueError):
+        raise ConfigError(f"--seed needs an integer, got {seed!r}")
     fmt = pick("format", "human")
     if fmt not in ("human", "json", "csv"):
         raise ConfigError(f"bad format {fmt!r}")
+    out = pick("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"--out needs a path, got {out!r}")
     table = pick("table")
     if table not in (None, "constants"):
         raise ConfigError(f"bad table {table!r}")
@@ -166,11 +188,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         command=args.command,
         shape=shape,
         procs=procs,
-        memory=pick("memory"),
+        memory=memory,
         grid=grid,
-        seed=int(pick("seed", 0)),
+        seed=seed,
         fmt=fmt,
-        out=pick("out"),
+        out=out,
         tiny=bool(pick("tiny", False)),
         table=table,
     )
@@ -204,7 +226,8 @@ def _csv_text(header, rows) -> str:
 
 
 def _csv_value(v) -> str:
-    # decimal_str round-trips: repr for floats, 28 digits for rationals
+    # floats print as repr, which round-trips; rationals print exactly unless
+    # their expansion runs past 28 fractional digits, where they are rounded
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -675,8 +698,12 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write {cfg.out}: {e.strerror}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
     return code

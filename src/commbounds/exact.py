@@ -89,13 +89,19 @@ def values_agree(a: Value, b: Value, rel_tol: float = 1e-12) -> bool:
 
 
 def decimal_str(v: Value, digits: int = 28) -> str:
-    """Decimal rendering; exact whenever the denominator is a 2^a 5^b product
-    that fits in `digits` significant digits (all attainment values do)."""
+    """Decimal rendering that keeps every integer digit.
+
+    A rational is exact when its expansion terminates within `digits`
+    fractional digits (all attainment values do); otherwise it is rounded to
+    that many fractional digits (`digits` significant ones below 1) and still
+    shows its decimal point, so a number printed without one is exact.
+    """
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return str(v.numerator)
+        whole = abs(v.numerator) // v.denominator
         with localcontext() as ctx:
-            ctx.prec = digits
+            ctx.prec = digits + (Decimal(whole).adjusted() + 1 if whole else 0)
             d = Decimal(v.numerator) / Decimal(v.denominator)
         return format(d, "f")
     return repr(float(v))

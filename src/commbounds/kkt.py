@@ -18,6 +18,7 @@ by quasiconvexity_check), which is what makes a KKT point globally optimal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -235,16 +236,6 @@ def numeric_minimize_oracle(prob: OptProblem, budget: int = 100_000) -> float:
     return best
 
 
-def quasiconvex_pair(x, y):
-    """(antecedent, inner): when prod(y) >= prod(x) the directional
-    derivative of g0 = L - x1x2x3 at x toward y must be <= 0, i.e.
-    inner = <grad g0(x), y - x> <= 0."""
-    px = x[0] * x[1] * x[2]
-    py = y[0] * y[1] * y[2]
-    inner = 3 * px - (y[0] * x[1] * x[2] + x[0] * y[1] * x[2] + x[0] * x[1] * y[2])
-    return py >= px, inner
-
-
 @dataclass(frozen=True)
 class QuasiconvexityReport:
     checked: int
@@ -258,13 +249,17 @@ class QuasiconvexityReport:
         return self.violations == 0
 
 
+@functools.lru_cache(maxsize=None)
 def quasiconvexity_check(
     count: int, seed: int = 0, tol: float = 1e-9
 ) -> QuasiconvexityReport:
     """Random-pair spot check of quasiconvexity of the product constraint.
 
-    Draws pairs log-uniformly over [1e-3, 1e3]^3; the check is scale free, so
-    the sublevel threshold never enters.
+    For each pair with prod(y) >= prod(x), the directional derivative of
+    g0 = L - x1x2x3 at x toward y must be <= 0.  Pairs are drawn
+    log-uniformly over [1e-3, 1e3]^3; the check is scale free, so the sublevel
+    threshold never enters.  The report depends on the arguments alone, so each
+    argument set is computed once per process and the report is shared.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

@@ -1,14 +1,20 @@
-"""Brute-force oracles for the geometry under the bound.
+"""Exact oracles for the geometry under the bound.
 
 A processor's work is a set F of lattice points (i1, i2, i3) in the
 n1 x n2 x n3 iteration cube; it needs the A entries phi_A(F) = {(i1, i2)},
 the B entries phi_B(F) = {(i2, i3)}, and touches the C entries
 phi_C(F) = {(i1, i3)}.  Loomis-Whitney caps |F| by the product of the three
 projection sizes, which is exactly the product constraint of the optimization
-problem behind D.  The exhaustive engine enumerates every subset of a small
-cube as a bitset and certifies the inequalities with no analysis in the loop;
-per-shape results are cached so a sweep over many P values pays for the
-enumeration once.
+problem behind D.
+
+The exhaustive engine decides statements about every subset of a small cube
+from its down-sets alone.  Compressing F along an axis (moving the points of
+each line parallel to it to the lowest positions) keeps |F| and never enlarges
+a projection -- the compression step behind discrete Loomis-Whitney (Bollobas
+& Thomason, 1995) -- and compressing along each axis in turn ends at a
+down-set.  So per-size projection minima are attained on down-sets, and a
+subset violating Loomis-Whitney compresses to a down-set that violates it.
+Results are cached per shape, so a sweep over P enumerates once.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import numpy as np
 from .bounds import ProblemShape
 
 _EXHAUSTIVE_LIMIT = 24
-_CHUNK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -136,96 +141,51 @@ class SubsetStats:
 _STATS_CACHE: dict[tuple[int, int, int], SubsetStats] = {}
 
 
-def _per_size_min(sizes, values, n_sizes, vmax):
-    """Min of values per size class via one bincount over combined keys."""
-    stride = vmax + 1
-    key = sizes.astype(np.int64) * stride + values.astype(np.int64)
-    counts = np.bincount(key, minlength=n_sizes * stride).reshape(n_sizes, stride)
-    present = counts > 0
-    big = np.iinfo(np.int64).max
-    return np.where(present.any(axis=1), present.argmax(axis=1), big)
-
-
 def subset_stats(dims) -> SubsetStats:
-    """Enumerate all 2^(n1 n2 n3) subsets of the cube; cached per shape.
+    """SubsetStats over all 2^(n1 n2 n3) subsets, read off the down-sets.
 
-    Subsets are uint32 bitsets with bit ((i0*d1)+i1)*d2 + i2 after relabeling
-    axes in descending size order, so the largest axis collapses by a
-    logarithmic shift-OR fold and the two small axes by short shift loops.
-    The fold is only sound across the outermost axis (block-aligned shifts
-    cannot contaminate other blocks); inner axes use explicit loops.
+    A down-set is an n1 x n2 matrix of heights in [0, n3], non-increasing along
+    rows and columns; it holds (i1, i2, i3) iff i3 <= h[i1][i2].  So |F| = sum h,
+    phi_A counts the nonzero heights, phi_B sums the first row and phi_C the
+    first column.  The module docstring says why down-sets decide every subset.
     """
     dims = tuple(int(d) for d in dims)
     if dims in _STATS_CACHE:
         return _STATS_CACHE[dims]
-    n_total = dims[0] * dims[1] * dims[2]
+    n1, n2, n3 = dims
+    n_total = n1 * n2 * n3
     if n_total > _EXHAUSTIVE_LIMIT:
         raise ValueError(
             f"exhaustive enumeration is limited to n1*n2*n3 <= {_EXHAUSTIVE_LIMIT}, "
             f"got {n_total}"
         )
-    order = tuple(sorted(range(3), key=lambda i: -dims[i]))
-    d0, d1, d2 = (dims[a] for a in order)
-    block = d1 * d2
-
-    mask_drop2 = 0  # i2 == 0 representatives
-    for g in range(d0 * d1):
-        mask_drop2 |= 1 << (g * d2)
-    mask_drop0 = (1 << block) - 1  # i0 == 0 block
-    mask_drop1 = 0  # i1 == 0 slots
-    for i0 in range(d0):
-        for i2 in range(d2):
-            mask_drop1 |= 1 << (i0 * block + i2)
-    mask_drop2 = np.uint32(mask_drop2)
-    mask_drop0 = np.uint32(mask_drop0)
-    mask_drop1 = np.uint32(mask_drop1)
-
-    n_sizes = n_total + 1
-    min_sum = np.full(n_sizes, np.iinfo(np.int64).max)
-    min_phi = {
-        key: np.full(n_sizes, np.iinfo(np.int64).max) for key in ("a", "b", "c")
-    }
+    min_sum = [3 * n_total] * (n_total + 1)
+    min_phi = {key: [n_total] * (n_total + 1) for key in ("a", "b", "c")}
     lw_ok = True
+    heights = [[n3] * (n2 + 1) for _ in range(n1 + 1)]  # row/column 0: sentinels
 
-    total = 1 << n_total
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        sizes = np.bitwise_count(idx)
+    def extend(cell, size, phi_a, phi_b, phi_c):
+        nonlocal lw_ok
+        if cell == n1 * n2:
+            lw_ok = lw_ok and size <= phi_a * phi_b * phi_c
+            min_sum[size] = min(min_sum[size], phi_a + phi_b + phi_c)
+            for key, phi in (("a", phi_a), ("b", phi_b), ("c", phi_c)):
+                min_phi[key][size] = min(min_phi[key][size], phi)
+            return
+        i, j = divmod(cell, n2)
+        row = heights[i + 1]
+        for h in range(min(heights[i][j + 1], row[j]) + 1):
+            row[j + 1] = h
+            extend(cell + 1, size + h, phi_a + (h > 0),
+                   phi_b + (h if i == 0 else 0), phi_c + (h if j == 0 else 0))
 
-        acc = np.zeros_like(idx)
-        for l in range(d2):
-            acc |= idx >> np.uint32(l)
-        phi_d2 = np.bitwise_count(acc & mask_drop2)
-
-        fold = idx.copy()
-        shift = 1
-        while shift < d0:
-            fold |= fold >> np.uint32(block * shift)
-            shift *= 2
-        phi_d0 = np.bitwise_count(fold & mask_drop0)
-
-        acc = np.zeros_like(idx)
-        for j in range(d1):
-            acc |= idx >> np.uint32(j * d2)
-        phi_d1 = np.bitwise_count(acc & mask_drop1)
-
-        # phi dropping relabeled axis r == phi dropping input axis order[r]
-        by_dropped_axis = {order[0]: phi_d0, order[1]: phi_d1, order[2]: phi_d2}
-        phi_a = by_dropped_axis[2]
-        phi_b = by_dropped_axis[0]
-        phi_c = by_dropped_axis[1]
-
-        prod = phi_a.astype(np.int64) * phi_b * phi_c
-        lw_ok = lw_ok and bool(np.all(sizes <= prod))
-
-        psum = phi_a.astype(np.int16) + phi_b + phi_c
-        min_sum = np.minimum(min_sum, _per_size_min(sizes, psum, n_sizes, 3 * n_total))
-        for key, phi in (("a", phi_a), ("b", phi_b), ("c", phi_c)):
-            min_phi[key] = np.minimum(
-                min_phi[key], _per_size_min(sizes, phi, n_sizes, n_total)
-            )
-
-    stats = SubsetStats(dims, lw_ok, min_sum, min_phi)
+    extend(0, 0, 0, 0, 0)
+    stats = SubsetStats(
+        dims,
+        lw_ok,
+        np.array(min_sum, dtype=np.int64),
+        {key: np.array(arr, dtype=np.int64) for key, arr in min_phi.items()},
+    )
     _STATS_CACHE[dims] = stats
     return stats
 

@@ -307,6 +307,36 @@ class TestConfigAndIO:
         doc = json.loads(dest.read_text())
         assert json_to_value(doc["lower_bound"]) == 76
 
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({"shape": 5, "procs": 2}, []),
+            ({"shape": [96.7, 24, 6], "procs": 36}, []),
+            ({"shape": [96, 24, 6], "procs": 8, "memory": [1]}, []),
+            ({"shape": [96, 24, 6], "procs": 8, "seed": [1]}, []),
+            ({"shape": [96, 24, 6], "procs": 8, "out": 3}, []),
+            (None, ["--memory", "inf"]),
+            (None, ["--out", "{tmp}/missing/out.txt"]),
+        ],
+        ids=["shape-not-a-list", "shape-not-integers", "memory-list", "seed-list",
+             "out-not-a-path", "memory-inf", "out-missing-dir"],
+    )
+    def test_malformed_input_exits_2_with_one_line(
+        self, capsys, tmp_path, config, flags
+    ):
+        argv = ["bound"]
+        if config is None:
+            argv += ["--shape", "96", "24", "6", "--procs", "8"]
+        else:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        argv += [f.format(tmp=tmp_path) for f in flags]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2
 

@@ -100,6 +100,19 @@ def test_decimal_str():
     assert decimal_str(0.1) == "0.1"  # repr round-trips
 
 
+def test_decimal_str_rounds_only_fractional_digits():
+    # 28 significant digits used to round 10**30 / 7 inside its integer part
+    # and print it with no decimal point, as if it were exact
+    v = Fraction(10**30, 7)
+    text = decimal_str(v)
+    whole, frac = text.split(".")
+    assert whole == str(10**30 // 7)
+    assert len(frac) == 28
+    assert abs(Fraction(text) - v) <= Fraction(1, 2 * 10**28)
+    assert decimal_str(-v) == "-" + text
+    assert decimal_str(Fraction(10**40 + 1, 2)) == str(10**40 // 2) + ".5"
+
+
 def test_human_str():
     assert human_str(Fraction(76)) == "76"
     assert human_str(3 * 32 ** (2.0 / 3.0)) == "30.2381051975"

@@ -14,7 +14,6 @@ from commbounds.kkt import (
     kkt_verify,
     numeric_minimize_oracle,
     objective,
-    quasiconvex_pair,
     quasiconvexity_check,
 )
 
@@ -189,12 +188,6 @@ class TestQuasiconvexity:
         assert rep.checked == 50_000
         assert 0 < rep.applicable < rep.checked
         assert rep.counterexample is None
-
-    def test_identical_points_inner_zero(self):
-        x = (2.0, 3.0, 5.0)
-        applicable, inner = quasiconvex_pair(x, x)
-        assert applicable
-        assert inner == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):

@@ -19,26 +19,42 @@ from commbounds.projections import (
 
 
 def brute_force_stats(dims):
-    """Reference per-size minima by direct enumeration (tiny cubes only)."""
+    """Reference LW verdict and per-size minima of phi_A + phi_B + phi_C and
+    of each phi, over all 2^N subsets (tiny cubes only)."""
     n1, n2, n3 = dims
-    cells = [
-        (i, j, l)
-        for i in range(1, n1 + 1)
-        for j in range(1, n2 + 1)
-        for l in range(1, n3 + 1)
+    # each cell's image under the three projections, as one-bit masks
+    images = [
+        (1 << (i * n2 + j), 1 << (j * n3 + l), 1 << (i * n3 + l))
+        for i, j, l in itertools.product(range(n1), range(n2), range(n3))
     ]
-    n = len(cells)
-    min_sum = [None] * (n + 1)
+    n = len(images)
+    proj = [(0, 0, 0)] * (1 << n)
+    min_sum = [0] + [None] * n
+    min_phi = {key: [0] + [None] * n for key in "abc"}
     lw_ok = True
-    for bits in range(1 << n):
-        pts = [cells[t] for t in range(n) if bits >> t & 1]
-        ws = WorkSet.from_points(dims, pts)
-        p = projections_of(ws)
-        lw_ok = lw_ok and len(ws) <= p.phi_a * p.phi_b * p.phi_c
-        s = len(pts)
-        if min_sum[s] is None or p.total < min_sum[s]:
-            min_sum[s] = p.total
-    return lw_ok, min_sum
+    for bits in range(1, 1 << n):
+        low = bits & -bits
+        rest = proj[bits ^ low]
+        cell = images[low.bit_length() - 1]
+        proj[bits] = tuple(r | c for r, c in zip(rest, cell))
+        phis = [m.bit_count() for m in proj[bits]]
+        s = bits.bit_count()
+        lw_ok = lw_ok and s <= phis[0] * phis[1] * phis[2]
+        if min_sum[s] is None or sum(phis) < min_sum[s]:
+            min_sum[s] = sum(phis)
+        for key, phi in zip("abc", phis):
+            if min_phi[key][s] is None or phi < min_phi[key][s]:
+                min_phi[key][s] = phi
+    return lw_ok, min_sum, min_phi
+
+
+def boxes_up_to(volume):
+    return [
+        (a, b, c)
+        for a in range(1, volume + 1)
+        for b in range(1, volume // a + 1)
+        for c in range(1, volume // (a * b) + 1)
+    ]
 
 
 class TestProjections:
@@ -138,11 +154,25 @@ class TestProjectionLB:
 class TestSubsetEngine:
     @pytest.mark.parametrize("dims", [(2, 2, 1), (3, 2, 1), (2, 2, 2), (1, 1, 1)])
     def test_matches_direct_enumeration(self, dims):
-        lw_ref, min_sum_ref = brute_force_stats(dims)
+        lw_ref, min_sum_ref, min_phi_ref = brute_force_stats(dims)
         stats = subset_stats(dims)
         assert stats.lw_ok == lw_ref
-        for s, ref in enumerate(min_sum_ref):
-            assert stats.min_sum_by_size[s] == ref
+        assert list(stats.min_sum_by_size) == min_sum_ref
+        for key in "abc":
+            assert list(stats.min_phi_by_size[key]) == min_phi_ref[key]
+
+    def test_down_sets_decide_every_subset_up_to_volume_12(self):
+        # the compression lemma in action: minima and the LW verdict read off
+        # the down-sets equal those over all 2^N subsets
+        boxes = boxes_up_to(12)
+        assert len(boxes) == 74
+        for dims in boxes:
+            lw_ref, min_sum_ref, min_phi_ref = brute_force_stats(dims)
+            stats = subset_stats(dims)
+            assert stats.lw_ok == lw_ref, dims
+            assert list(stats.min_sum_by_size) == min_sum_ref, dims
+            for key in "abc":
+                assert list(stats.min_phi_by_size[key]) == min_phi_ref[key], (dims, key)
 
     def test_axis_permutations_consistent(self):
         # per-axis minima permute with the dims; the sum is invariant
