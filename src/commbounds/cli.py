@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import operator
@@ -117,7 +118,13 @@ def _int_triple(value, message: str) -> tuple[int, int, int]:
     return triple
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call.
+
+    Parsing keeps nothing on the parser: each parse_args call returns a new
+    Namespace, and resolve_config turns it into a new RunConfig.
+    """
     parser = argparse.ArgumentParser(
         prog="commbounds",
         description="communication lower bounds for parallel matrix multiplication",
@@ -457,6 +464,8 @@ def cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
 def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     shape = _require_shape(cfg)
     procs = _single_procs(cfg)
+    if cfg.tiny and shape.volume > 24:
+        raise ConfigError(f"--tiny needs n1*n2*n3 <= 24, got {shape.volume}")
     m, n, k = shape.sorted_dims
     prob = OptProblem(m, n, k, procs)
     sol = analytic_solution(prob)
@@ -486,10 +495,6 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     ]
 
     if cfg.tiny:
-        if shape.volume > 24:
-            raise ConfigError(
-                f"--tiny needs n1*n2*n3 <= 24, got {shape.volume}"
-            )
         rep = lower_bound(shape, procs)
         mp = min_projection_sum(shape, procs)
         if isinstance(rep.accessed, Fraction):
@@ -694,7 +699,8 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         text, code = _DISPATCH[cfg.command](cfg)
-    except (ConfigError, ValueError) as e:
+    except (ConfigError, ValueError, OverflowError) as e:
+        # OverflowError: a dimension too large for the float closed forms
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.out:

@@ -11,7 +11,12 @@ processor accesses.  analytic_solution returns the closed-form minimizer and
 dual vector for each of the three cases; kkt_verify checks primal and dual
 feasibility, stationarity, and complementary slackness at any proposed
 solution; numeric_minimize_oracle searches the feasible region directly so
-optimality never rests on the closed forms alone.  The objective is linear
+optimality never rests on the closed forms alone.  The oracle's coarse grid is
+searched by exact branch and bound: the objective evaluated on a block's least
+coordinates in the sum and its greatest in the product is a floor under every
+element of the block, because round-to-nearest is monotone in each operand;
+blocks whose floor exceeds a value the grid attains are never evaluated, and
+the result equals the full scan bit for bit.  The objective is linear
 and the product constraint is quasiconvex on the positive octant (spot-checked
 by quasiconvexity_check), which is what makes a KKT point globally optimal.
 """
@@ -27,6 +32,8 @@ import numpy as np
 
 from .bounds import case_of
 from .exact import Value, pow23, root_value, sqrt_value
+
+_BLOCK = 16  # side of the index blocks the oracle's coarse grid is pruned by
 
 
 @dataclass(frozen=True)
@@ -207,6 +214,20 @@ def numeric_minimize_oracle(prob: OptProblem, budget: int = 100_000) -> float:
     construction and the returned value is a certified upper bound on the
     optimum.  Roughly 80% of the budget goes to the initial grid and the rest
     to three zoom refinements around the incumbent.
+
+    A coarse grid of side >= 8 * _BLOCK, with (mnk/P)^2 not rounded to 0, is
+    searched by branch and bound over _BLOCK x _BLOCK blocks of indices; the
+    last block repeats the last index.  A block's floor is the objective's
+    expression (x1 + x2) + max(mn/P, (mnk/P)^2 / (x1 x2)) evaluated on the
+    block's least x1 and x2 in the sum and its greatest x1 and x2 in the
+    product.
+    Rounding to nearest is monotone in each operand, so every element of the
+    block, evaluated with the same operations in the same order, rounds to at
+    least that floor.  The block of least floor is evaluated in full; its
+    minimum is attained on the grid, so any block whose floor exceeds it holds
+    no minimizer and is skipped.  The value and the first row-major minimizer
+    are therefore bit-for-bit those of the full scan, and so is every
+    refinement that follows.
     """
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000, got {budget}")
@@ -215,14 +236,43 @@ def numeric_minimize_oracle(prob: OptProblem, budget: int = 100_000) -> float:
     hi2 = float(prob.m * prob.k)
     floor_prod = float(prob.product_bound)
 
+    def cost(s1, s2, p1, p2):
+        # the objective at (x1, x2) when s = p = (x1, x2); a block's floor
+        # when s holds its least coordinates and p its greatest
+        return (s1 + s2) + np.maximum(lo3, floor_prod / (p1 * p2))
+
+    def values(x1, x2):
+        return cost(x1, x2, x1, x2)
+
+    def pruned_argmin(x1, x2):
+        side = len(x1)
+        nb = -(-side // _BLOCK)
+        idx = np.minimum(np.arange(nb * _BLOCK), side - 1).reshape(nb, _BLOCK)
+        b1, b2 = x1[idx], x2[idx]
+        floors = cost(b1.min(1)[:, None], b2.min(1)[None, :],
+                      b1.max(1)[:, None], b2.max(1)[None, :])
+        r, c = divmod(int(np.argmin(floors)), nb)
+        upper = values(b1[r][:, None], b2[c][None, :]).min()
+        rows, cols = np.nonzero(floors <= upper)
+        ii, jj = idx[rows][:, :, None], idx[cols][:, None, :]
+        f = values(x1[ii], x2[jj])
+        best = f.min()
+        return best, int(np.where(f == best, ii * side + jj, side * side).min())
+
     def grid_best(a1, b1, a2, b2, side):
         x1 = np.geomspace(a1, b1, side)
         x2 = np.geomspace(a2, b2, side)
-        x3 = np.maximum(lo3, floor_prod / np.outer(x1, x2))
-        f = x1[:, None] + x2[None, :] + x3
-        flat = int(np.argmin(f))
+        # floor_prod underflows to 0 only when P exceeds mnk by ~1e162; then
+        # 0/0 can put a NaN in the grid, which np.argmin returns and no floor
+        # bounds, so that grid keeps the full scan
+        if side >= 8 * _BLOCK and floor_prod > 0:
+            best, flat = pruned_argmin(x1, x2)
+        else:
+            f = values(x1[:, None], x2[None, :])
+            flat = int(np.argmin(f))
+            best = f.flat[flat]
         i, j = divmod(flat, side)
-        return float(f[i, j]), x1, x2, i, j
+        return float(best), x1, x2, i, j
 
     side = max(8, int((budget * 0.8) ** 0.5))
     refine_side = max(8, int((budget * 0.2 / 3) ** 0.5))

@@ -197,6 +197,23 @@ class TestVerify:
         assert code == 2
         assert "24" in err
 
+    def test_tiny_cap_is_checked_before_any_work(self, capsys, monkeypatch):
+        calls = []
+        real = cli.numeric_minimize_oracle
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "numeric_minimize_oracle", recording)
+        code, out, err = run_cli(
+            capsys, "verify", "--shape", "96", "24", "6", "--procs", "4", "--tiny"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --tiny needs n1*n2*n3 <= 24, got 13824\n"
+        assert calls == []
+
     def test_verification_failure_exits_4(self, capsys, monkeypatch):
         import commbounds.kkt as kkt
 
@@ -337,6 +354,17 @@ class TestConfigAndIO:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["bound", "grid", "verify", "sweep"])
+    def test_huge_dimensions_exit_2_with_one_line(self, capsys, command):
+        huge = str(10**110)
+        procs = "7:8" if command == "sweep" else "7"
+        code, out, err = run_cli(
+            capsys, command, "--shape", huge, huge, huge, "--procs", procs
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2
 
@@ -360,3 +388,37 @@ class TestConfigAndIO:
                 assert Fraction(got) == rep.bound
             else:
                 assert float(got) == rep.bound
+
+
+class TestParserReuse:
+    def test_reused_parser_leaks_no_state(self, capsys, monkeypatch, tmp_path):
+        dest = tmp_path / "grid.txt"
+        sequence = [
+            ["verify", "--shape", "4", "3", "2", "--procs", "4", "--tiny",
+             "--format", "json"],
+            ["verify", "--shape", "9600", "2400", "600", "--procs", "36"],
+            ["bound", "--shape", "96", "24", "6", "--procs", "8", "--bogus"],
+            ["--help"],
+            ["bound", "--shape", "96", "24", "6", "--procs", "8",
+             "--memory", "500", "--format", "csv"],
+            ["grid", "--shape", "96", "24", "6", "--procs", "36",
+             "--out", str(dest)],
+        ]
+
+        def results():
+            got = []
+            for argv in sequence:
+                dest.unlink(missing_ok=True)
+                code, out, err = run_cli(capsys, *argv)
+                written = dest.read_text() if dest.exists() else None
+                got.append((code, out, err, written))
+            return got
+
+        shared = results()
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = results()
+        assert [r[0] for r in shared] == [0, 0, 2, 0, 0, 0]
+        assert shared[3][1].startswith("usage: commbounds")
+        assert shared[5][3] is not None and shared[5][1] == ""
+        assert shared == fresh

@@ -149,6 +149,34 @@ class TestKKTVerify:
         assert not kkt_verify(prob, bad).stationary
 
 
+def full_scan_oracle(prob, budget):
+    """The sampling oracle with every grid point evaluated; the pruned
+    numeric_minimize_oracle must return exactly its value."""
+    lo1, lo2, lo3 = (float(v) for v in prob.lower_corners)
+    hi1 = float(prob.n * prob.k)
+    hi2 = float(prob.m * prob.k)
+    floor_prod = float(prob.product_bound)
+
+    def grid_best(a1, b1, a2, b2, side):
+        x1 = np.geomspace(a1, b1, side)
+        x2 = np.geomspace(a2, b2, side)
+        x3 = np.maximum(lo3, floor_prod / np.outer(x1, x2))
+        f = x1[:, None] + x2[None, :] + x3
+        flat = int(np.argmin(f))
+        i, j = divmod(flat, side)
+        return float(f[i, j]), x1, x2, i, j
+
+    side = max(8, int((budget * 0.8) ** 0.5))
+    refine_side = max(8, int((budget * 0.2 / 3) ** 0.5))
+    best, x1g, x2g, i, j = grid_best(lo1, hi1, lo2, hi2, side)
+    for _ in range(3):
+        a1, b1 = x1g[max(i - 1, 0)], x1g[min(i + 1, len(x1g) - 1)]
+        a2, b2 = x2g[max(j - 1, 0)], x2g[min(j + 1, len(x2g) - 1)]
+        val, x1g, x2g, i, j = grid_best(a1, b1, a2, b2, refine_side)
+        best = min(best, val)
+    return best
+
+
 class TestOracle:
     def test_never_below_analytic(self):
         for prob in random_problems(60, seed=12, hi=300, phi=600):
@@ -175,6 +203,37 @@ class TestOracle:
         val = numeric_minimize_oracle(prob, budget=50_000)
         opt = float(objective(analytic_solution(prob).x))
         assert val == pytest.approx(opt, rel=1e-12)
+
+    @pytest.mark.parametrize("budget", [5_000, 20_000, 50_000, 100_000, 250_000])
+    def test_equals_full_scan_on_examples(self, budget):
+        # budgets below 20_480 keep the full scan; the others prune
+        probs = [OptProblem(4, 4, 4, 2), OptProblem(96, 24, 6, 1)]
+        probs += [OptProblem(*RUNNING, p) for p in (1, 3, 4, 36, 64, 512, 9999)]
+        probs += list(random_problems(60, seed=12, hi=300, phi=600))
+        for prob in probs:
+            assert numeric_minimize_oracle(prob, budget) == full_scan_oracle(
+                prob, budget
+            ), (prob, budget)
+
+    def test_equals_full_scan_when_the_product_floor_underflows(self):
+        # (mnk/P)^2 rounds to 0 and 0/0 puts NaNs in the grid: both scans
+        # must still return the same value, NaN here
+        prob = OptProblem(2, 2, 2, 10**165)
+        with np.errstate(all="ignore"):
+            got = numeric_minimize_oracle(prob, 100_000)
+            want = full_scan_oracle(prob, 100_000)
+        assert np.isnan(got) and np.isnan(want)
+
+    def test_equals_full_scan_on_c4_tuples(self):
+        from test_acceptance import _c4_tuples
+
+        tuples = _c4_tuples(seed=100)
+        assert len(tuples) >= 1000
+        for m, n, k, P in tuples:
+            prob = OptProblem(m, n, k, P)
+            assert numeric_minimize_oracle(prob, 100_000) == full_scan_oracle(
+                prob, 100_000
+            ), (m, n, k, P)
 
     def test_rejects_tiny_budget(self):
         with pytest.raises(ValueError):
