@@ -224,24 +224,16 @@ def _grid_str(dims) -> str:
     return "x".join(str(d) for d in dims)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+def _shape_str(dims) -> str:
+    return " x ".join(str(d) for d in dims)
 
 
-def _csv_value(v) -> str:
-    # floats print as repr, which round-trips; rationals print exactly unless
-    # their expansion runs past 28 fractional digits, where they are rounded
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, (Fraction, float)):
-        return decimal_str(v)
-    return str(v)
+def _yes_no(ok: bool) -> str:
+    return "yes" if ok else "no"
+
+
+def _pass_fail(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
 def _attained(measured: Value, bound: Value) -> bool:
@@ -249,144 +241,72 @@ def _attained(measured: Value, bound: Value) -> bool:
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command returns (record, exit code).  The record is the JSON document
+# with its values still typed: Fractions, floats and tuples.
 
 
-def cmd_bound(cfg: RunConfig) -> tuple[str, int]:
+def cmd_bound(cfg: RunConfig) -> tuple[dict, int]:
     shape = _require_shape(cfg)
     procs = _single_procs(cfg)
     rep = lower_bound(shape, procs, memory=cfg.memory)
-    dom = (
-        bound_dominance(shape, procs, cfg.memory) if cfg.memory is not None else None
-    )
-
-    if cfg.fmt == "json":
-        doc = {
-            "command": "bound",
-            "shape": list(shape.dims),
-            "procs": procs,
-            "regime": rep.regime.tag.value,
-            "on_boundary": rep.regime.on_boundary,
-            "oversubscribed": rep.oversubscribed,
-            "accessed": value_to_json(rep.accessed),
-            "owned": value_to_json(rep.owned),
-            "lower_bound": value_to_json(rep.bound),
+    record = {
+        "command": "bound",
+        "shape": shape.dims,
+        "procs": procs,
+        "regime": rep.regime.tag.value,
+        "on_boundary": rep.regime.on_boundary,
+        "oversubscribed": rep.oversubscribed,
+        "accessed": rep.accessed,
+        "owned": rep.owned,
+        "lower_bound": rep.bound,
+    }
+    if cfg.memory is not None:
+        dom = bound_dominance(shape, procs, cfg.memory)
+        record["memory"] = rep.memory
+        record["memory_dependent"] = rep.memory_dependent
+        record["binding"] = rep.binding
+        record["dominance"] = {
+            "in_window": dom.in_window,
+            "window_upper": dom.window_upper,
         }
-        if dom is not None:
-            doc["memory"] = value_to_json(rep.memory)
-            doc["memory_dependent"] = value_to_json(rep.memory_dependent)
-            doc["binding"] = rep.binding
-            doc["dominance"] = {
-                "in_window": dom.in_window,
-                "window_upper": value_to_json(dom.window_upper),
-            }
-        return json.dumps(doc, indent=2) + "\n", EXIT_OK
-
-    if cfg.fmt == "csv":
-        header = [
-            "n1", "n2", "n3", "procs", "regime", "on_boundary",
-            "accessed", "owned", "lower_bound", "memory_dependent", "binding",
-        ]
-        row = [
-            shape.n1, shape.n2, shape.n3, procs, rep.regime.tag.value,
-            _csv_value(rep.regime.on_boundary), _csv_value(rep.accessed),
-            _csv_value(rep.owned), _csv_value(rep.bound),
-            _csv_value(rep.memory_dependent), rep.binding or "",
-        ]
-        return _csv_text(header, [row]), EXIT_OK
-
-    lines = [
-        f"shape {shape.n1} x {shape.n2} x {shape.n3}   P = {procs}   "
-        f"regime {rep.regime.tag.value}"
-        + ("   (on boundary)" if rep.regime.on_boundary else ""),
-        f"accessed data D : {human_str(rep.accessed)}",
-        f"owned per proc  : {human_str(rep.owned)}",
-        f"lower bound     : {human_str(rep.bound)}",
-    ]
-    if rep.oversubscribed:
-        lines.append("note: P exceeds the multiply count mnk")
-    if dom is not None:
-        lines += [
-            f"memory M        : {human_str(rep.memory)}",
-            f"memory-dep term : {human_str(rep.memory_dependent)}",
-            f"binding         : {rep.binding}"
-            + ("   (inside dominance window)" if dom.in_window else ""),
-        ]
-    return "\n".join(lines) + "\n", EXIT_OK
+    return record, EXIT_OK
 
 
-def cmd_grid(cfg: RunConfig) -> tuple[str, int]:
+def cmd_grid(cfg: RunConfig) -> tuple[dict, int]:
     shape = _require_shape(cfg)
     procs = _single_procs(cfg)
     res = analytic_grid(shape, procs)
     ex_grid, ex_cb = exhaustive_grid(shape, procs)
     rep = lower_bound(shape, procs)
-    analytic_cost = comm_cost(shape, res.grid) if res.grid is not None else None
-    agree = analytic_cost is not None and analytic_cost.total == ex_cb.total
-    attained = _attained(ex_cb.total, rep.bound)
-
-    if cfg.fmt == "json":
-        doc = {
-            "command": "grid",
-            "shape": list(shape.dims),
-            "procs": procs,
-            "case": res.case,
-            "analytic": {
-                "factors": [value_to_json(f) for f in res.factors],
-                "integral": res.grid is not None,
-                "grid": list(res.grid.dims) if res.grid is not None else None,
-                "non_integral_axes": list(res.non_integral_axes),
-                "cost": value_to_json(analytic_cost.total) if analytic_cost else None,
-            },
-            "exhaustive": {
-                "grid": list(ex_grid.dims),
-                "cost": value_to_json(ex_cb.total),
-                "words_a": value_to_json(ex_cb.words_a),
-                "words_b": value_to_json(ex_cb.words_b),
-                "words_c": value_to_json(ex_cb.words_c),
-            },
-            "agreement": agree,
-            "lower_bound": value_to_json(rep.bound),
-            "attained": attained,
-        }
-        return json.dumps(doc, indent=2) + "\n", EXIT_OK
-
-    if cfg.fmt == "csv":
-        header = [
-            "n1", "n2", "n3", "procs", "case", "analytic_grid",
-            "non_integral_axes", "exhaustive_grid", "exhaustive_cost",
-            "lower_bound", "attained",
-        ]
-        row = [
-            shape.n1, shape.n2, shape.n3, procs, res.case,
-            _grid_str(res.grid.dims) if res.grid is not None else "",
-            " ".join(f"p{a}" for a in res.non_integral_axes),
-            _grid_str(ex_grid.dims), _csv_value(ex_cb.total),
-            _csv_value(rep.bound), _csv_value(attained),
-        ]
-        return _csv_text(header, [row]), EXIT_OK
-
-    lines = [
-        f"shape {shape.n1} x {shape.n2} x {shape.n3}   P = {procs}   case {res.case}"
-    ]
-    if res.grid is not None:
-        lines.append(
-            f"analytic grid   : {_grid_str(res.grid.dims)}   "
-            f"total {human_str(analytic_cost.total)}"
-        )
-    else:
-        factors = " x ".join(human_str(f) for f in res.factors)
-        axes = ", ".join(f"p{a}" for a in res.non_integral_axes)
-        lines.append(f"analytic grid   : non-integral ({factors}); axes {axes}")
-    lines += [
-        f"exhaustive grid : {_grid_str(ex_grid.dims)}   total {human_str(ex_cb.total)}",
-        f"agreement       : {'exact' if agree else 'exhaustive is the fallback'}",
-        f"lower bound     : {human_str(rep.bound)}   "
-        f"attained: {'yes' if attained else 'no'}",
-    ]
-    return "\n".join(lines) + "\n", EXIT_OK
+    analytic_cost = comm_cost(shape, res.grid).total if res.grid is not None else None
+    record = {
+        "command": "grid",
+        "shape": shape.dims,
+        "procs": procs,
+        "case": res.case,
+        "analytic": {
+            "factors": res.factors,
+            "integral": res.grid is not None,
+            "grid": res.grid.dims if res.grid is not None else None,
+            "non_integral_axes": res.non_integral_axes,
+            "cost": analytic_cost,
+        },
+        "exhaustive": {
+            "grid": ex_grid.dims,
+            "cost": ex_cb.total,
+            "words_a": ex_cb.words_a,
+            "words_b": ex_cb.words_b,
+            "words_c": ex_cb.words_c,
+        },
+        "agreement": analytic_cost is not None and analytic_cost == ex_cb.total,
+        "lower_bound": rep.bound,
+        "attained": _attained(ex_cb.total, rep.bound),
+    }
+    return record, EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
+def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
     shape = _require_shape(cfg)
     if cfg.grid is not None:
         grid = ProcessorGrid(*cfg.grid)
@@ -403,65 +323,47 @@ def cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
         raise ConfigError(str(e))
     comp = compare_to_prediction(report)
     rep = lower_bound(shape, grid.size)
-    attained = _attained(Fraction(report.critical_path_words), rep.bound)
-    code = EXIT_OK if report.correctness else EXIT_CORRECTNESS
-
-    if cfg.fmt == "json":
-        doc = report.to_json_dict()
-        doc["command"] = "simulate"
-        doc["comparison"] = {
+    record = {
+        "shape": report.shape,
+        "grid": report.grid,
+        "seed": report.seed,
+        "per_phase": [
+            {
+                "phase": ph.name,
+                "per_proc_sent": ph.sent,
+                "max_sent": max(ph.sent),
+                "per_proc_received": ph.received,
+                "ideal": ph.ideal,
+                "even_split": ph.even_split,
+            }
+            for ph in report.phases
+        ],
+        "critical_path_words": str(report.critical_path_words),
+        "flops_per_proc": report.flops_per_proc,
+        "correctness": report.correctness,
+        "predicted_total": report.predicted.total,
+        "command": "simulate",
+        "comparison": {
             "all_exact": comp.all_exact,
             "all_within_bound": comp.all_within,
             "phases": [
                 {
                     "phase": r.phase,
                     "measured_max": r.measured_max,
-                    "ideal": value_to_json(r.ideal),
+                    "ideal": r.ideal,
                     "exact": r.exact,
-                    "deviation": value_to_json(r.deviation),
+                    "deviation": r.deviation,
                 }
                 for r in comp.phases
             ],
-        }
-        doc["lower_bound"] = value_to_json(rep.bound)
-        doc["attained"] = attained
-        return json.dumps(doc, indent=2) + "\n", code
-
-    if cfg.fmt == "csv":
-        header = ["phase", "measured_max", "ideal", "even_split", "deviation"]
-        rows = [
-            [r.phase, r.measured_max, _csv_value(r.ideal),
-             _csv_value(ph.even_split), _csv_value(r.deviation)]
-            for r, ph in zip(comp.phases, report.phases)
-        ]
-        rows.append(
-            ["total", report.critical_path_words,
-             _csv_value(report.predicted.total), "", ""]
-        )
-        return _csv_text(header, rows), code
-
-    lines = [
-        f"shape {shape.n1} x {shape.n2} x {shape.n3}   "
-        f"grid {_grid_str(grid.dims)}   seed {cfg.seed}"
-    ]
-    for r, ph in zip(comp.phases, report.phases):
-        split = "even" if ph.even_split else "uneven"
-        lines.append(
-            f"{r.phase:<17}: max {r.measured_max} words   "
-            f"(ideal {human_str(r.ideal)}, {split} split)"
-        )
-    lines += [
-        f"critical path    : {report.critical_path_words} words",
-        f"predicted total  : {human_str(report.predicted.total)}",
-        f"lower bound      : {human_str(rep.bound)}   "
-        f"attained: {'yes' if attained else 'no'}",
-        f"flops per proc   : {report.flops_per_proc}",
-        f"correctness      : {'PASS' if report.correctness else 'FAIL'}",
-    ]
-    return "\n".join(lines) + "\n", code
+        },
+        "lower_bound": rep.bound,
+        "attained": _attained(Fraction(report.critical_path_words), rep.bound),
+    }
+    return record, EXIT_OK if report.correctness else EXIT_CORRECTNESS
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
+def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     shape = _require_shape(cfg)
     procs = _single_procs(cfg)
     if cfg.tiny and shape.volume > 24:
@@ -519,47 +421,28 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
         ]
 
     passed = all(ok for _, ok, _ in checks)
-    code = EXIT_OK if passed else EXIT_VERIFY
-
-    if cfg.fmt == "json":
-        doc = {
-            "command": "verify",
-            "shape": list(shape.dims),
-            "procs": procs,
-            "case": sol.case_tag,
-            "checks": [
-                {"name": name, "passed": ok, "detail": detail}
-                for name, ok, detail in checks
-            ],
-            "passed": passed,
-        }
-        return json.dumps(doc, indent=2) + "\n", code
-
-    if cfg.fmt == "csv":
-        header = ["check", "passed", "detail"]
-        rows = [[name, _csv_value(ok), detail] for name, ok, detail in checks]
-        return _csv_text(header, rows), code
-
-    lines = [f"problem m={m} n={n} k={k}  P={procs}  case {sol.case_tag}"]
-    for name, ok, detail in checks:
-        lines.append(f"{name:<19}: {'PASS' if ok else 'FAIL'}   ({detail})")
-    lines.append(f"overall            : {'PASS' if passed else 'FAIL'}")
-    return "\n".join(lines) + "\n", code
+    record = {
+        "command": "verify",
+        "shape": shape.dims,
+        "procs": procs,
+        "case": sol.case_tag,
+        "checks": [
+            {"name": name, "passed": ok, "detail": detail}
+            for name, ok, detail in checks
+        ],
+        "passed": passed,
+    }
+    return record, EXIT_OK if passed else EXIT_VERIFY
 
 
-_CONSTANT_COLUMNS = ("ACS90", "ITT04", "DE+13", "this_work")
-
-
-def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
+def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.table == "constants":
-        return _sweep_constants(cfg)
+        return _sweep_constants(), EXIT_OK
     shape = _require_shape(cfg)
     if cfg.procs is None:
         raise ConfigError("--procs LO:HI is required")
     lo, hi = cfg.procs
     m, n, k = shape.sorted_dims
-    boundary_12 = Fraction(m, n)
-    boundary_23 = Fraction(m * n, k * k)
 
     rows = []
     for procs in range(lo, hi + 1):
@@ -580,105 +463,224 @@ def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
                 "attained": _attained(ex_cb.total, rep.bound),
             }
         )
-
-    if cfg.fmt == "json":
-        doc = {
-            "command": "sweep",
-            "shape": list(shape.dims),
-            "boundaries": {
-                "one_two": value_to_json(boundary_12),
-                "two_three": value_to_json(boundary_23),
-            },
-            "rows": [
-                {
-                    **row,
-                    "accessed": value_to_json(row["accessed"]),
-                    "owned": value_to_json(row["owned"]),
-                    "lower_bound": value_to_json(row["lower_bound"]),
-                    "exhaustive_cost": value_to_json(row["exhaustive_cost"]),
-                }
-                for row in rows
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n", EXIT_OK
-
-    header = [
-        "procs", "regime", "on_boundary", "accessed", "owned", "lower_bound",
-        "analytic_grid", "exhaustive_grid", "exhaustive_cost", "attained",
-    ]
-    if cfg.fmt == "csv":
-        out_rows = [
-            [
-                row["procs"], row["regime"], _csv_value(row["on_boundary"]),
-                _csv_value(row["accessed"]), _csv_value(row["owned"]),
-                _csv_value(row["lower_bound"]), row["analytic_grid"],
-                row["exhaustive_grid"], _csv_value(row["exhaustive_cost"]),
-                _csv_value(row["attained"]),
-            ]
-            for row in rows
-        ]
-        return _csv_text(header, out_rows), EXIT_OK
-
-    def cell(v) -> str:
-        if isinstance(v, bool):
-            return str(v).lower()
-        if isinstance(v, (Fraction, float)):
-            return human_str(v)
-        return str(v) if v != "" else "-"
-
-    lines = [
-        f"shape {shape.n1} x {shape.n2} x {shape.n3}   "
-        f"boundaries m/n = {human_str(boundary_12)}, "
-        f"mn/k^2 = {human_str(boundary_23)}",
-        "  ".join(f"{h:>15}" for h in header),
-    ]
-    for row in rows:
-        lines.append("  ".join(f"{cell(row[h]):>15}" for h in header))
-    return "\n".join(lines) + "\n", EXIT_OK
+    record = {
+        "command": "sweep",
+        "shape": shape.dims,
+        "boundaries": {
+            "one_two": Fraction(m, n),
+            "two_three": Fraction(m * n, k * k),
+        },
+        "rows": rows,
+    }
+    return record, EXIT_OK
 
 
-def _sweep_constants(cfg: RunConfig) -> tuple[str, int]:
-    order = (RegimeTag.THREE_D, RegimeTag.TWO_D, RegimeTag.ONE_D)
+def _sweep_constants() -> dict:
     leading = {"3d": "n^2/P^(2/3)", "2d": "n^2/P^(1/2)", "1d": "n^2"}
-    rows = []
-    for tag in order:
-        consts = prior_constants(tag)
-        rows.append((tag.value, leading[tag.value], consts))
+    rows = [
+        {"regime": tag.value, "leading_term": leading[tag.value], **prior_constants(tag)}
+        for tag in (RegimeTag.THREE_D, RegimeTag.TWO_D, RegimeTag.ONE_D)
+    ]
+    return {"command": "sweep", "table": "constants", "rows": rows}
 
-    if cfg.fmt == "json":
-        doc = {
-            "command": "sweep",
-            "table": "constants",
-            "rows": [
-                {
-                    "regime": regime,
-                    "leading_term": lead,
-                    **{
-                        col: (None if consts[col] is None else value_to_json(consts[col]))
-                        for col in _CONSTANT_COLUMNS
-                    },
-                }
-                for regime, lead, consts in rows
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n", EXIT_OK
 
-    header = ["regime", "leading_term", *_CONSTANT_COLUMNS]
-    if cfg.fmt == "csv":
-        out_rows = [
-            [regime, lead] + [_csv_value(consts[col]) for col in _CONSTANT_COLUMNS]
-            for regime, lead, consts in rows
+# ---------------------------------------------------------------- views
+#
+# A table view gives the (header, rows) of a record, for csv; a human view
+# gives its lines of terminal text.
+
+
+def _bound_table(r: dict) -> tuple[list, list]:
+    header = [
+        "n1", "n2", "n3", "procs", "regime", "on_boundary",
+        "accessed", "owned", "lower_bound", "memory_dependent", "binding",
+    ]
+    row = [
+        *r["shape"], r["procs"], r["regime"], r["on_boundary"], r["accessed"],
+        r["owned"], r["lower_bound"], r.get("memory_dependent"), r.get("binding"),
+    ]
+    return header, [row]
+
+
+def _bound_human(r: dict) -> list[str]:
+    lines = [
+        f"shape {_shape_str(r['shape'])}   P = {r['procs']}   regime {r['regime']}"
+        + ("   (on boundary)" if r["on_boundary"] else ""),
+        f"accessed data D : {human_str(r['accessed'])}",
+        f"owned per proc  : {human_str(r['owned'])}",
+        f"lower bound     : {human_str(r['lower_bound'])}",
+    ]
+    if r["oversubscribed"]:
+        lines.append("note: P exceeds the multiply count mnk")
+    if "memory" in r:
+        lines += [
+            f"memory M        : {human_str(r['memory'])}",
+            f"memory-dep term : {human_str(r['memory_dependent'])}",
+            f"binding         : {r['binding']}"
+            + ("   (inside dominance window)" if r["dominance"]["in_window"] else ""),
         ]
-        return _csv_text(header, out_rows), EXIT_OK
+    return lines
 
-    lines = ["  ".join(f"{h:>12}" for h in header)]
-    for regime, lead, consts in rows:
-        cells = [regime, lead] + [
-            human_str(consts[col]) if consts[col] is not None else "-"
-            for col in _CONSTANT_COLUMNS
-        ]
-        lines.append("  ".join(f"{c:>12}" for c in cells))
-    return "\n".join(lines) + "\n", EXIT_OK
+
+def _grid_table(r: dict) -> tuple[list, list]:
+    an, ex = r["analytic"], r["exhaustive"]
+    header = [
+        "n1", "n2", "n3", "procs", "case", "analytic_grid",
+        "non_integral_axes", "exhaustive_grid", "exhaustive_cost",
+        "lower_bound", "attained",
+    ]
+    row = [
+        *r["shape"], r["procs"], r["case"],
+        _grid_str(an["grid"]) if an["integral"] else "",
+        " ".join(f"p{a}" for a in an["non_integral_axes"]),
+        _grid_str(ex["grid"]), ex["cost"], r["lower_bound"], r["attained"],
+    ]
+    return header, [row]
+
+
+def _grid_human(r: dict) -> list[str]:
+    an, ex = r["analytic"], r["exhaustive"]
+    lines = [f"shape {_shape_str(r['shape'])}   P = {r['procs']}   case {r['case']}"]
+    if an["integral"]:
+        lines.append(
+            f"analytic grid   : {_grid_str(an['grid'])}   total {human_str(an['cost'])}"
+        )
+    else:
+        factors = " x ".join(human_str(f) for f in an["factors"])
+        axes = ", ".join(f"p{a}" for a in an["non_integral_axes"])
+        lines.append(f"analytic grid   : non-integral ({factors}); axes {axes}")
+    lines += [
+        f"exhaustive grid : {_grid_str(ex['grid'])}   total {human_str(ex['cost'])}",
+        f"agreement       : {'exact' if r['agreement'] else 'exhaustive is the fallback'}",
+        f"lower bound     : {human_str(r['lower_bound'])}   "
+        f"attained: {_yes_no(r['attained'])}",
+    ]
+    return lines
+
+
+def _simulate_table(r: dict) -> tuple[list, list]:
+    header = ["phase", "measured_max", "ideal", "even_split", "deviation"]
+    rows = [
+        [c["phase"], c["measured_max"], c["ideal"], ph["even_split"], c["deviation"]]
+        for c, ph in zip(r["comparison"]["phases"], r["per_phase"])
+    ]
+    rows.append(["total", r["critical_path_words"], r["predicted_total"], None, None])
+    return header, rows
+
+
+def _simulate_human(r: dict) -> list[str]:
+    lines = [
+        f"shape {_shape_str(r['shape'])}   "
+        f"grid {_grid_str(r['grid'])}   seed {r['seed']}"
+    ]
+    for c, ph in zip(r["comparison"]["phases"], r["per_phase"]):
+        split = "even" if ph["even_split"] else "uneven"
+        lines.append(
+            f"{c['phase']:<17}: max {c['measured_max']} words   "
+            f"(ideal {human_str(c['ideal'])}, {split} split)"
+        )
+    lines += [
+        f"critical path    : {r['critical_path_words']} words",
+        f"predicted total  : {human_str(r['predicted_total'])}",
+        f"lower bound      : {human_str(r['lower_bound'])}   "
+        f"attained: {_yes_no(r['attained'])}",
+        f"flops per proc   : {r['flops_per_proc']}",
+        f"correctness      : {_pass_fail(r['correctness'])}",
+    ]
+    return lines
+
+
+def _verify_table(r: dict) -> tuple[list, list]:
+    rows = [[c["name"], c["passed"], c["detail"]] for c in r["checks"]]
+    return ["check", "passed", "detail"], rows
+
+
+def _verify_human(r: dict) -> list[str]:
+    m, n, k = sorted(r["shape"], reverse=True)
+    lines = [f"problem m={m} n={n} k={k}  P={r['procs']}  case {r['case']}"]
+    for c in r["checks"]:
+        lines.append(f"{c['name']:<19}: {_pass_fail(c['passed'])}   ({c['detail']})")
+    lines.append(f"overall            : {_pass_fail(r['passed'])}")
+    return lines
+
+
+def _rows_table(r: dict) -> tuple[list, list]:
+    """Both sweep tables: one column per key of the record's row dicts."""
+    return list(r["rows"][0]), [list(row.values()) for row in r["rows"]]
+
+
+def _human_cell(v) -> str:
+    if v is None or v == "":
+        return "-"
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, (Fraction, float)):
+        return human_str(v)
+    return str(v)
+
+
+def _human_table(r: dict, width: int) -> list[str]:
+    header, rows = _rows_table(r)
+    return ["  ".join(f"{_human_cell(v):>{width}}" for v in row) for row in [header, *rows]]
+
+
+def _sweep_human(r: dict) -> list[str]:
+    b = r["boundaries"]
+    title = (
+        f"shape {_shape_str(r['shape'])}   "
+        f"boundaries m/n = {human_str(b['one_two'])}, "
+        f"mn/k^2 = {human_str(b['two_three'])}"
+    )
+    return [title, *_human_table(r, 15)]
+
+
+def _constants_human(r: dict) -> list[str]:
+    return _human_table(r, 12)
+
+
+# ---------------------------------------------------------------- rendering
+
+_VIEWS = {
+    "bound": (_bound_table, _bound_human),
+    "grid": (_grid_table, _grid_human),
+    "simulate": (_simulate_table, _simulate_human),
+    "verify": (_verify_table, _verify_human),
+    "sweep": (_rows_table, _sweep_human),
+    "constants": (_rows_table, _constants_human),
+}
+
+
+def _json_number(v):
+    if isinstance(v, Fraction):
+        return value_to_json(v)
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
+def _csv_value(v) -> str:
+    # floats print as repr, which round-trips; rationals print exactly unless
+    # their expansion runs past 28 fractional digits, where they are rounded
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, (Fraction, float)):
+        return decimal_str(v)
+    return str(v)
+
+
+def render(record: dict, fmt: str) -> str:
+    """A command's record as json, csv or human text."""
+    if fmt == "json":
+        return json.dumps(record, indent=2, default=_json_number) + "\n"
+    table, human = _VIEWS[record.get("table", record["command"])]
+    if fmt == "csv":
+        header, rows = table(record)
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_csv_value(v) for v in row] for row in rows)
+        return buf.getvalue()
+    return "\n".join(human(record)) + "\n"
 
 
 _DISPATCH = {
@@ -698,7 +700,8 @@ def main(argv=None) -> int:
         return int(e.code) if e.code else EXIT_OK
     try:
         cfg = resolve_config(args)
-        text, code = _DISPATCH[cfg.command](cfg)
+        record, code = _DISPATCH[cfg.command](cfg)
+        text = render(record, cfg.fmt)
     except (ConfigError, ValueError, OverflowError) as e:
         # OverflowError: a dimension too large for the float closed forms
         print(f"error: {e}", file=sys.stderr)

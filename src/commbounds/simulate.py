@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .bounds import MachineModel, ProblemShape
-from .exact import value_to_json
 from .grids import CostBreakdown, ProcessorGrid, comm_cost
 
 Coord = tuple[int, int, int]
@@ -214,28 +213,6 @@ class SimReport:
     correctness: bool
     predicted: CostBreakdown
     messages: list[Message]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "shape": list(self.shape),
-            "grid": list(self.grid),
-            "seed": self.seed,
-            "per_phase": [
-                {
-                    "phase": ph.name,
-                    "per_proc_sent": list(ph.sent),
-                    "max_sent": max(ph.sent),
-                    "per_proc_received": list(ph.received),
-                    "ideal": value_to_json(ph.ideal),
-                    "even_split": ph.even_split,
-                }
-                for ph in self.phases
-            ],
-            "critical_path_words": str(self.critical_path_words),
-            "flops_per_proc": self.flops_per_proc,
-            "correctness": self.correctness,
-            "predicted_total": value_to_json(self.predicted.total),
-        }
 
 
 def run_algorithm(shape: ProblemShape, grid: ProcessorGrid, seed: int = 0) -> SimReport:

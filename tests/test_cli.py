@@ -127,9 +127,16 @@ class TestSimulate:
         )
         assert code == 0
         doc = json.loads(out)
+        assert doc["shape"] == [96, 96, 96]
+        assert doc["grid"] == [2, 2, 2]
         assert doc["critical_path_words"] == "3456"
         assert doc["correctness"] is True
         assert doc["attained"] is True
+        assert {p["phase"] for p in doc["per_phase"]} == {
+            "A_all_gather", "B_all_gather", "C_reduce_scatter"
+        }
+        for p in doc["per_phase"]:
+            assert p["max_sent"] == max(p["per_proc_sent"])
         phases = {p["phase"]: p["max_sent"] for p in doc["per_phase"]}
         assert phases["A_all_gather"] == 1152
         assert doc["comparison"]["all_exact"] is True
