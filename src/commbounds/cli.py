@@ -37,7 +37,7 @@ from .bounds import (
     lower_bound,
     prior_constants,
 )
-from .exact import Value, decimal_str, human_str, value_to_json, values_agree
+from .exact import Value, decimal_str, human_str, value_to_json
 from .grids import ProcessorGrid, analytic_grid, comm_cost, exhaustive_grid
 from .kkt import (
     OptProblem,
@@ -237,7 +237,8 @@ def _pass_fail(ok: bool) -> str:
 
 
 def _attained(measured: Value, bound: Value) -> bool:
-    return values_agree(measured, bound)
+    # a float bound is irrational (no rational root exists), so no cost equals it
+    return isinstance(bound, Fraction) and measured == bound
 
 
 # ---------------------------------------------------------------- commands

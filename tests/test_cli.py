@@ -101,6 +101,26 @@ class TestGrid:
         assert doc["analytic"]["non_integral_axes"] == [1, 2, 3]
         assert doc["exhaustive"]["grid"] == [7, 1, 1]
 
+    @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+    def test_irrational_bound_is_never_attained(self, capsys, fmt):
+        # the 2x2x2 grid costs 37500002500000; the bound is irrational,
+        # 37500002499999.9166..., within 1e-12 relative of that cost
+        code, out, _ = run_cli(
+            capsys, "grid", "--shape", "10000001", "10000000", "10000000",
+            "--procs", "8", "--format", fmt,
+        )
+        assert code == 0
+        if fmt == "human":
+            assert out.splitlines()[-1].endswith("attained: no")
+        elif fmt == "json":
+            doc = json.loads(out)
+            assert json_to_value(doc["exhaustive"]["cost"]) == 37500002500000
+            assert isinstance(doc["lower_bound"], float)
+            assert doc["attained"] is False
+        else:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[1][rows[0].index("attained")] == "false"
+
 
 class TestSimulate:
     def test_explicit_grid(self, capsys):
