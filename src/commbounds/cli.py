@@ -704,7 +704,8 @@ def main(argv=None) -> int:
         record, code = _DISPATCH[cfg.command](cfg)
         text = render(record, cfg.fmt)
     except (ConfigError, ValueError, OverflowError) as e:
-        # OverflowError: a dimension too large for the float closed forms
+        # OverflowError: a dimension too large for the float closed forms, or
+        # a P too large for the float oracle
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.out:

@@ -215,12 +215,11 @@ def numeric_minimize_oracle(prob: OptProblem, budget: int = 100_000) -> float:
     optimum.  Roughly 80% of the budget goes to the initial grid and the rest
     to three zoom refinements around the incumbent.
 
-    A coarse grid of side >= 8 * _BLOCK, with (mnk/P)^2 not rounded to 0, is
-    searched by branch and bound over _BLOCK x _BLOCK blocks of indices; the
-    last block repeats the last index.  A block's floor is the objective's
-    expression (x1 + x2) + max(mn/P, (mnk/P)^2 / (x1 x2)) evaluated on the
-    block's least x1 and x2 in the sum and its greatest x1 and x2 in the
-    product.
+    A coarse grid of side >= 8 * _BLOCK is searched by branch and bound over
+    _BLOCK x _BLOCK blocks of indices; the last block repeats the last index.
+    A block's floor is the objective's expression
+    (x1 + x2) + max(mn/P, (mnk/P)^2 / (x1 x2)) evaluated on the block's least
+    x1 and x2 in the sum and its greatest x1 and x2 in the product.
     Rounding to nearest is monotone in each operand, so every element of the
     block, evaluated with the same operations in the same order, rounds to at
     least that floor.  The block of least floor is evaluated in full; its
@@ -228,6 +227,9 @@ def numeric_minimize_oracle(prob: OptProblem, budget: int = 100_000) -> float:
     no minimizer and is skipped.  The value and the first row-major minimizer
     are therefore bit-for-bit those of the full scan, and so is every
     refinement that follows.
+
+    Raises OverflowError when (mnk/P)^2 rounds to 0 as a float (P above mnk
+    by about 1e162): the sampled objective would then hold 0/0.
     """
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000, got {budget}")
@@ -235,6 +237,10 @@ def numeric_minimize_oracle(prob: OptProblem, budget: int = 100_000) -> float:
     hi1 = float(prob.n * prob.k)
     hi2 = float(prob.m * prob.k)
     floor_prod = float(prob.product_bound)
+    if floor_prod == 0.0:
+        raise OverflowError(
+            "P too large for the float oracle: (mnk/P)^2 rounds to 0"
+        )
 
     def cost(s1, s2, p1, p2):
         # the objective at (x1, x2) when s = p = (x1, x2); a block's floor
@@ -262,10 +268,7 @@ def numeric_minimize_oracle(prob: OptProblem, budget: int = 100_000) -> float:
     def grid_best(a1, b1, a2, b2, side):
         x1 = np.geomspace(a1, b1, side)
         x2 = np.geomspace(a2, b2, side)
-        # floor_prod underflows to 0 only when P exceeds mnk by ~1e162; then
-        # 0/0 can put a NaN in the grid, which np.argmin returns and no floor
-        # bounds, so that grid keeps the full scan
-        if side >= 8 * _BLOCK and floor_prod > 0:
+        if side >= 8 * _BLOCK:
             best, flat = pruned_argmin(x1, x2)
         else:
             f = values(x1[:, None], x2[None, :])

@@ -241,6 +241,15 @@ class TestVerify:
         assert err == "error: --tiny needs n1*n2*n3 <= 24, got 13824\n"
         assert calls == []
 
+    def test_procs_too_large_for_the_oracle_exits_2(self, capsys):
+        # the KKT checks pass here; the float oracle cannot represent (mnk/P)^2
+        code, out, err = run_cli(
+            capsys, "verify", "--shape", "2", "2", "2", "--procs", str(10**165)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_verification_failure_exits_4(self, capsys, monkeypatch):
         import commbounds.kkt as kkt
 

@@ -215,14 +215,10 @@ class TestOracle:
                 prob, budget
             ), (prob, budget)
 
-    def test_equals_full_scan_when_the_product_floor_underflows(self):
-        # (mnk/P)^2 rounds to 0 and 0/0 puts NaNs in the grid: both scans
-        # must still return the same value, NaN here
-        prob = OptProblem(2, 2, 2, 10**165)
-        with np.errstate(all="ignore"):
-            got = numeric_minimize_oracle(prob, 100_000)
-            want = full_scan_oracle(prob, 100_000)
-        assert np.isnan(got) and np.isnan(want)
+    def test_rejects_a_product_floor_that_underflows(self):
+        # (mnk/P)^2 rounds to 0, where the sampled objective would be 0/0
+        with pytest.raises(OverflowError):
+            numeric_minimize_oracle(OptProblem(2, 2, 2, 10**165), 100_000)
 
     def test_equals_full_scan_on_c4_tuples(self):
         from test_acceptance import _c4_tuples
