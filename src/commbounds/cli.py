@@ -118,6 +118,25 @@ def _int_triple(value, message: str) -> tuple[int, int, int]:
     return triple
 
 
+# The flags each command reads besides the common ones; argparse rejects the
+# rest.  Config files may hold any of them, since one file can serve several
+# commands.
+_COMMAND_FLAGS = {
+    "bound": ("memory",),
+    "grid": (),
+    "simulate": ("grid", "seed"),
+    "verify": ("seed", "tiny"),
+    "sweep": ("table",),
+}
+_FLAG_SPECS = {
+    "memory": dict(type=_number, metavar="M"),
+    "grid": dict(nargs=3, type=int, metavar=("P1", "P2", "P3")),
+    "seed": dict(type=int, metavar="S"),
+    "tiny": dict(action="store_const", const=True, default=None),
+    "table": dict(choices=("constants",)),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every call.
@@ -130,18 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="communication lower bounds for parallel matrix multiplication",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("bound", "grid", "simulate", "verify", "sweep"):
+    for name, flags in _COMMAND_FLAGS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", metavar="PATH", help="JSON config; flags win")
         p.add_argument("--shape", nargs=3, type=int, metavar=("N1", "N2", "N3"))
         p.add_argument("--procs", metavar="P|LO:HI")
-        p.add_argument("--memory", type=_number, metavar="M")
-        p.add_argument("--grid", nargs=3, type=int, metavar=("P1", "P2", "P3"))
-        p.add_argument("--seed", type=int, metavar="S")
         p.add_argument("--format", choices=("human", "json", "csv"))
         p.add_argument("--out", metavar="PATH")
-        p.add_argument("--tiny", action="store_const", const=True, default=None)
-        p.add_argument("--table", choices=("constants",))
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAG_SPECS[flag])
     return parser
 
 

@@ -401,6 +401,33 @@ class TestConfigAndIO:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grid", "--shape", "96", "24", "6", "--procs", "64", "--grid", "4", "4", "4"],
+            ["bound", "--shape", "96", "24", "6", "--procs", "8", "--tiny"],
+            ["bound", "--shape", "96", "24", "6", "--procs", "8", "--seed", "3"],
+            ["sweep", "--shape", "96", "24", "6", "--procs", "1:4", "--memory", "500"],
+            ["verify", "--shape", "2", "2", "2", "--procs", "2", "--table", "constants"],
+        ],
+        ids=["grid-grid", "bound-tiny", "bound-seed", "sweep-memory", "verify-table"],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_config_keys_of_other_commands_are_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"shape": [96, 24, 6], "procs": 36, "grid": [12, 3, 1], "seed": 1,
+             "memory": 500, "tiny": False, "table": None}
+        ))
+        for command in ("bound", "grid", "simulate", "verify"):
+            code, _, err = run_cli(capsys, command, "--config", str(cfg))
+            assert (code, err) == (0, ""), command
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2
 
