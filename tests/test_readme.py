@@ -1,11 +1,17 @@
-"""The README's library quick start runs and prints what its comments say."""
+"""The README's examples run and print what the README says they print."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+import commbounds.cli as cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRANSCRIPTS = re.findall(r"```text\n(\$ commbounds .*?)```", README.read_text(), re.S)
 
 
 def test_quick_start_runs_and_prints_its_comments():
@@ -25,3 +31,36 @@ def test_quick_start_runs_and_prints_its_comments():
     with contextlib.redirect_stdout(buf):
         exec(compile(code, str(README), "exec"), {})
     assert buf.getvalue().splitlines() == documented
+
+
+def transcript_pattern(lines: list[str]) -> re.Pattern:
+    """A line "..." matches any lines, "..." inside a line any text."""
+    parts = [
+        r"(?:.*\n)*?" if line == "..." else ".*".join(map(re.escape, line.split("..."))) + r"\n"
+        for line in lines
+    ]
+    return re.compile("".join(parts))
+
+
+def test_every_cli_example_is_checked():
+    assert [t.split()[2] for t in TRANSCRIPTS] == [
+        "bound", "bound", "grid", "simulate", "verify", "sweep",
+    ]
+
+
+@pytest.mark.parametrize("transcript", TRANSCRIPTS, ids=lambda t: t.splitlines()[0][2:])
+def test_cli_transcript_matches(transcript):
+    command, *expected = transcript.splitlines()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(shlex.split(command)[2:])
+    assert code == 0
+    assert transcript_pattern(expected).fullmatch(out.getvalue()), out.getvalue()
+
+
+def test_transcript_pattern():
+    pattern = transcript_pattern(["a", "...", "b ... d"])
+    assert pattern.fullmatch("a\nb c d\n")
+    assert pattern.fullmatch("a\nx\ny\nb  d\n")
+    assert not pattern.fullmatch("a\nb c e\n")
+    assert not pattern.fullmatch("x\na\nb d\n")
