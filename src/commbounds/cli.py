@@ -1,20 +1,29 @@
 """Command line front end.
 
-Subcommands:
+Subcommands, with the flags each reads besides the common ones:
     bound     lower bound for one (shape, P), optionally against a memory cap
+              (--memory M)
     grid      analytic grid selection plus exhaustive confirmation
     simulate  run the 3D algorithm on a virtual machine and compare to the
-              prediction and the bound
-    verify    KKT certificate, feasible-sampling oracle, quasiconvexity, and
-              (with --tiny) the exhaustive projection oracle
+              prediction and the bound (--grid P1 P2 P3, --seed S)
+    verify    KKT certificate, feasible-sampling oracle, quasiconvexity
+              (--seed S), and with --tiny the exhaustive projection oracle
     sweep     bound/grid/attainment table over a P range, or the prior-work
               constants table (--table constants)
 
-All commands share --shape N1 N2 N3, --procs P (or LO:HI for sweep),
---memory M, --grid P1 P2 P3, --seed S, --format {human,json,csv}, --out PATH,
---tiny, --table constants, and --config FILE (JSON with the same keys; flags
-win).  Exit codes: 0 success, 2 bad configuration, 3 simulation correctness
-failure, 4 verification failure.
+The common flags are --shape N1 N2 N3, --procs P (LO:HI for sweep),
+--format {human,json,csv}, --out PATH and --config FILE; a command rejects
+any other flag.  A config file is a JSON object keyed by flag name (flags
+win); it may hold any key, checked whichever command reads the file.
+
+Each cmd_* function computes its answer once, as a record: the JSON document
+with its values still typed (Fractions, floats, tuples), plus an exit code.
+render() is the only place that knows the output formats: JSON through one
+encoder hook for Fractions, CSV through one writer over the command's
+(header, rows) view, and human text through the command's template.
+
+Exit codes: 0 success, 2 bad configuration or input too large for the float
+formulas, 3 simulation correctness failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -244,23 +253,12 @@ def _shape_str(dims) -> str:
     return " x ".join(str(d) for d in dims)
 
 
-def _yes_no(ok: bool) -> str:
-    return "yes" if ok else "no"
-
-
-def _pass_fail(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"
-
-
 def _attained(measured: Value, bound: Value) -> bool:
     # a float bound is irrational (no rational root exists), so no cost equals it
     return isinstance(bound, Fraction) and measured == bound
 
 
 # ---------------------------------------------------------------- commands
-#
-# Each command returns (record, exit code).  The record is the JSON document
-# with its values still typed: Fractions, floats and tuples.
 
 
 def cmd_bound(cfg: RunConfig) -> tuple[dict, int]:
@@ -328,9 +326,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.grid is not None:
         grid = ProcessorGrid(*cfg.grid)
         if cfg.procs is not None and _single_procs(cfg) != grid.size:
-            raise ConfigError(
-                f"--grid product {grid.size} does not match --procs"
-            )
+            raise ConfigError(f"--grid product {grid.size} does not match --procs")
     else:
         procs = _single_procs(cfg)
         grid, _ = exhaustive_grid(shape, procs, require_divisibility=True)
@@ -495,16 +491,18 @@ def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
 def _sweep_constants() -> dict:
     leading = {"3d": "n^2/P^(2/3)", "2d": "n^2/P^(1/2)", "1d": "n^2"}
     rows = [
-        {"regime": tag.value, "leading_term": leading[tag.value], **prior_constants(tag)}
+        {
+            "regime": tag.value,
+            "leading_term": leading[tag.value],
+            **prior_constants(tag),
+        }
         for tag in (RegimeTag.THREE_D, RegimeTag.TWO_D, RegimeTag.ONE_D)
     ]
     return {"command": "sweep", "table": "constants", "rows": rows}
 
 
 # ---------------------------------------------------------------- views
-#
-# A table view gives the (header, rows) of a record, for csv; a human view
-# gives its lines of terminal text.
+# A table view gives a record's (header, rows); a human view its text lines.
 
 
 def _bound_table(r: dict) -> tuple[list, list]:
@@ -568,9 +566,10 @@ def _grid_human(r: dict) -> list[str]:
         lines.append(f"analytic grid   : non-integral ({factors}); axes {axes}")
     lines += [
         f"exhaustive grid : {_grid_str(ex['grid'])}   total {human_str(ex['cost'])}",
-        f"agreement       : {'exact' if r['agreement'] else 'exhaustive is the fallback'}",
+        "agreement       : "
+        + ("exact" if r["agreement"] else "exhaustive is the fallback"),
         f"lower bound     : {human_str(r['lower_bound'])}   "
-        f"attained: {_yes_no(r['attained'])}",
+        f"attained: {'yes' if r['attained'] else 'no'}",
     ]
     return lines
 
@@ -600,9 +599,9 @@ def _simulate_human(r: dict) -> list[str]:
         f"critical path    : {r['critical_path_words']} words",
         f"predicted total  : {human_str(r['predicted_total'])}",
         f"lower bound      : {human_str(r['lower_bound'])}   "
-        f"attained: {_yes_no(r['attained'])}",
+        f"attained: {'yes' if r['attained'] else 'no'}",
         f"flops per proc   : {r['flops_per_proc']}",
-        f"correctness      : {_pass_fail(r['correctness'])}",
+        f"correctness      : {'PASS' if r['correctness'] else 'FAIL'}",
     ]
     return lines
 
@@ -616,8 +615,10 @@ def _verify_human(r: dict) -> list[str]:
     m, n, k = sorted(r["shape"], reverse=True)
     lines = [f"problem m={m} n={n} k={k}  P={r['procs']}  case {r['case']}"]
     for c in r["checks"]:
-        lines.append(f"{c['name']:<19}: {_pass_fail(c['passed'])}   ({c['detail']})")
-    lines.append(f"overall            : {_pass_fail(r['passed'])}")
+        lines.append(
+            f"{c['name']:<19}: {'PASS' if c['passed'] else 'FAIL'}   ({c['detail']})"
+        )
+    lines.append(f"overall            : {'PASS' if r['passed'] else 'FAIL'}")
     return lines
 
 
@@ -626,19 +627,12 @@ def _rows_table(r: dict) -> tuple[list, list]:
     return list(r["rows"][0]), [list(row.values()) for row in r["rows"]]
 
 
-def _human_cell(v) -> str:
-    if v is None or v == "":
-        return "-"
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, (Fraction, float)):
-        return human_str(v)
-    return str(v)
-
-
 def _human_table(r: dict, width: int) -> list[str]:
     header, rows = _rows_table(r)
-    return ["  ".join(f"{_human_cell(v):>{width}}" for v in row) for row in [header, *rows]]
+    return [
+        "  ".join(f"{_cell(v, human_str, '-'):>{width}}" for v in row)
+        for row in [header, *rows]
+    ]
 
 
 def _sweep_human(r: dict) -> list[str]:
@@ -651,10 +645,6 @@ def _sweep_human(r: dict) -> list[str]:
     return [title, *_human_table(r, 15)]
 
 
-def _constants_human(r: dict) -> list[str]:
-    return _human_table(r, 12)
-
-
 # ---------------------------------------------------------------- rendering
 
 _VIEWS = {
@@ -663,7 +653,7 @@ _VIEWS = {
     "simulate": (_simulate_table, _simulate_human),
     "verify": (_verify_table, _verify_human),
     "sweep": (_rows_table, _sweep_human),
-    "constants": (_rows_table, _constants_human),
+    "constants": (_rows_table, lambda r: _human_table(r, 12)),
 }
 
 
@@ -673,16 +663,21 @@ def _json_number(v):
     raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
-def _csv_value(v) -> str:
-    # floats print as repr, which round-trips; rationals print exactly unless
-    # their expansion runs past 28 fractional digits, where they are rounded
-    if v is None:
-        return ""
+def _cell(v, number_str, empty: str) -> str:
+    """One table cell, csv or human; only numbers and empty cells differ."""
+    if v is None or v == "":
+        return empty
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, (Fraction, float)):
-        return decimal_str(v)
+        return number_str(v)
     return str(v)
+
+
+def _csv_value(v) -> str:
+    # floats print as repr, which round-trips; rationals print exactly unless
+    # their expansion runs past 28 fractional digits, where they are rounded
+    return _cell(v, decimal_str, "")
 
 
 def render(record: dict, fmt: str) -> str:

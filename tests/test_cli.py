@@ -404,16 +404,16 @@ class TestConfigAndIO:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["grid", "--shape", "96", "24", "6", "--procs", "64", "--grid", "4", "4", "4"],
-            ["bound", "--shape", "96", "24", "6", "--procs", "8", "--tiny"],
-            ["bound", "--shape", "96", "24", "6", "--procs", "8", "--seed", "3"],
-            ["sweep", "--shape", "96", "24", "6", "--procs", "1:4", "--memory", "500"],
-            ["verify", "--shape", "2", "2", "2", "--procs", "2", "--table", "constants"],
+            "grid --shape 96 24 6 --procs 64 --grid 4 4 4",
+            "bound --shape 96 24 6 --procs 8 --tiny",
+            "bound --shape 96 24 6 --procs 8 --seed 3",
+            "sweep --shape 96 24 6 --procs 1:4 --memory 500",
+            "verify --shape 2 2 2 --procs 2 --table constants",
         ],
         ids=["grid-grid", "bound-tiny", "bound-seed", "sweep-memory", "verify-table"],
     )
     def test_flag_the_command_does_not_read_exits_2(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv.split())
         assert code == 2
         assert out == ""
         assert "unrecognized arguments" in err

@@ -26,7 +26,8 @@ blocked_cases = st.builds(
 
 
 def grid_json(shape, procs) -> dict:
-    argv = ["grid", "--shape", *map(str, shape), "--procs", str(procs), "--format", "json"]
+    argv = ["grid", "--shape", *map(str, shape), "--procs", str(procs)]
+    argv += ["--format", "json"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0

@@ -36,7 +36,9 @@ def test_quick_start_runs_and_prints_its_comments():
 def transcript_pattern(lines: list[str]) -> re.Pattern:
     """A line "..." matches any lines, "..." inside a line any text."""
     parts = [
-        r"(?:.*\n)*?" if line == "..." else ".*".join(map(re.escape, line.split("..."))) + r"\n"
+        r"(?:.*\n)*?"
+        if line == "..."
+        else ".*".join(re.escape(part) for part in line.split("...")) + r"\n"
         for line in lines
     ]
     return re.compile("".join(parts))
