@@ -238,9 +238,7 @@ def numeric_minimize_oracle(prob: OptProblem, budget: int = 100_000) -> float:
     hi2 = float(prob.m * prob.k)
     floor_prod = float(prob.product_bound)
     if floor_prod == 0.0:
-        raise OverflowError(
-            "P too large for the float oracle: (mnk/P)^2 rounds to 0"
-        )
+        raise OverflowError("P too large for the float oracle: (mnk/P)^2 rounds to 0")
 
     def cost(s1, s2, p1, p2):
         # the objective at (x1, x2) when s = p = (x1, x2); a block's floor
