@@ -11,7 +11,6 @@ problems.
 from .bounds import (
     BoundReport,
     DominanceReport,
-    MachineModel,
     ProblemShape,
     Regime,
     RegimeTag,
@@ -20,7 +19,6 @@ from .bounds import (
     classify_regime,
     lower_bound,
     prior_constants,
-    square_bound,
 )
 from .exact import decimal_str, human_str, values_agree
 from .grids import (
@@ -36,31 +34,22 @@ from .kkt import (
     KKTReport,
     OptProblem,
     OptSolution,
-    QuasiconvexityReport,
     analytic_solution,
     analytic_solution_for_case,
     kkt_verify,
     numeric_minimize_oracle,
     objective,
-    quasiconvexity_check,
 )
 from .projections import (
     MinProjectionResult,
-    ProjectionCounts,
-    ProjectionLBReport,
-    WorkSet,
     min_projection_sum,
-    projections_of,
     subset_stats,
-    verify_loomis_whitney,
-    verify_projection_lb,
 )
 from .simulate import (
     PredictionComparison,
     SimReport,
     build_machine,
     compare_to_prediction,
-    estimate_time,
     ring_all_gather,
     ring_reduce_scatter,
     run_algorithm,
@@ -74,20 +63,15 @@ __all__ = [
     "CostBreakdown",
     "DominanceReport",
     "KKTReport",
-    "MachineModel",
     "MinProjectionResult",
     "OptProblem",
     "OptSolution",
     "PredictionComparison",
     "ProblemShape",
     "ProcessorGrid",
-    "ProjectionCounts",
-    "ProjectionLBReport",
-    "QuasiconvexityReport",
     "Regime",
     "RegimeTag",
     "SimReport",
-    "WorkSet",
     "accessed_data",
     "analytic_grid",
     "analytic_solution",
@@ -98,7 +82,6 @@ __all__ = [
     "comm_cost",
     "compare_to_prediction",
     "decimal_str",
-    "estimate_time",
     "exhaustive_grid",
     "factor_triples",
     "human_str",
@@ -108,14 +91,9 @@ __all__ = [
     "numeric_minimize_oracle",
     "objective",
     "prior_constants",
-    "projections_of",
-    "quasiconvexity_check",
     "ring_all_gather",
     "ring_reduce_scatter",
     "run_algorithm",
-    "square_bound",
     "subset_stats",
     "values_agree",
-    "verify_loomis_whitney",
-    "verify_projection_lb",
 ]

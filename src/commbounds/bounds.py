@@ -200,11 +200,6 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
     )
 
 
-def square_bound(n: int, procs: int) -> BoundReport:
-    """Bound for n x n x n; equals 3n^2/P^(2/3) - 3n^2/P."""
-    return lower_bound(ProblemShape(n, n, n), procs)
-
-
 @dataclass(frozen=True)
 class DominanceReport:
     accessed: Value            # memory-independent D
@@ -264,27 +259,3 @@ def prior_constants(regime: Regime | RegimeTag) -> dict[str, Optional[Value]]:
     """Leading-term constants table for one regime; None where absent."""
     tag = regime.tag if isinstance(regime, Regime) else regime
     return dict(_PRIOR_CONSTANTS[tag])
-
-
-@dataclass(frozen=True)
-class MachineModel:
-    """Per-message, per-word, per-flop costs for optional time estimates.
-
-    The package's contracts are all in words and flops; this only converts
-    counts to time for reporting.
-    """
-
-    alpha: float = 0.0
-    beta: float = 1.0
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise ValueError("machine cost rates must be nonnegative")
-
-    def time(self, words, flops=0, messages=0) -> float:
-        return (
-            self.beta * float(words)
-            + self.gamma * float(flops)
-            + self.alpha * float(messages)
-        )

@@ -108,10 +108,18 @@ def decimal_str(v: Value, digits: int = 28) -> str:
 
 
 def human_str(v: Value) -> str:
-    """Compact rendering for terminal output."""
+    """Compact rendering for terminal output.
+
+    A float is shown to 12 significant digits unless that drops both the point
+    and the exponent (1803989696.9957 rounds to 1803989697); then it is shown
+    in full, so a number printed without a decimal point is exact.
+    """
     if isinstance(v, Fraction):
         return decimal_str(v)
-    return "%.12g" % float(v)
+    text = "%.12g" % float(v)
+    if "." in text or "e" in text:
+        return text
+    return repr(float(v))
 
 
 def value_to_json(v: Value):

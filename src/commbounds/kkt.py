@@ -16,19 +16,35 @@ searched by exact branch and bound: the objective evaluated on a block's least
 coordinates in the sum and its greatest in the product is a floor under every
 element of the block, because round-to-nearest is monotone in each operand;
 blocks whose floor exceeds a value the grid attains are never evaluated, and
-the result equals the full scan bit for bit.  The objective is linear
-and the product constraint is quasiconvex on the positive octant (spot-checked
-by quasiconvexity_check), which is what makes a KKT point globally optimal.
+the result equals the full scan bit for bit.
+
+Why a KKT point is the global minimum (the geometric-programming argument,
+Boyd & Vandenberghe, Convex Optimization, 2004, section 4.5).  Put
+y_i = log x_i.  The product constraint becomes y1 + y2 + y3 >= 2 log(mnk/P)
+and the floors y1 >= log(nk/P), y2 >= log(mk/P), y3 >= log(mn/P): half-spaces,
+so the feasible set is convex, and the objective e^y1 + e^y2 + e^y3 is
+strictly convex.  Multiplying the j-th stationarity equation
+1 - mu1 x1x2x3/x_j - mu_{j+1} = 0 by x_j gives the stationarity of the problem
+in y, with multipliers mu1 x1x2x3 and mu_{j+1} x_j; they keep their signs, and
+the same constraints are active.  So a KKT point in x is a KKT point of a
+convex problem in y, hence its unique global minimum.
+
+In the original variables the same fact is the quasiconvexity of the product
+constraint.  For positive x and y with prod(y) >= prod(x), AM-GM gives
+
+    y1/x1 + y2/x2 + y3/x3 >= 3 (prod(y) / prod(x))^(1/3) >= 3,
+
+and prod(x) (3 - sum y_i/x_i) is the derivative of g0 = (mnk/P)^2 - x1x2x3
+at x in the direction y - x.  So that derivative is <= 0 whenever
+g0(y) <= g0(x), the first-order condition for g0 to be quasiconvex on the
+positive octant.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .bounds import case_of
 from .exact import Value, pow23, root_value, sqrt_value
@@ -231,6 +247,8 @@ def numeric_minimize_oracle(prob: OptProblem, budget: int = 100_000) -> float:
     Raises OverflowError when (mnk/P)^2 rounds to 0 as a float (P above mnk
     by about 1e162): the sampled objective would then hold 0/0.
     """
+    import numpy as np
+
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000, got {budget}")
     lo1, lo2, lo3 = (float(v) for v in prob.lower_corners)
@@ -285,58 +303,3 @@ def numeric_minimize_oracle(prob: OptProblem, budget: int = 100_000) -> float:
         val, x1g, x2g, i, j = grid_best(a1, b1, a2, b2, refine_side)
         best = min(best, val)
     return best
-
-
-@dataclass(frozen=True)
-class QuasiconvexityReport:
-    checked: int
-    applicable: int
-    violations: int
-    worst_inner: float
-    counterexample: tuple | None
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-@functools.lru_cache(maxsize=None)
-def quasiconvexity_check(
-    count: int, seed: int = 0, tol: float = 1e-9
-) -> QuasiconvexityReport:
-    """Random-pair spot check of quasiconvexity of the product constraint.
-
-    For each pair with prod(y) >= prod(x), the directional derivative of
-    g0 = L - x1x2x3 at x toward y must be <= 0.  Pairs are drawn
-    log-uniformly over [1e-3, 1e3]^3; the check is scale free, so the sublevel
-    threshold never enters.  The report depends on the arguments alone, so each
-    argument set is computed once per process and the report is shared.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    X = 10.0 ** rng.uniform(-3, 3, size=(count, 3))
-    Y = 10.0 ** rng.uniform(-3, 3, size=(count, 3))
-    px = X.prod(axis=1)
-    py = Y.prod(axis=1)
-    inner = 3 * px - (
-        Y[:, 0] * X[:, 1] * X[:, 2]
-        + X[:, 0] * Y[:, 1] * X[:, 2]
-        + X[:, 0] * X[:, 1] * Y[:, 2]
-    )
-    mask = py >= px
-    slack = tol * np.maximum(1.0, 3 * px)
-    bad = mask & (inner > slack)
-    n_bad = int(bad.sum())
-    worst = float(inner[mask].max()) if mask.any() else 0.0
-    example = None
-    if n_bad:
-        idx = int(np.argmax(np.where(bad, inner, -np.inf)))
-        example = (tuple(X[idx]), tuple(Y[idx]), float(inner[idx]))
-    return QuasiconvexityReport(
-        checked=count,
-        applicable=int(mask.sum()),
-        violations=n_bad,
-        worst_inner=worst,
-        counterexample=example,
-    )

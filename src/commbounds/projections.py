@@ -20,101 +20,11 @@ Results are cached per shape, so a sweep over P enumerates once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from itertools import accumulate
 
 from .bounds import ProblemShape
 
 _EXHAUSTIVE_LIMIT = 24
-
-
-@dataclass(frozen=True)
-class WorkSet:
-    """A set of 1-based lattice points with its owning cube."""
-
-    dims: tuple[int, int, int]
-    points: frozenset[tuple[int, int, int]]
-
-    def __post_init__(self):
-        n1, n2, n3 = self.dims
-        for (i, j, l) in self.points:
-            if not (1 <= i <= n1 and 1 <= j <= n2 and 1 <= l <= n3):
-                raise ValueError(f"point {(i, j, l)} outside cube {self.dims}")
-
-    @classmethod
-    def from_points(cls, dims, points) -> "WorkSet":
-        return cls(tuple(dims), frozenset(tuple(p) for p in points))
-
-    @classmethod
-    def brick(cls, dims, edges) -> "WorkSet":
-        """Axis-aligned a x b x c box anchored at the (1,1,1) corner."""
-        a, b, c = edges
-        pts = [
-            (i, j, l)
-            for i in range(1, a + 1)
-            for j in range(1, b + 1)
-            for l in range(1, c + 1)
-        ]
-        return cls.from_points(dims, pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True)
-class ProjectionCounts:
-    phi_a: int
-    phi_b: int
-    phi_c: int
-
-    @property
-    def total(self) -> int:
-        return self.phi_a + self.phi_b + self.phi_c
-
-
-def projections_of(ws: WorkSet) -> ProjectionCounts:
-    """Exact projection cardinalities onto (i1,i2), (i2,i3), (i1,i3)."""
-    pa = {(i, j) for i, j, _ in ws.points}
-    pb = {(j, l) for _, j, l in ws.points}
-    pc = {(i, l) for i, _, l in ws.points}
-    return ProjectionCounts(len(pa), len(pb), len(pc))
-
-
-def verify_loomis_whitney(ws: WorkSet) -> bool:
-    """|F| <= phi_A * phi_B * phi_C."""
-    p = projections_of(ws)
-    return len(ws) <= p.phi_a * p.phi_b * p.phi_c
-
-
-@dataclass(frozen=True)
-class ProjectionLBReport:
-    applicable: bool           # |F| >= n1n2n3 / P
-    ok_a: Optional[bool]
-    ok_b: Optional[bool]
-    ok_c: Optional[bool]
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.applicable and self.ok_a and self.ok_b and self.ok_c)
-
-
-def verify_projection_lb(ws: WorkSet, procs: int) -> ProjectionLBReport:
-    """A processor doing >= 1/P of the multiplies touches >= n1n2/P of A,
-    >= n2n3/P of B, >= n1n3/P of C.  Integer cross-multiplied comparisons;
-    an F below the work threshold is reported not-applicable, not failing."""
-    if procs < 1:
-        raise ValueError(f"processor count must be positive, got {procs}")
-    n1, n2, n3 = ws.dims
-    if len(ws) * procs < n1 * n2 * n3:
-        return ProjectionLBReport(False, None, None, None)
-    p = projections_of(ws)
-    return ProjectionLBReport(
-        True,
-        p.phi_a * procs >= n1 * n2,
-        p.phi_b * procs >= n2 * n3,
-        p.phi_c * procs >= n1 * n3,
-    )
 
 
 class SubsetStats:
@@ -131,10 +41,10 @@ class SubsetStats:
         self.lw_ok = lw_ok
         self.min_sum_by_size = min_sum_by_size
         self.min_phi_by_size = min_phi_by_size
-        self.min_sum_from_size = np.minimum.accumulate(min_sum_by_size[::-1])[::-1]
+        self.min_sum_from_size = list(accumulate(min_sum_by_size[::-1], min))[::-1]
         self.min_phi_from_size = {
-            key: np.minimum.accumulate(arr[::-1])[::-1]
-            for key, arr in min_phi_by_size.items()
+            key: list(accumulate(values[::-1], min))[::-1]
+            for key, values in min_phi_by_size.items()
         }
 
 
@@ -180,12 +90,7 @@ def subset_stats(dims) -> SubsetStats:
                    phi_b + (h if i == 0 else 0), phi_c + (h if j == 0 else 0))
 
     extend(0, 0, 0, 0, 0)
-    stats = SubsetStats(
-        dims,
-        lw_ok,
-        np.array(min_sum, dtype=np.int64),
-        {key: np.array(arr, dtype=np.int64) for key, arr in min_phi.items()},
-    )
+    stats = SubsetStats(dims, lw_ok, min_sum, min_phi)
     _STATS_CACHE[dims] = stats
     return stats
 
@@ -193,75 +98,17 @@ def subset_stats(dims) -> SubsetStats:
 @dataclass(frozen=True)
 class MinProjectionResult:
     minimum: int
-    exact: bool         # certified by exhaustive enumeration
     threshold: int      # smallest qualifying |F|, ceil(n1n2n3 / P)
-    mode: str
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def _edge_candidates(n: int) -> list[int]:
-    if n <= 64:
-        return list(range(1, n + 1))
-    vals = set(np.unique(np.geomspace(1, n, 64).astype(np.int64)).tolist())
-    vals.add(n)
-    return sorted(vals)
-
-
-def min_projection_sum(
-    shape: ProblemShape,
-    procs: int,
-    mode: str = "exhaustive",
-    seed: Optional[int] = None,
-    samples: int = 200,
-) -> MinProjectionResult:
+def min_projection_sum(shape: ProblemShape, procs: int) -> MinProjectionResult:
     """Minimum of phi_A + phi_B + phi_C over all F with |F| >= n1n2n3/P.
 
-    Exhaustive mode certifies the minimum (cube volume capped at 24 points);
-    sampled mode reports the best of brick-shaped candidates and random
-    subsets, an upper bound on the true minimum, for shapes too big to
-    enumerate.  Either way the lower bound says the result is >= D.
+    Certified by exhaustive enumeration, so the cube volume is capped at 24
+    points.  The lower bound says the result is >= D.
     """
     if procs < 1:
         raise ValueError(f"processor count must be positive, got {procs}")
-    volume = shape.volume
-    t = _ceil_div(volume, procs)
-
-    if mode == "exhaustive":
-        stats = subset_stats(shape.dims)
-        return MinProjectionResult(
-            minimum=int(stats.min_sum_from_size[t]),
-            exact=True,
-            threshold=t,
-            mode=mode,
-        )
-    if mode != "sampled":
-        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    if seed is None:
-        raise ValueError("sampled mode requires a seed")
-
-    n1, n2, n3 = shape.dims
-    best = 3 * volume + 1
-    for a in _edge_candidates(n1):
-        for b in _edge_candidates(n2):
-            c = _ceil_div(t, a * b)
-            if c < 1:
-                c = 1
-            if c <= n3:
-                best = min(best, a * b + b * c + a * c)
-
-    if volume <= 1_000_000 and t >= 1:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            flat = rng.choice(volume, size=t, replace=False)
-            i = flat // (n2 * n3)
-            j = (flat // n3) % n2
-            l = flat % n3
-            phi_a = np.unique(i * n2 + j).size
-            phi_b = np.unique(j * n3 + l).size
-            phi_c = np.unique(i * n3 + l).size
-            best = min(best, phi_a + phi_b + phi_c)
-
-    return MinProjectionResult(minimum=int(best), exact=False, threshold=t, mode=mode)
+    t = -(-shape.volume // procs)
+    stats = subset_stats(shape.dims)
+    return MinProjectionResult(minimum=stats.min_sum_from_size[t], threshold=t)

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .bounds import MachineModel, ProblemShape
+from .bounds import ProblemShape
 from .grids import CostBreakdown, ProcessorGrid, comm_cost
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Coord = tuple[int, int, int]
 
@@ -58,6 +59,8 @@ def ring_all_gather(members, chunks, tag: str = ""):
 
     Returns (gathered, sent, received, messages).
     """
+    import numpy as np
+
     p = len(members)
     if len(chunks) != p or p == 0:
         raise ValueError("need one chunk per fiber member")
@@ -92,6 +95,8 @@ def ring_reduce_scatter(members, addends, tag: str = ""):
 
     Returns (shards, sent, received, messages).
     """
+    import numpy as np
+
     p = len(members)
     if len(addends) != p or p == 0:
         raise ValueError("need one addend per fiber member")
@@ -128,7 +133,6 @@ class ProcessorStore:
     b_block: Optional[np.ndarray] = None
     d_block: Optional[np.ndarray] = None
     c_shard: Optional[np.ndarray] = None
-    c_range: Optional[tuple[int, int]] = None
 
 
 @dataclass
@@ -160,6 +164,8 @@ def build_machine(shape: ProblemShape, grid: ProcessorGrid, seed: int = 0) -> Vi
     Block A_{ij} lives spread over fiber (i, j, :) and B_{jl} over (:, j, l),
     as contiguous column-major chunks with any remainder on the lowest ranks.
     """
+    import numpy as np
+
     for name, d, p in zip(("n1", "n2", "n3"), shape.dims, grid.dims):
         if d % p != 0:
             raise ValueError(f"grid factor {p} does not divide {name} = {d}")
@@ -223,6 +229,8 @@ def run_algorithm(shape: ProblemShape, grid: ProcessorGrid, seed: int = 0) -> Si
     one-copy invariants and verifies the assembled C against a sequential
     multiply.
     """
+    import numpy as np
+
     vm = build_machine(shape, grid, seed)
     p1, p2, p3 = grid.dims
     br1, br2, br3 = shape.n1 // p1, shape.n2 // p2, shape.n3 // p3
@@ -309,9 +317,8 @@ def run_algorithm(shape: ProblemShape, grid: ProcessorGrid, seed: int = 0) -> Si
     )
     for members, _ in c_fibers:
         shards = c_shards[tuple(members)]
-        for c, shard, rng_ in zip(members, shards, split_ranges(block_words_c, p2)):
+        for c, shard in zip(members, shards):
             vm.stores[c].c_shard = shard
-            vm.stores[c].c_range = rng_
 
     rs_adds = tuple(phases[-1].received)
 
@@ -359,7 +366,6 @@ class PredictionComparison:
     phases: tuple[PhaseComparison, ...]
     all_exact: bool
     all_within: bool
-    measured_total: int
     predicted_total: Fraction
 
 
@@ -387,15 +393,5 @@ def compare_to_prediction(report: SimReport) -> PredictionComparison:
         phases=tuple(rows),
         all_exact=all(r.exact for r in rows),
         all_within=all(r.within_bound for r in rows),
-        measured_total=report.critical_path_words,
         predicted_total=report.predicted.total,
     )
-
-
-def estimate_time(
-    report: SimReport, machine: MachineModel, include_latency: bool = False
-) -> float:
-    """Optional wall-time model: beta * words + gamma * flops (+ alpha * msgs)."""
-    flops = report.flops_per_proc + max(report.rs_adds)
-    msgs = len(report.messages) if include_latency else 0
-    return machine.time(report.critical_path_words, flops, msgs)

@@ -19,7 +19,6 @@ from commbounds.bounds import (
     bound_dominance,
     d_case,
     lower_bound,
-    square_bound,
 )
 from commbounds.exact import values_agree
 from commbounds.grids import ProcessorGrid, analytic_grid, exhaustive_grid
@@ -80,13 +79,13 @@ def test_c2_simulated_attainment():
 
 def test_c3_square_closed_form():
     with criterion(3, "square-shape closed form and 3d structure"):
-        assert square_bound(12, 8).bound == Fraction(54)
-        assert square_bound(96, 8).bound == Fraction(3456)
+        assert lower_bound(ProblemShape(12, 12, 12), 8).bound == Fraction(54)
+        assert lower_bound(ProblemShape(96, 96, 96), 8).bound == Fraction(3456)
         # closed form 3n^2/P^(2/3) - 3n^2/P on perfect-cube P
         for n, procs in ((12, 8), (96, 8), (60, 27)):
             cbrt = round(procs ** (1 / 3))
             expect = Fraction(3 * n * n, cbrt * cbrt) - Fraction(3 * n * n, procs)
-            assert square_bound(n, procs).bound == expect
+            assert lower_bound(ProblemShape(n, n, n), procs).bound == expect
         # the value is structural: the cube-grid run hits it word for word
         rep = run_algorithm(ProblemShape(96, 96, 96), ProcessorGrid(2, 2, 2))
         assert rep.critical_path_words == 3456

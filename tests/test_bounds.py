@@ -14,7 +14,6 @@ from commbounds.bounds import (
     d_case,
     lower_bound,
     prior_constants,
-    square_bound,
 )
 from commbounds.exact import values_agree
 
@@ -162,27 +161,18 @@ class TestContinuityMonotonicity:
 
 
 class TestSquare:
-    def test_matches_general_formula(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            n = int(rng.integers(1, 500))
-            procs = int(rng.integers(1, 600))
-            assert square_bound(n, procs).bound == lower_bound(
-                ProblemShape(n, n, n), procs
-            ).bound
-
     def test_closed_form(self):
         # perfect-cube P keeps 3n^2/P^(2/3) - 3n^2/P rational
         for n, procs in ((12, 8), (96, 8), (96, 512), (10, 27)):
-            rep = square_bound(n, procs)
+            rep = lower_bound(ProblemShape(n, n, n), procs)
             cbrt = round(procs ** (1 / 3))
             assert cbrt**3 == procs
             expect = Fraction(3 * n * n, cbrt**2) - Fraction(3 * n * n, procs)
             assert rep.bound == expect
 
     def test_examples(self):
-        assert square_bound(12, 8).bound == Fraction(54)
-        assert square_bound(96, 8).bound == Fraction(3456)
+        assert lower_bound(ProblemShape(12, 12, 12), 8).bound == Fraction(54)
+        assert lower_bound(ProblemShape(96, 96, 96), 8).bound == Fraction(3456)
 
 
 class TestMemory:
@@ -249,5 +239,5 @@ class TestConstants:
     def test_this_work_matches_square_bound_leading_term(self):
         # c * n^2 / P^(2/3) with c = 3 is exactly the accessed data for cubes
         n, procs = 96, 512
-        rep = square_bound(n, procs)
+        rep = lower_bound(ProblemShape(n, n, n), procs)
         assert rep.accessed == Fraction(3 * n * n, round(procs ** (2 / 3)))

@@ -116,6 +116,8 @@ def test_decimal_str_rounds_only_fractional_digits():
 def test_human_str():
     assert human_str(Fraction(76)) == "76"
     assert human_str(3 * 32 ** (2.0 / 3.0)) == "30.2381051975"
+    # 12 significant digits would print 1803989697, an integer it is not
+    assert human_str(1803989696.995737) == "1803989696.995737"
 
 
 def test_json_round_trip():

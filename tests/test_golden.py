@@ -2,7 +2,8 @@
 
 `golden_cli.json` maps an argv, its words joined by single spaces, to
 `[exit code, stdout, stderr]`. It covers every README example; `bound` in
-each regime, on both boundaries, with P > mnk and with `--memory`; `grid` with
+each regime, on both boundaries, with P > mnk, with `--memory` and with a float
+bound whose 12 significant digits form an integer; `grid` with
 integral and non-integral analytic grids; `simulate` with even and uneven
 splits; `verify` plain and `--tiny`; `sweep` across both boundaries and the
 constants table; each in the human, json and csv formats; and the error

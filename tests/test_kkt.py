@@ -1,9 +1,12 @@
-"""KKT certificates, the sampling oracle, and the quasiconvexity check."""
+"""KKT certificates, the sampling oracle, and the inequality behind global
+optimality."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from commbounds.bounds import ProblemShape, d_case
 from commbounds.exact import values_agree
@@ -14,7 +17,6 @@ from commbounds.kkt import (
     kkt_verify,
     numeric_minimize_oracle,
     objective,
-    quasiconvexity_check,
 )
 
 RUNNING = (9600, 2400, 600)
@@ -236,14 +238,26 @@ class TestOracle:
             numeric_minimize_oracle(OptProblem(4, 4, 4, 2), budget=999)
 
 
-class TestQuasiconvexity:
-    def test_no_violations(self):
-        rep = quasiconvexity_check(50_000, seed=13)
-        assert rep.passed
-        assert rep.checked == 50_000
-        assert 0 < rep.applicable < rep.checked
-        assert rep.counterexample is None
+positive = st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**9))
+triples = st.tuples(positive, positive, positive)
 
-    def test_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            quasiconvexity_check(0)
+
+def ordered_by_product(x, y):
+    return (x, y) if math.prod(x) <= math.prod(y) else (y, x)
+
+
+def equal_product(x, a, b):
+    return x, (x[0] * a, x[1] * b, x[2] / (a * b))
+
+
+@given(st.one_of(
+    st.builds(ordered_by_product, triples, triples),
+    st.builds(equal_product, triples, positive, positive),
+))
+def test_product_constraint_is_quasiconvex(pair):
+    # kkt.py's docstring: prod(y) >= prod(x) implies sum y_i/x_i >= 3, i.e.
+    # the derivative of g0 = (mnk/P)^2 - x1x2x3 at x toward y is <= 0; exact,
+    # no tolerance, and tight at y = x
+    x, y = pair
+    assert math.prod(y) >= math.prod(x)
+    assert sum(b / a for a, b in zip(x, y)) >= 3

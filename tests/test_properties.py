@@ -3,7 +3,10 @@
 Shapes have dimensions up to 10^6 and P is at most 10^4. Half the cases are
 drawn at random; the other half are blocked shapes (p1 b, p2 b, p3 b) at
 P = p1 p2 p3, whose analytic grid is integral, so the implication about
-integral grids is exercised and not vacuous.
+integral grids is exercised and not vacuous.  The converse is the paper's
+tightness statement: a grid attains the bound only where the analytic grid is
+integral, because the minimizer is unique in log space and every grid is a
+feasible point.
 """
 
 import contextlib
@@ -49,3 +52,5 @@ def test_grid_claims(case):
     assert doc["attained"] == (exact_bound and cost == bound)
     if doc["analytic"]["integral"]:
         assert doc["agreement"] and doc["attained"]
+    if doc["attained"]:
+        assert doc["analytic"]["integral"] and doc["agreement"]

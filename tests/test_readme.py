@@ -33,6 +33,15 @@ def test_quick_start_runs_and_prints_its_comments():
     assert buf.getvalue().splitlines() == documented
 
 
+def test_flag_table_matches_the_parser():
+    table = README.read_text().split("| its own flags", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\| (.*?) +\|$", table, re.M)
+    documented = {
+        command: tuple(re.findall(r"--(\w+)", flags)) for command, flags in rows
+    }
+    assert documented == cli._COMMAND_FLAGS
+
+
 def transcript_pattern(lines: list[str]) -> re.Pattern:
     """A line "..." matches any lines, "..." inside a line any text."""
     parts = [

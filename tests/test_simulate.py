@@ -10,13 +10,11 @@ from commbounds.grids import ProcessorGrid, comm_cost
 from commbounds.simulate import (
     build_machine,
     compare_to_prediction,
-    estimate_time,
     ring_all_gather,
     ring_reduce_scatter,
     run_algorithm,
     split_sizes,
 )
-from commbounds.bounds import MachineModel
 
 
 def even_chunks(p, w):
@@ -223,12 +221,3 @@ class TestRunAlgorithm:
             by_phase[msg.phase] += msg.words
         for ph in rep.phases:
             assert by_phase.get(ph.name, 0) == sum(ph.sent)
-
-
-class TestReportSerialization:
-    def test_estimate_time(self):
-        rep = run_algorithm(ProblemShape(96, 24, 6), ProcessorGrid(12, 3, 1))
-        t = estimate_time(rep, MachineModel(alpha=0.0, beta=2.0))
-        assert t == pytest.approx(152.0)
-        t = estimate_time(rep, MachineModel(alpha=1.0, beta=0.0), include_latency=True)
-        assert t > 0
