@@ -37,7 +37,6 @@ from .kkt import (
     analytic_solution,
     analytic_solution_for_case,
     kkt_verify,
-    numeric_minimize_oracle,
     objective,
 )
 from .projections import (
@@ -88,7 +87,6 @@ __all__ = [
     "kkt_verify",
     "lower_bound",
     "min_projection_sum",
-    "numeric_minimize_oracle",
     "objective",
     "prior_constants",
     "ring_all_gather",

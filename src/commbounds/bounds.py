@@ -184,7 +184,8 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
                 "inputs and output must fit"
             )
         mem_dep = Fraction(2 * m * n * k, procs) / sqrt_value(mem)
-        binding = "memory_dependent" if mem_dep > accessed else "memory_independent"
+        larger = _memory_term_larger(regime.tag.case, m, n, k, procs, mem)
+        binding = "memory_dependent" if larger else "memory_independent"
 
     return BoundReport(
         shape=shape,
@@ -198,6 +199,22 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
         memory_dependent=mem_dep,
         binding=binding,
     )
+
+
+def _memory_term_larger(case: int, m: int, n: int, k: int, procs: int, mem: Fraction) -> bool:
+    """2q/sqrt(M) > D exactly, q = mnk/P, comparing positive squares: in 3d
+    64 q^2 > 729 M^3, in 1d 4q^2 > D^2 M, and in 2d, D = 2s + a with
+    s^2 = mnk^2/P and a = mn/P, L = 4q^2 - (4s^2 + a^2) M > 4aMs, which holds
+    iff L > 0 and L^2 > 16 a^2 M^2 s^2.
+    """
+    q = Fraction(m * n * k, procs)
+    if case == 3:
+        return 64 * q * q > 729 * mem ** 3
+    if case == 1:
+        return 4 * q * q > d_case(1, m, n, k, procs) ** 2 * mem
+    s2, a = Fraction(m * n * k * k, procs), Fraction(m * n, procs)
+    lhs = 4 * q * q - (4 * s2 + a * a) * mem
+    return lhs > 0 and lhs * lhs > 16 * a * a * mem * mem * s2
 
 
 @dataclass(frozen=True)
@@ -220,7 +237,8 @@ def bound_dominance(shape: ProblemShape, procs: int, memory) -> DominanceReport:
     m, n, k = shape.sorted_dims
     mem = rep.memory
     window_upper = Fraction(8 * m * n * k, 27) / (mem * sqrt_value(mem))
-    in_window = procs * k * k > m * n and procs <= window_upper
+    # P <= (8/27) mnk / M^(3/2), squared
+    in_window = procs * k * k > m * n and 729 * procs ** 2 * mem ** 3 <= 64 * (m * n * k) ** 2
     return DominanceReport(
         accessed=rep.accessed,
         memory_dependent=rep.memory_dependent,

@@ -6,7 +6,7 @@ Subcommands, with the flags each reads besides the common ones:
     grid      analytic grid selection plus exhaustive confirmation
     simulate  run the 3D algorithm on a virtual machine and compare to the
               prediction and the bound (--grid P1 P2 P3, --seed S)
-    verify    KKT certificate and feasible-sampling oracle, plus the
+    verify    exact KKT certificate of the closed-form optimum, plus the
               exhaustive projection oracle (--tiny); kkt.py's docstring
               proves that a KKT point is the global minimum
     sweep     bound/grid/attainment table over a P range, or the prior-work
@@ -22,6 +22,9 @@ with its values still typed (Fractions, floats, tuples), plus an exit code.
 render() is the only place that knows the output formats: JSON through one
 encoder hook for Fractions, CSV through one writer over the command's
 (header, rows) view, and human text through the command's template.
+
+`verify --format json` also prints its certificate, which
+tests/check_certificate.py checks without this package.
 
 Exit codes: 0 success, 2 bad configuration or input too large for the float
 formulas, 3 simulation correctness failure, 4 verification failure.
@@ -44,16 +47,17 @@ from .bounds import (
     ProblemShape,
     RegimeTag,
     bound_dominance,
+    case_of,
     lower_bound,
     prior_constants,
 )
-from .exact import Value, decimal_str, human_str, value_to_json
+from .exact import Value, coefficient_rows, decimal_str, human_str, value_to_json
 from .grids import ProcessorGrid, analytic_grid, comm_cost, exhaustive_grid
 from .kkt import (
     OptProblem,
+    accessed_data_exact,
     analytic_solution,
     kkt_verify,
-    numeric_minimize_oracle,
     objective,
 )
 from .projections import min_projection_sum, subset_stats
@@ -63,8 +67,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CORRECTNESS = 3
 EXIT_VERIFY = 4
-
-ORACLE_BUDGET = 100_000
 
 
 class ConfigError(Exception):
@@ -358,7 +360,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
             }
             for ph in report.phases
         ],
-        "critical_path_words": str(report.critical_path_words),
+        "critical_path_words": report.critical_path_words,
         "flops_per_proc": report.flops_per_proc,
         "correctness": report.correctness,
         "predicted_total": report.predicted.total,
@@ -391,10 +393,10 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     m, n, k = shape.sorted_dims
     prob = OptProblem(m, n, k, procs)
     sol = analytic_solution(prob)
-    krep = kkt_verify(prob, sol, tol=1e-9)
-    opt = objective(sol.x)
-    oracle = numeric_minimize_oracle(prob, budget=ORACLE_BUDGET)
-    oracle_ok = float(opt) * (1 - 1e-9) <= oracle <= float(opt) * 1.01
+    krep = kkt_verify(prob, sol)
+    d = accessed_data_exact(prob, case_of(m, n, k, procs)[0])
+    rn, rd, root = d.root
+    field = "Q" if root == 1 else f"Q(b), b^{root} = {Fraction(rn, rd)}"
 
     checks = [
         (
@@ -404,19 +406,19 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
             + " ".join(f"{k_}={v:.2e}" for k_, v in krep.residuals.items()),
         ),
         (
-            "oracle",
-            oracle_ok,
-            f"analytic {human_str(opt)}, oracle {human_str(oracle)}",
+            "certificate",
+            objective(sol.x) == d,
+            f"x1 + x2 + x3 = D = {human_str(d.to_value())}, exact in {field}",
         ),
     ]
+    certificate = {"radicand": {"num": rn, "den": rd}, "root": root}
+    for name, values in (("x", sol.x), ("mu", sol.mu), ("d", [d])):
+        den, rows = coefficient_rows([d.lift(v) for v in values])
+        certificate[name] = {"den": den, "coefficients": rows}
 
     if cfg.tiny:
-        rep = lower_bound(shape, procs)
         mp = min_projection_sum(shape, procs)
-        if isinstance(rep.accessed, Fraction):
-            proj_ok = Fraction(mp.minimum) >= rep.accessed
-        else:
-            proj_ok = mp.minimum >= rep.accessed * (1 - 1e-12)
+        proj_ok = (mp.minimum - d).sign() >= 0
         stats = subset_stats(shape.dims)
         t = mp.threshold
         plb_ok = (
@@ -428,7 +430,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
             (
                 "min_projection_sum",
                 proj_ok,
-                f"minimum {mp.minimum} vs D {human_str(rep.accessed)}",
+                f"minimum {mp.minimum} vs D {human_str(d.to_value())}",
             ),
             ("loomis_whitney", stats.lw_ok, f"all subsets of {shape.dims}"),
             ("projection_lb", plb_ok, f"threshold {t}"),
@@ -444,6 +446,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
             {"name": name, "passed": ok, "detail": detail}
             for name, ok, detail in checks
         ],
+        "certificate": certificate,
         "passed": passed,
     }
     return record, EXIT_OK if passed else EXIT_VERIFY
@@ -716,8 +719,7 @@ def main(argv=None) -> int:
         record, code = _DISPATCH[cfg.command](cfg)
         text = render(record, cfg.fmt)
     except (ConfigError, ValueError, OverflowError) as e:
-        # OverflowError: a dimension too large for the float closed forms, or
-        # a P too large for the float oracle
+        # OverflowError: a dimension too large for the float closed forms
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.out:

@@ -1,12 +1,15 @@
-"""Exact-where-possible arithmetic shared by the bound formulas.
+"""Exact arithmetic shared by the bound formulas and the KKT certificate.
 
 Every closed-form quantity in this package is a rational number, or a rational
-times a square or cube root.  We keep fractions.Fraction as long as a value is
-rational and fall back to IEEE doubles only when a root is genuinely
-irrational.  A float produced here comes from a handful of roundings (root of
-a correctly rounded float, at most a few arithmetic ops on top), so its
-relative error is far below 1e-13; all float comparisons in this package use a
-1e-12 relative tolerance, and Fraction results are compared exactly.
+times a square or cube root.  The bound formulas keep fractions.Fraction as
+long as a value is rational and fall back to IEEE doubles only when a root is
+genuinely irrational.  A float produced there comes from a handful of
+roundings (root of a correctly rounded float, at most a few arithmetic ops on
+top), so its relative error is far below 1e-13; values_agree compares such
+floats within a 1e-12 relative tolerance, and Fraction results exactly.
+
+Radical holds the values of one field Q(b), b = r^(1/d), with integer
+coefficients; the KKT certificate is decided in it by exact signs.
 """
 
 from __future__ import annotations
@@ -78,6 +81,140 @@ def pow23(x: Value) -> Value:
             return r * r
         x = float(x)
     return x ** (2.0 / 3.0)
+
+
+RATIONAL = (1, 1, 1)  # Radical.root of Q itself
+
+
+class Radical:
+    """An element (c0 + c1 b + c2 b^2) / den of the field Q(b), b = r^(1/d).
+
+    r > 0 is rational, d is 1, 2 or 3, and `root` is (r.numerator,
+    r.denominator, d); the d coefficients and den > 0 are ints, never reduced
+    by a gcd, which would cost more than the arithmetic.  `generator` reduces
+    a perfect d-th power to Q, so for d > 1 the numbers 1, b, b^2 are linearly
+    independent: an element is zero exactly when its coefficients are.  Ints,
+    Fractions and floats lift into the field exactly; fields do not mix.
+    """
+
+    __slots__ = ("coeffs", "den", "root")
+
+    def __init__(self, coeffs: tuple, den: int, root: tuple[int, int, int]):
+        self.coeffs, self.den, self.root = coeffs, den, root
+
+    @classmethod
+    def generator(cls, radicand, d: int) -> Radical:
+        """b = radicand^(1/d) itself, in Q when it is rational."""
+        r = Fraction(radicand)
+        if r <= 0 or d not in (1, 2, 3):
+            raise ValueError(f"need a positive radicand and d in 1..3, got {r}, {d}")
+        exact = nth_root_exact(r, d)
+        if exact is not None:
+            return cls((exact.numerator,), exact.denominator, RATIONAL)
+        return cls((0, 1, 0)[:d], 1, (r.numerator, r.denominator, d))
+
+    def lift(self, v) -> Radical:
+        """v as an element of this element's field."""
+        if type(v) is Radical:
+            if v.root is not self.root and v.root != self.root:
+                raise ValueError(f"values of two fields, {v.root} and {self.root}")
+            return v
+        q = v if type(v) in (int, Fraction) else Fraction(v)
+        return Radical((q.numerator, 0, 0)[: len(self.coeffs)], q.denominator, self.root)
+
+    def _plus(self, o: Radical, s: int) -> Radical:
+        """self + s * o for s = 1 or -1."""
+        da, db = self.den, o.den
+        if da == db:
+            return Radical(tuple(a + s * b for a, b in zip(self.coeffs, o.coeffs)), da, self.root)
+        return Radical(tuple(a * db + s * b * da for a, b in zip(self.coeffs, o.coeffs)),
+                       da * db, self.root)
+
+    def __add__(self, other) -> Radical:
+        return self._plus(self.lift(other), 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> Radical:
+        return self._plus(self.lift(other), -1)
+
+    def __rsub__(self, other) -> Radical:
+        return self.lift(other)._plus(self, -1)
+
+    def __mul__(self, other) -> Radical:
+        o = self.lift(other)
+        rn, rd, d = self.root
+        a, b = self.coeffs, o.coeffs
+        den = self.den * o.den
+        if not any(b[1:]):  # a rational factor scales the coefficients
+            return Radical(tuple(x * b[0] for x in a), den, self.root)
+        if d == 2:  # b^2 = r
+            c = (a[0] * b[0] * rd + a[1] * b[1] * rn, (a[0] * b[1] + a[1] * b[0]) * rd)
+        else:  # b^3 = r, b^4 = r b
+            a0, a1, a2 = a
+            b0, b1, b2 = b
+            c = (a0 * b0 * rd + (a1 * b2 + a2 * b1) * rn,
+                 (a0 * b1 + a1 * b0) * rd + a2 * b2 * rn,
+                 (a0 * b2 + a1 * b1 + a2 * b0) * rd)
+        return Radical(c, den * rd, self.root)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        try:
+            o = self.lift(other)
+        except (TypeError, ValueError, OverflowError):
+            return NotImplemented
+        return all(a * o.den == b * self.den for a, b in zip(self.coeffs, o.coeffs))
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
+    def sign(self) -> int:
+        """-1, 0 or 1, in integers.  d = 2: a + b sqrt(r) has the sign of a
+        and b where they agree, else that of (a^2 - b^2 r) a.  d = 3: the norm
+        a^3 + b^3 r + c^3 r^2 - 3abc r is the element times |its complex
+        conjugate|^2, so it has the element's sign.
+        """
+        rn, rd, d = self.root
+        if d == 1:
+            s = self.coeffs[0]
+        elif d == 2:
+            a, b = self.coeffs
+            s = a or b if a * b >= 0 else (a * a * rd - b * b * rn) * a
+        else:
+            a, b, c = self.coeffs
+            s = a ** 3 * rd * rd + b ** 3 * rn * rd + c ** 3 * rn * rn - 3 * a * b * c * rn * rd
+        return (s > 0) - (s < 0)
+
+    def __float__(self) -> float:
+        """Display value, correctly rounded from a 128-bit approximation of b;
+        0.0 where it underflows, OverflowError where it is too large."""
+        rn, rd, d = self.root
+        # b = q^(1/d) / rd, and B / U is b to within 2^-128, relative
+        q = rn * rd ** (d - 1)
+        s = max(0, 130 - q.bit_length() // d)
+        B, U = iroot(q << (d * s), d)[0], rd << s
+        num = sum(c * B ** i * U ** (d - 1 - i) for i, c in enumerate(self.coeffs))
+        return num / (self.den * U ** (d - 1))
+
+    def to_value(self) -> Value:
+        """A Fraction in Q, else the display float."""
+        if self.root == RATIONAL:
+            return Fraction(self.coeffs[0], self.den)
+        return float(self)
+
+    def __repr__(self) -> str:
+        return f"Radical({self.coeffs}, {self.den}, {self.root})"
+
+
+def coefficient_rows(values) -> tuple[int, list[list[int]]]:
+    """Same-field elements as integer coefficient lists over one positive
+    denominator, in lowest terms."""
+    den = math.lcm(*(v.den for v in values))
+    rows = [[a * (den // v.den) for a in v.coeffs] for v in values]
+    g = math.gcd(den, *(a for row in rows for a in row))
+    return den // g, [[a // g for a in row] for row in rows]
 
 
 def values_agree(a: Value, b: Value, rel_tol: float = 1e-12) -> bool:

@@ -8,15 +8,12 @@ The bound's D term is the optimum of
 
 for m >= n >= k >= 1 and P >= 1, where x_i counts the elements of A, B, C a
 processor accesses.  analytic_solution returns the closed-form minimizer and
-dual vector for each of the three cases; kkt_verify checks primal and dual
+dual vector for each of the three cases, exactly, as elements of one field
+Q(b) (exact.Radical): b = 1 in case 1, b = sqrt(mnk^2/P) in case 2 and
+b = ((mnk/P)^2)^(1/3) in case 3.  kkt_verify decides primal and dual
 feasibility, stationarity, and complementary slackness at any proposed
-solution; numeric_minimize_oracle searches the feasible region directly so
-optimality never rests on the closed forms alone.  The oracle's coarse grid is
-searched by exact branch and bound: the objective evaluated on a block's least
-coordinates in the sum and its greatest in the product is a floor under every
-element of the block, because round-to-nearest is monotone in each operand;
-blocks whose floor exceeds a value the grid attains are never evaluated, and
-the result equals the full scan bit for bit.
+solution by exact signs in that field, with no tolerance; for instance every
+case 3 stationarity residual is 1 - b^3/(mnk/P)^2 = 0.
 
 Why a KKT point is the global minimum (the geometric-programming argument,
 Boyd & Vandenberghe, Convex Optimization, 2004, section 4.5).  Put
@@ -47,9 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import case_of
-from .exact import Value, pow23, root_value, sqrt_value
-
-_BLOCK = 16  # side of the index blocks the oracle's coarse grid is pruned by
+from .exact import RATIONAL, Radical
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,7 @@ class OptProblem:
             Fraction(self.m * self.n, self.P),
         )
 
-    def g(self, x) -> tuple[Value, Value, Value, Value]:
+    def g(self, x) -> tuple:
         """Constraint values, feasible iff every component <= 0."""
         x1, x2, x3 = x
         lo = self.lower_corners
@@ -95,52 +90,62 @@ class OptProblem:
 
 @dataclass(frozen=True)
 class OptSolution:
-    x: tuple[Value, Value, Value]
-    mu: tuple[Value, Value, Value, Value]
+    x: tuple
+    mu: tuple
     case_tag: int
 
 
-def objective(x) -> Value:
+def objective(x):
     return x[0] + x[1] + x[2]
+
+
+def case_root(prob: OptProblem, case: int) -> Radical:
+    """The generator b of the field a case's closed forms live in."""
+    m, n, k, P = prob.m, prob.n, prob.k, prob.P
+    if case == 1:
+        return Radical.generator(1, 1)
+    if case == 2:
+        return Radical.generator(Fraction(m * n * k * k, P), 2)
+    if case == 3:
+        return Radical.generator(Fraction(m * n * k, P) ** 2, 3)
+    raise ValueError(f"case must be 1, 2, or 3, got {case}")
 
 
 def analytic_solution_for_case(prob: OptProblem, case: int) -> OptSolution:
     """Closed-form (x*, mu*) of one case, whether or not P is in its range.
 
-    Evaluating a case outside its range is deliberate: dual feasibility is
-    exactly what fails there, and tests rely on seeing it fail.
+    Evaluating a case outside its range is deliberate: dual feasibility or
+    primal feasibility is exactly what fails there, and tests rely on seeing
+    it fail.
     """
     m, n, k, P = prob.m, prob.n, prob.k, prob.P
+    b = case_root(prob, case)
+    zero = b.lift(0)
     if case == 1:
-        x = (Fraction(n * k), Fraction(m * k, P), Fraction(m * n, P))
-        mu = (
-            Fraction(P * P, m * m * n * k),
-            Fraction(0),
-            Fraction(m - P * n, m),
-            Fraction(m - P * k, m),
-        )
+        x = tuple(map(b.lift, (n * k, Fraction(m * k, P), Fraction(m * n, P))))
+        mu = tuple(map(b.lift, (Fraction(P * P, m * m * n * k), 0,
+                                Fraction(m - P * n, m), Fraction(m - P * k, m))))
     elif case == 2:
-        s = sqrt_value(Fraction(m * n * k * k, P))
-        x = (s, s, Fraction(m * n, P))
-        mu = (
-            sqrt_value(Fraction(P ** 3, (m * n) ** 3 * k * k)),
-            Fraction(0),
-            Fraction(0),
-            1 - sqrt_value(Fraction(P * k * k, m * n)),
-        )
-    elif case == 3:
-        # same helper and argument as the bound formula so the floats match
-        t = pow23(Fraction(m * n * k, P))
-        x = (t, t, t)
-        mu = (
-            root_value(Fraction(P ** 4, (m * n * k) ** 4), 3),
-            Fraction(0),
-            Fraction(0),
-            Fraction(0),
-        )
+        # x1 = x2 = b; mu1 = (P^3/((mn)^3 k^2))^(1/2) = b P^2/(mnk)^2 and
+        # (Pk^2/(mn))^(1/2) = b P/(mn)
+        x = (b, b, b.lift(Fraction(m * n, P)))
+        mu = (b * Fraction(P * P, (m * n * k) ** 2), zero, zero, 1 - b * Fraction(P, m * n))
     else:
-        raise ValueError(f"case must be 1, 2, or 3, got {case}")
+        # x = (b, b, b); mu1 = (P/(mnk))^(4/3) = b / b^3
+        x = (b, b, b)
+        mu = (b * Fraction(P * P, (m * n * k) ** 2), zero, zero, zero)
     return OptSolution(x=x, mu=mu, case_tag=case)
+
+
+def accessed_data_exact(prob: OptProblem, case: int) -> Radical:
+    """The case's D formula from bounds' docstring, in the case's field."""
+    m, n, k, P = prob.m, prob.n, prob.k, prob.P
+    b = case_root(prob, case)
+    if case == 1:
+        return b * Fraction(m * n + m * k, P) + n * k
+    if case == 2:
+        return 2 * b + Fraction(m * n, P)
+    return 3 * b
 
 
 def analytic_solution(prob: OptProblem) -> OptSolution:
@@ -166,140 +171,42 @@ class KKTReport:
         )
 
 
-def kkt_verify(
-    prob: OptProblem, sol: OptSolution, tol: float = 1e-9, feas_tol: float = 1e-12
-) -> KKTReport:
-    """Check the four KKT conditions at sol.
-
-    tol bounds the stationarity, complementary-slackness, and dual-sign
-    residuals; primal feasibility uses the tighter feas_tol scaled by each
-    constraint's magnitude, since the closed forms satisfy it exactly up to
-    float roots.  Stationarity residual is ||grad f + mu . J_g|| / ||grad f||
-    with grad f = (1,1,1) and J_g rows (-x2x3, -x1x3, -x1x2) then the negated
-    identity.
+def kkt_verify(prob: OptProblem, sol: OptSolution) -> KKTReport:
+    """Decide the four KKT conditions at sol by exact signs, with sol lifted
+    into the field of its Radical components (Q if none): g_i <= 0,
+    mu_i >= 0, 1 - mu1 x1x2x3/x_j - mu_{j+1} = 0 (x1x2x3/x_j taken as the
+    product of the other two), and mu_i g_i = 0.  The display-only residuals:
+    max g_i / max(1, scale_i) and max -mu_i above 0, the RMS stationarity
+    residual, and max |mu_i g_i| / max(1, scale_i); scales (mnk/P)^2 and the
+    floors.
     """
-    x = tuple(sol.x)
-    mu = tuple(sol.mu)
-
-    # Primal feasibility: g(x) <= 0, slack relative to the constraint bound.
+    field = next((v for v in (*sol.x, *sol.mu) if isinstance(v, Radical)),
+                 Radical((1,), 1, RATIONAL))
+    x = tuple(map(field.lift, sol.x))
+    mu = tuple(map(field.lift, sol.mu))
     gvals = prob.g(x)
-    scales = (prob.product_bound,) + prob.lower_corners
-    primal_res = 0.0
-    for gv, sc in zip(gvals, scales):
-        primal_res = max(primal_res, float(gv) / max(1.0, float(sc)))
-    primal_ok = primal_res <= feas_tol
+    stat = [1 - mu[0] * (x[(j + 1) % 3] * x[(j + 2) % 3]) - mu[j + 1] for j in range(3)]
+    comp = [mv * gv for mv, gv in zip(mu, gvals)]
+    gsigns = [gv.sign() for gv in gvals]
+    musigns = [mv.sign() for mv in mu]
 
-    # Dual feasibility: mu >= 0 up to sign noise from float roots.
-    dual_res = max(0.0, *(-float(v) for v in mu))
-    dual_ok = dual_res <= tol
+    def relative(v, i: int) -> float:  # v / max(1, scale of constraint i)
+        scale = (prob.product_bound, *prob.lower_corners)[i]
+        return float(v * (1 / max(Fraction(1), scale)))
 
-    # Stationarity: 1 - mu1 * (x1x2x3 / x_j) - mu_{j+1} = 0 for each j.
-    prod = x[0] * x[1] * x[2]
-    r = [1 - mu[0] * (prod / x[j]) - mu[j + 1] for j in range(3)]
-    stat_res = math.sqrt(sum(float(v) ** 2 for v in r)) / math.sqrt(3.0)
-    stat_ok = stat_res <= tol
-
-    # Complementary slackness: mu_i g_i = 0, relative to |mu_i| * scale_i.
-    comp_res = 0.0
-    for mv, gv, sc in zip(mu, gvals, scales):
-        comp_res = max(
-            comp_res, abs(float(mv * gv)) / max(1.0, abs(float(mv)) * float(sc))
-        )
-    comp_ok = comp_res <= tol
-
+    # a condition that holds exactly has residual 0, so only the violated
+    # components are converted to floats
     return KKTReport(
-        primal_feasible=primal_ok,
-        dual_feasible=dual_ok,
-        stationary=stat_ok,
-        complementary=comp_ok,
+        primal_feasible=max(gsigns) <= 0,
+        dual_feasible=min(musigns) >= 0,
+        stationary=not any(stat),
+        complementary=not any(comp),
         residuals={
-            "primal": primal_res,
-            "dual": dual_res,
-            "stationarity": stat_res,
-            "complementary": comp_res,
+            "primal": max((relative(gv, i) for i, (gv, s) in enumerate(zip(gvals, gsigns))
+                           if s > 0), default=0.0),
+            "dual": max((-float(mv) for mv, s in zip(mu, musigns) if s < 0), default=0.0),
+            "stationarity": math.sqrt(sum(float(r) ** 2 for r in stat if r) / 3),
+            "complementary": max((abs(relative(c, i)) for i, c in enumerate(comp) if c),
+                                 default=0.0),
         },
     )
-
-
-def numeric_minimize_oracle(prob: OptProblem, budget: int = 100_000) -> float:
-    """Best objective over a feasible sample grid; never below the optimum.
-
-    Samples (x1, x2) log-uniformly over [nk/P, nk] x [mk/P, mk] (a box that
-    contains the minimizer in every case) and sets x3 to the binding choice
-    max(mn/P, (mnk/P)^2/(x1 x2)), so every sampled point is feasible by
-    construction and the returned value is a certified upper bound on the
-    optimum.  Roughly 80% of the budget goes to the initial grid and the rest
-    to three zoom refinements around the incumbent.
-
-    A coarse grid of side >= 8 * _BLOCK is searched by branch and bound over
-    _BLOCK x _BLOCK blocks of indices; the last block repeats the last index.
-    A block's floor is the objective's expression
-    (x1 + x2) + max(mn/P, (mnk/P)^2 / (x1 x2)) evaluated on the block's least
-    x1 and x2 in the sum and its greatest x1 and x2 in the product.
-    Rounding to nearest is monotone in each operand, so every element of the
-    block, evaluated with the same operations in the same order, rounds to at
-    least that floor.  The block of least floor is evaluated in full; its
-    minimum is attained on the grid, so any block whose floor exceeds it holds
-    no minimizer and is skipped.  The value and the first row-major minimizer
-    are therefore bit-for-bit those of the full scan, and so is every
-    refinement that follows.
-
-    Raises OverflowError when (mnk/P)^2 rounds to 0 as a float (P above mnk
-    by about 1e162): the sampled objective would then hold 0/0.
-    """
-    import numpy as np
-
-    if budget < 1000:
-        raise ValueError(f"budget must be at least 1000, got {budget}")
-    lo1, lo2, lo3 = (float(v) for v in prob.lower_corners)
-    hi1 = float(prob.n * prob.k)
-    hi2 = float(prob.m * prob.k)
-    floor_prod = float(prob.product_bound)
-    if floor_prod == 0.0:
-        raise OverflowError("P too large for the float oracle: (mnk/P)^2 rounds to 0")
-
-    def cost(s1, s2, p1, p2):
-        # the objective at (x1, x2) when s = p = (x1, x2); a block's floor
-        # when s holds its least coordinates and p its greatest
-        return (s1 + s2) + np.maximum(lo3, floor_prod / (p1 * p2))
-
-    def values(x1, x2):
-        return cost(x1, x2, x1, x2)
-
-    def pruned_argmin(x1, x2):
-        side = len(x1)
-        nb = -(-side // _BLOCK)
-        idx = np.minimum(np.arange(nb * _BLOCK), side - 1).reshape(nb, _BLOCK)
-        b1, b2 = x1[idx], x2[idx]
-        floors = cost(b1.min(1)[:, None], b2.min(1)[None, :],
-                      b1.max(1)[:, None], b2.max(1)[None, :])
-        r, c = divmod(int(np.argmin(floors)), nb)
-        upper = values(b1[r][:, None], b2[c][None, :]).min()
-        rows, cols = np.nonzero(floors <= upper)
-        ii, jj = idx[rows][:, :, None], idx[cols][:, None, :]
-        f = values(x1[ii], x2[jj])
-        best = f.min()
-        return best, int(np.where(f == best, ii * side + jj, side * side).min())
-
-    def grid_best(a1, b1, a2, b2, side):
-        x1 = np.geomspace(a1, b1, side)
-        x2 = np.geomspace(a2, b2, side)
-        if side >= 8 * _BLOCK:
-            best, flat = pruned_argmin(x1, x2)
-        else:
-            f = values(x1[:, None], x2[None, :])
-            flat = int(np.argmin(f))
-            best = f.flat[flat]
-        i, j = divmod(flat, side)
-        return float(best), x1, x2, i, j
-
-    side = max(8, int((budget * 0.8) ** 0.5))
-    refine_side = max(8, int((budget * 0.2 / 3) ** 0.5))
-
-    best, x1g, x2g, i, j = grid_best(lo1, hi1, lo2, hi2, side)
-    for _ in range(3):
-        a1, b1 = x1g[max(i - 1, 0)], x1g[min(i + 1, len(x1g) - 1)]
-        a2, b2 = x2g[max(j - 1, 0)], x2g[min(j + 1, len(x2g) - 1)]
-        val, x1g, x2g, i, j = grid_best(a1, b1, a2, b2, refine_side)
-        best = min(best, val)
-    return best

@@ -24,10 +24,10 @@ from commbounds.exact import values_agree
 from commbounds.grids import ProcessorGrid, analytic_grid, exhaustive_grid
 from commbounds.kkt import (
     OptProblem,
+    accessed_data_exact,
     analytic_solution,
     analytic_solution_for_case,
     kkt_verify,
-    numeric_minimize_oracle,
     objective,
 )
 from commbounds.projections import min_projection_sum, subset_stats
@@ -122,25 +122,32 @@ def _c4_tuples(seed, total_random=700):
 
 
 def test_c4_kkt_and_oracle_sweep():
-    with criterion(4, ">= 1000 tuples: KKT at 1e-9, oracle floor, boundary match, < 2min"):
+    from test_kkt import full_scan_oracle, in_range
+
+    with criterion(4, ">= 1000 tuples: exact KKT and D, each case exactly in its range, "
+                      "oracle floor, exact boundary match, < 2min"):
         t0 = time.time()
         tuples = _c4_tuples(seed=100)
         assert len(tuples) >= 1000
         for m, n, k, P in tuples:
             prob = OptProblem(m, n, k, P)
             sol = analytic_solution(prob)
-            rep = kkt_verify(prob, sol, tol=1e-9)
+            rep = kkt_verify(prob, sol)
             assert rep.passed, (m, n, k, P, rep.residuals)
-            opt = float(objective(sol.x))
-            val = numeric_minimize_oracle(prob, budget=100_000)
-            assert val >= opt * (1 - 1e-9), (m, n, k, P, val, opt)
-            # boundary tuples: both adjacent closed forms coincide to 1e-12
+            d = accessed_data_exact(prob, sol.case_tag)
+            assert objective(sol.x) == d, (m, n, k, P)
+            # every case's closed form fails exactly outside its P range
+            for case in (1, 2, 3):
+                other = kkt_verify(prob, analytic_solution_for_case(prob, case))
+                assert other.passed == in_range(prob, case), (m, n, k, P, case)
+            val = full_scan_oracle(prob, budget=100_000)
+            assert val >= float(d) * (1 - 1e-9), (m, n, k, P, val, float(d))
+            # boundary tuples: both adjacent closed forms coincide exactly
             if P * n == m or P * k * k == m * n:
                 ca, cb = (1, 2) if P * n == m else (2, 3)
                 sa = analytic_solution_for_case(prob, ca)
                 sb = analytic_solution_for_case(prob, cb)
-                for va, vb in zip(sa.x + sa.mu, sb.x + sb.mu):
-                    assert values_agree(va, vb, rel_tol=1e-12), (m, n, k, P)
+                assert sa.x + sa.mu == sb.x + sb.mu, (m, n, k, P)
         assert time.time() - t0 < 120.0
 
 

@@ -162,7 +162,7 @@ class TestSimulate:
         doc = json.loads(out)
         assert doc["shape"] == [96, 96, 96]
         assert doc["grid"] == [2, 2, 2]
-        assert doc["critical_path_words"] == "3456"
+        assert doc["critical_path_words"] == 3456
         assert doc["correctness"] is True
         assert doc["attained"] is True
         assert {p["phase"] for p in doc["per_phase"]} == {
@@ -226,7 +226,7 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         assert [c["name"] for c in doc["checks"]] == [
-            "kkt", "oracle", "min_projection_sum", "loomis_whitney", "projection_lb"
+            "kkt", "certificate", "min_projection_sum", "loomis_whitney", "projection_lb"
         ]
         assert doc["passed"] is True
 
@@ -239,13 +239,13 @@ class TestVerify:
 
     def test_tiny_cap_is_checked_before_any_work(self, capsys, monkeypatch):
         calls = []
-        real = cli.numeric_minimize_oracle
+        real = cli.analytic_solution
 
         def recording(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "numeric_minimize_oracle", recording)
+        monkeypatch.setattr(cli, "analytic_solution", recording)
         code, out, err = run_cli(
             capsys, "verify", "--shape", "96", "24", "6", "--procs", "4", "--tiny"
         )
@@ -254,14 +254,41 @@ class TestVerify:
         assert err == "error: --tiny needs n1*n2*n3 <= 24, got 13824\n"
         assert calls == []
 
-    def test_procs_too_large_for_the_oracle_exits_2(self, capsys):
-        # the KKT checks pass here; the float oracle cannot represent (mnk/P)^2
+    @pytest.mark.parametrize(
+        "shape, procs",
+        [((2, 2, 2), 10**165), ((2, 2, 2), 10**165 + 1), ((10**110,) * 3, 7)],
+        ids=["P-10^165", "P-10^165+1", "dims-10^110"],
+    )
+    def test_huge_inputs_are_decided_exactly(self, capsys, shape, procs):
+        # (mnk/P)^2 is far below the smallest float, or mnk far above the
+        # largest; the certificate is exact, and only display values are floats
+        from check_certificate import check
+
         code, out, err = run_cli(
-            capsys, "verify", "--shape", "2", "2", "2", "--procs", str(10**165)
+            capsys, "verify", "--shape", *map(str, shape), "--procs", str(procs),
+            "--format", "json",
         )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert [c["passed"] for c in doc["checks"]] == [True, True]
+        assert check(doc) == []
+
+    @pytest.mark.parametrize("procs", [3, 37, 65])
+    def test_certificate_fails_on_a_wrong_d(self, capsys, monkeypatch, procs):
+        # the KKT point is right; a D off by 10^-30 fails the exact check
+        real = cli.accessed_data_exact
+        monkeypatch.setattr(
+            cli, "accessed_data_exact", lambda *a: real(*a) + Fraction(1, 10**30)
+        )
+        code, out, _ = run_cli(
+            capsys, "verify", "--shape", "9600", "2400", "600", "--procs", str(procs),
+            "--format", "json",
+        )
+        assert code == 4
+        doc = json.loads(out)
+        assert [(c["name"], c["passed"]) for c in doc["checks"]] == [
+            ("kkt", True), ("certificate", False)
+        ]
 
     def test_verification_failure_exits_4(self, capsys, monkeypatch):
         import commbounds.kkt as kkt
@@ -413,7 +440,7 @@ class TestConfigAndIO:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["bound", "grid", "verify", "sweep"])
+    @pytest.mark.parametrize("command", ["bound", "grid", "sweep"])
     def test_huge_dimensions_exit_2_with_one_line(self, capsys, command):
         huge = str(10**110)
         procs = "7:8" if command == "sweep" else "7"
@@ -524,10 +551,13 @@ class TestParserReuse:
         "grid --shape 9600 2400 600 --procs 36",
         "sweep --shape 96 24 6 --procs 1:70",
         "sweep --table constants",
+        "verify --shape 9600 2400 600 --procs 36",
+        "verify --shape 4 3 2 --procs 4 --tiny",
     ],
 )
 def test_command_does_not_import_numpy(argv):
-    # numpy is imported only by the functions that compute with it
+    # numpy is imported only by the functions that compute with it, which
+    # only simulate calls
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}

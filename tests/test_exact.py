@@ -1,12 +1,18 @@
-"""Exact arithmetic helpers: roots, rendering, serialization."""
+"""Exact arithmetic helpers: roots, the field type Radical, rendering,
+serialization."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from commbounds.exact import (
+    RATIONAL,
+    Radical,
+    coefficient_rows,
     decimal_str,
     human_str,
     iroot,
@@ -129,3 +135,91 @@ def test_json_shape():
     doc = value_to_json(Fraction(421875, 2))
     assert doc == {"decimal": "210937.5", "num": 421875, "den": 2}
     assert value_to_json(1.5) == 1.5
+
+
+def test_generator_reduces_perfect_powers_to_q():
+    b = Radical.generator(Fraction(27, 8), 3)
+    assert b.root == RATIONAL and b == Fraction(3, 2)
+    assert Radical.generator(49, 2) == 7
+    assert Radical.generator(Fraction(2), 1).root == RATIONAL
+    b = Radical.generator(Fraction(4, 2), 2)
+    assert (b.coeffs, b.den, b.root) == ((0, 1), 1, (2, 1, 2))
+    for bad in ((0, 2), (-8, 3), (2, 4)):
+        with pytest.raises(ValueError):
+            Radical.generator(*bad)
+
+
+def test_the_generator_to_its_index_is_the_radicand():
+    for r, d in ((Fraction(2), 2), (Fraction(5, 3), 3), (Fraction(10**40 + 1, 7), 3)):
+        b = Radical.generator(r, d)
+        power = b * b * b if d == 3 else b * b
+        assert power == r and power.root == b.root and power != r + Fraction(1, 10**60)
+
+
+def test_signs_of_known_values():
+    s2 = Radical.generator(2, 2)
+    assert (1 - s2).sign() == -1 and (3 - 2 * s2).sign() == 1
+    assert (s2 * s2 - 2).sign() == 0 and not (s2 * s2 - 2)
+    c7 = Radical.generator(7, 3)  # 1.9129...
+    assert (2 - c7).sign() == 1 and (c7 * c7 - Fraction(366, 100)).sign() == -1
+    assert (c7 * c7 - Fraction(365, 100)).sign() == 1
+
+
+def test_fields_do_not_mix():
+    with pytest.raises(ValueError):
+        Radical.generator(2, 2) + Radical.generator(3, 2)
+    assert Radical.generator(2, 2) != Radical.generator(2, 3)
+    assert Radical.generator(2, 2) != float("nan")
+
+
+def test_float_survives_where_the_radicand_underflows():
+    # at P = 10^165, (8/P)^2 is below the smallest float
+    assert float(Fraction(8, 10**165) ** 2) == 0.0
+    assert float(Radical.generator(Fraction(8, 10**165) ** 2, 3)) == 4e-110
+    b = Radical.generator(Fraction(8, 10**165 + 1) ** 2, 3)
+    assert b.root != RATIONAL
+    assert float(b) == pytest.approx(4e-110, rel=1e-15)
+    assert float(b * Fraction(10**165 + 1)) == pytest.approx(4e55, rel=1e-15)
+    with pytest.raises(OverflowError):
+        float(Radical.generator(2 * 10**700, 2))
+
+
+def test_coefficient_rows_share_one_denominator_in_lowest_terms():
+    b = Radical.generator(3, 3)
+    values = [b * Fraction(1, 2), b.lift(Fraction(3, 4)) + b * b, b.lift(0)]
+    assert coefficient_rows(values) == (4, [[0, 2, 0], [3, 0, 4], [0, 0, 0]])
+    assert coefficient_rows([Radical((6,), 4, RATIONAL)]) == (2, [[3]])
+
+
+def _decimal(v: Radical) -> Decimal:
+    rn, rd, d = v.root
+    beta = (Decimal(rn) / Decimal(rd)) ** (Decimal(1) / d)
+    return sum(Decimal(c) * beta**i for i, c in enumerate(v.coeffs)) / Decimal(v.den)
+
+
+coefficient = st.integers(-(10**12), 10**12)
+radicands = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6)
+
+
+@given(radicands, st.sampled_from([2, 3]), st.tuples(coefficient, coefficient, coefficient),
+       st.tuples(coefficient, coefficient, coefficient), st.integers(1, 10**6),
+       st.integers(1, 10**6), st.fractions(max_denominator=10**6))
+def test_arithmetic_sign_and_float_match_80_digit_decimals(r, d, ca, cb, da, db, q):
+    b = Radical.generator(r, d)
+    assume(b.root != RATIONAL)
+    x, y = Radical(ca[:d], da, b.root), Radical(cb[:d], db, b.root)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        dx, dy = _decimal(x), _decimal(y)
+        dq = Decimal(q.numerator) / Decimal(q.denominator)
+        cases = [(x, dx), (x + y, dx + dy), (x - y, dx - dy), (q - x, dq - dx),
+                 (x * y, dx * dy), (x * q, dx * dq)]
+        # the decimals carry about 1e-75 of this scale as rounding error
+        scale = (1 + abs(dx)) * (1 + abs(dy)) * (1 + abs(dq))
+        for v, expect in cases:
+            assert abs(_decimal(v) - expect) <= Decimal(10) ** -60 * scale
+            if abs(expect) <= Decimal(10) ** -50 * scale:
+                continue  # too close to 0 for the decimals to tell its sign
+            assert v.sign() == (expect > 0) - (expect < 0) and v
+            assert abs(float(v) - float(expect)) <= math.ulp(float(expect))
+        assert not (x - x) and (x - x).sign() == 0

@@ -2,10 +2,12 @@
 
 `golden_cli.json` maps an argv, its words joined by single spaces, to
 `[exit code, stdout, stderr]`. It covers every README example; `bound` in
-each regime, on both boundaries, with P > mnk, with `--memory` and with a float
+each regime, on both boundaries, with P > mnk, with `--memory` (also next to
+the edges where `binding` and `in_window` switch) and with a float
 bound whose 12 significant digits form an integer; `grid` with
 integral and non-integral analytic grids; `simulate` with even and uneven
-splits; `verify` plain and `--tiny`; `sweep` across both boundaries and the
+splits; `verify` plain, `--tiny`, with irrational optima and at huge
+dimensions and P; `sweep` across both boundaries and the
 constants table; each in the human, json and csv formats; and the error
 paths. A change to any output shows here as a failing case.
 """
