@@ -20,7 +20,7 @@ from .bounds import (
     lower_bound,
     prior_constants,
 )
-from .exact import decimal_str, human_str, values_agree
+from .exact import decimal_str, human_str
 from .grids import (
     AnalyticGridResult,
     CostBreakdown,
@@ -93,5 +93,4 @@ __all__ = [
     "ring_reduce_scatter",
     "run_algorithm",
     "subset_stats",
-    "values_agree",
 ]

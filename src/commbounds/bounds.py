@@ -12,7 +12,8 @@ D words of matrix data per processor, where
 and therefore communicate at least D - (mn + mk + nk)/P words, the owned data
 being free.  The three expressions agree at the regime boundaries, so D is
 continuous (and non-increasing) in P; the communicated part is not monotone,
-which is why reports carry both terms.
+which is why reports carry both terms.  Each case's D, and every other closed
+form here, is computed exactly as an exact.Radical.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .exact import Value, pow23, sqrt_value
+from .exact import Radical
 
 
 @dataclass(frozen=True)
@@ -119,23 +120,34 @@ def classify_regime(shape: ProblemShape, procs: int) -> Regime:
     return Regime(tag, boundary)
 
 
-def d_case(case: int, m: int, n: int, k: int, procs) -> Value:
-    """Accessed-data optimum of one case, at a possibly rational P.
+def case_field(case: int, m: int, n: int, k: int, procs) -> Radical:
+    """The generator b of the field a case's closed forms live in: 1 in
+    case 1, (mnk^2/P)^(1/2) in case 2 and ((mnk/P)^2)^(1/3) in case 3."""
+    if case == 1:
+        return Radical.generator(1, 1)
+    if case == 2:
+        return Radical.generator(Fraction(m * n * k * k, procs), 2)
+    if case == 3:
+        return Radical.generator(Fraction(m * n * k, procs) ** 2, 3)
+    raise ValueError(f"case must be 1, 2, or 3, got {case}")
+
+
+def d_case(case: int, m: int, n: int, k: int, procs) -> Radical:
+    """Accessed-data optimum of one case, at a possibly rational P, in the
+    case's field.
 
     Rational P is allowed so boundary continuity can be checked at P = m/n
     and P = mn/k^2 even when those are not integers.
     """
-    P = Fraction(procs)
+    b = case_field(case, m, n, k, procs)
     if case == 1:
-        return Fraction(m * n + m * k) / P + Fraction(n * k)
+        return b * Fraction(m * n + m * k, procs) + n * k
     if case == 2:
-        return 2 * sqrt_value(Fraction(m * n * k * k) / P) + Fraction(m * n) / P
-    if case == 3:
-        return 3 * pow23(Fraction(m * n * k) / P)
-    raise ValueError(f"case must be 1, 2, or 3, got {case}")
+        return 2 * b + Fraction(m * n, procs)
+    return 3 * b
 
 
-def accessed_data(shape: ProblemShape, procs: int) -> Value:
+def accessed_data(shape: ProblemShape, procs: int) -> Radical:
     """D for the applicable regime."""
     m, n, k = shape.sorted_dims
     case, _ = case_of(m, n, k, procs)
@@ -147,17 +159,17 @@ class BoundReport:
     shape: ProblemShape
     procs: int
     regime: Regime
-    accessed: Value            # D, words of matrix data touched per processor
+    accessed: Radical          # D, words of matrix data touched per processor
     owned: Fraction            # (mn + mk + nk)/P, words already resident
-    bound: Value               # max(0, D - owned), words communicated
+    bound: Radical             # max(0, D - owned), words communicated
     oversubscribed: bool       # P > mnk: fewer than one multiply per processor
-    memory: Optional[Value] = None
-    memory_dependent: Optional[Value] = None   # 2mnk/(P sqrt(M)) leading term
+    memory: Optional[Fraction] = None
+    memory_dependent: Optional[Radical] = None  # 2mnk/(P sqrt(M)), in Q(sqrt(M))
     binding: Optional[str] = None  # which accessed-data term is larger given M
 
 
 def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
-    """Memory-independent communication lower bound, exact where rational.
+    """Memory-independent communication lower bound, exact.
 
     When memory is given, the classical memory-dependent leading term
     2mnk/(P sqrt(M)) is evaluated and compared against D.  The comparison is
@@ -170,8 +182,8 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
     accessed = d_case(regime.tag.case, m, n, k, procs)
     owned = Fraction(shape.pair_sum, procs)
     bound = accessed - owned
-    if bound < 0:
-        bound = Fraction(0) if isinstance(bound, Fraction) else 0.0
+    if bound.sign() < 0:
+        bound = bound.lift(0)
 
     mem = mem_dep = binding = None
     if memory is not None:
@@ -183,7 +195,8 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
                 f"memory {memory} below (mn+mk+nk)/P = {owned}; "
                 "inputs and output must fit"
             )
-        mem_dep = Fraction(2 * m * n * k, procs) / sqrt_value(mem)
+        # 2mnk/(P sqrt(M)) = sqrt(M) 2mnk/(PM)
+        mem_dep = Radical.generator(mem, 2) * (Fraction(2 * m * n * k, procs) / mem)
         larger = _memory_term_larger(regime.tag.case, m, n, k, procs, mem)
         binding = "memory_dependent" if larger else "memory_independent"
 
@@ -211,7 +224,8 @@ def _memory_term_larger(case: int, m: int, n: int, k: int, procs: int, mem: Frac
     if case == 3:
         return 64 * q * q > 729 * mem ** 3
     if case == 1:
-        return 4 * q * q > d_case(1, m, n, k, procs) ** 2 * mem
+        d = Fraction(m * n + m * k, procs) + n * k
+        return 4 * q * q > d * d * mem
     s2, a = Fraction(m * n * k * k, procs), Fraction(m * n, procs)
     lhs = 4 * q * q - (4 * s2 + a * a) * mem
     return lhs > 0 and lhs * lhs > 16 * a * a * mem * mem * s2
@@ -219,11 +233,11 @@ def _memory_term_larger(case: int, m: int, n: int, k: int, procs: int, mem: Frac
 
 @dataclass(frozen=True)
 class DominanceReport:
-    accessed: Value            # memory-independent D
-    memory_dependent: Value    # 2mnk/(P sqrt(M))
+    accessed: Radical          # memory-independent D
+    memory_dependent: Radical  # 2mnk/(P sqrt(M))
     dominant: str              # "memory_independent" or "memory_dependent"
     in_window: bool            # mn/k^2 < P <= (8/27) mnk / M^(3/2)
-    window_upper: Value        # (8/27) mnk / M^(3/2)
+    window_upper: Radical      # (8/27) mnk / M^(3/2), in Q(sqrt(M))
 
 
 def bound_dominance(shape: ProblemShape, procs: int, memory) -> DominanceReport:
@@ -236,7 +250,7 @@ def bound_dominance(shape: ProblemShape, procs: int, memory) -> DominanceReport:
     rep = lower_bound(shape, procs, memory=memory)
     m, n, k = shape.sorted_dims
     mem = rep.memory
-    window_upper = Fraction(8 * m * n * k, 27) / (mem * sqrt_value(mem))
+    window_upper = Radical.generator(mem, 2) * (Fraction(8 * m * n * k, 27) / mem ** 2)
     # P <= (8/27) mnk / M^(3/2), squared
     in_window = procs * k * k > m * n and 729 * procs ** 2 * mem ** 3 <= 64 * (m * n * k) ** 2
     return DominanceReport(
@@ -253,7 +267,7 @@ def bound_dominance(shape: ProblemShape, procs: int, memory) -> DominanceReport:
 # marks regimes a given work did not cover.
 _PRIOR_CONSTANTS = {
     RegimeTag.THREE_D: {
-        "ACS90": 0.5 ** (2.0 / 3.0),
+        "ACS90": Radical.generator(Fraction(1, 4), 3),  # (1/2)^(2/3)
         "ITT04": Fraction(1, 2),
         "DE+13": Fraction(1),
         "this_work": Fraction(3),
@@ -261,7 +275,7 @@ _PRIOR_CONSTANTS = {
     RegimeTag.TWO_D: {
         "ACS90": None,
         "ITT04": None,
-        "DE+13": (2.0 / 3.0) ** 0.5,
+        "DE+13": Radical.generator(Fraction(2, 3), 2),
         "this_work": Fraction(2),
     },
     RegimeTag.ONE_D: {
@@ -273,7 +287,7 @@ _PRIOR_CONSTANTS = {
 }
 
 
-def prior_constants(regime: Regime | RegimeTag) -> dict[str, Optional[Value]]:
+def prior_constants(regime: Regime | RegimeTag) -> dict[str, Optional[Fraction | Radical]]:
     """Leading-term constants table for one regime; None where absent."""
     tag = regime.tag if isinstance(regime, Regime) else regime
     return dict(_PRIOR_CONSTANTS[tag])

@@ -18,16 +18,16 @@ any other flag.  A config file is a JSON object keyed by flag name (flags
 win); it may hold any key, checked whichever command reads the file.
 
 Each cmd_* function computes its answer once, as a record: the JSON document
-with its values still typed (Fractions, floats, tuples), plus an exit code.
-render() is the only place that knows the output formats: JSON through one
-encoder hook for Fractions, CSV through one writer over the command's
-(header, rows) view, and human text through the command's template.
+with its values still typed (exact Radicals and Fractions, tuples), plus an
+exit code.  render() is the only place that knows the output formats: JSON
+through one encoder hook for exact values, CSV through one writer over the
+command's (header, rows) view, and human text through the command's template.
 
 `verify --format json` also prints its certificate, which
 tests/check_certificate.py checks without this package.
 
-Exit codes: 0 success, 2 bad configuration or input too large for the float
-formulas, 3 simulation correctness failure, 4 verification failure.
+Exit codes: 0 success, 2 bad configuration or a printed value beyond float
+range, 3 simulation correctness failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -48,18 +48,13 @@ from .bounds import (
     RegimeTag,
     bound_dominance,
     case_of,
+    d_case,
     lower_bound,
     prior_constants,
 )
-from .exact import Value, coefficient_rows, decimal_str, human_str, value_to_json
+from .exact import Radical, coefficient_rows, decimal_str, human_str, value_to_json
 from .grids import ProcessorGrid, analytic_grid, comm_cost, exhaustive_grid
-from .kkt import (
-    OptProblem,
-    accessed_data_exact,
-    analytic_solution,
-    kkt_verify,
-    objective,
-)
+from .kkt import OptProblem, analytic_solution, kkt_verify, objective
 from .projections import min_projection_sum, subset_stats
 from .simulate import compare_to_prediction, run_algorithm
 
@@ -262,11 +257,6 @@ def _shape_str(dims) -> str:
     return " x ".join(str(d) for d in dims)
 
 
-def _attained(measured: Value, bound: Value) -> bool:
-    # a float bound is irrational (no rational root exists), so no cost equals it
-    return isinstance(bound, Fraction) and measured == bound
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -325,7 +315,7 @@ def cmd_grid(cfg: RunConfig) -> tuple[dict, int]:
         },
         "agreement": analytic_cost is not None and analytic_cost == ex_cb.total,
         "lower_bound": rep.bound,
-        "attained": _attained(ex_cb.total, rep.bound),
+        "attained": rep.bound == ex_cb.total,
     }
     return record, EXIT_OK
 
@@ -380,7 +370,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
             ],
         },
         "lower_bound": rep.bound,
-        "attained": _attained(Fraction(report.critical_path_words), rep.bound),
+        "attained": rep.bound == report.critical_path_words,
     }
     return record, EXIT_OK if report.correctness else EXIT_CORRECTNESS
 
@@ -394,7 +384,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     prob = OptProblem(m, n, k, procs)
     sol = analytic_solution(prob)
     krep = kkt_verify(prob, sol)
-    d = accessed_data_exact(prob, case_of(m, n, k, procs)[0])
+    d = d_case(case_of(m, n, k, procs)[0], m, n, k, procs)
     rn, rd, root = d.root
     field = "Q" if root == 1 else f"Q(b), b^{root} = {Fraction(rn, rd)}"
 
@@ -408,7 +398,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
         (
             "certificate",
             objective(sol.x) == d,
-            f"x1 + x2 + x3 = D = {human_str(d.to_value())}, exact in {field}",
+            f"x1 + x2 + x3 = D = {human_str(d)}, exact in {field}",
         ),
     ]
     certificate = {"radicand": {"num": rn, "den": rd}, "root": root}
@@ -430,7 +420,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
             (
                 "min_projection_sum",
                 proj_ok,
-                f"minimum {mp.minimum} vs D {human_str(d.to_value())}",
+                f"minimum {mp.minimum} vs D {human_str(d)}",
             ),
             ("loomis_whitney", stats.lw_ok, f"all subsets of {shape.dims}"),
             ("projection_lb", plb_ok, f"threshold {t}"),
@@ -477,7 +467,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
                 "analytic_grid": _grid_str(ag.grid.dims) if ag.grid else "",
                 "exhaustive_grid": _grid_str(ex_grid.dims),
                 "exhaustive_cost": ex_cb.total,
-                "attained": _attained(ex_cb.total, rep.bound),
+                "attained": rep.bound == ex_cb.total,
             }
         )
     record = {
@@ -662,7 +652,7 @@ _VIEWS = {
 
 
 def _json_number(v):
-    if isinstance(v, Fraction):
+    if isinstance(v, (Fraction, Radical)):
         return value_to_json(v)
     raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
@@ -673,14 +663,15 @@ def _cell(v, number_str, empty: str) -> str:
         return empty
     if isinstance(v, bool):
         return str(v).lower()
-    if isinstance(v, (Fraction, float)):
+    if isinstance(v, (Fraction, Radical, float)):
         return number_str(v)
     return str(v)
 
 
 def _csv_value(v) -> str:
-    # floats print as repr, which round-trips; rationals print exactly unless
-    # their expansion runs past 28 fractional digits, where they are rounded
+    # irrationals print as the repr of their float, which round-trips;
+    # rationals print exactly unless their expansion runs past 28 fractional
+    # digits, where they are rounded
     return _cell(v, decimal_str, "")
 
 
@@ -719,7 +710,7 @@ def main(argv=None) -> int:
         record, code = _DISPATCH[cfg.command](cfg)
         text = render(record, cfg.fmt)
     except (ConfigError, ValueError, OverflowError) as e:
-        # OverflowError: a dimension too large for the float closed forms
+        # OverflowError: a printed irrational value beyond float range
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.out:

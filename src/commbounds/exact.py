@@ -1,15 +1,13 @@
-"""Exact arithmetic shared by the bound formulas and the KKT certificate.
+"""Exact arithmetic shared by the bound formulas, the grid planner and the
+KKT certificate.
 
 Every closed-form quantity in this package is a rational number, or a rational
-times a square or cube root.  The bound formulas keep fractions.Fraction as
-long as a value is rational and fall back to IEEE doubles only when a root is
-genuinely irrational.  A float produced there comes from a handful of
-roundings (root of a correctly rounded float, at most a few arithmetic ops on
-top), so its relative error is far below 1e-13; values_agree compares such
-floats within a 1e-12 relative tolerance, and Fraction results exactly.
-
-Radical holds the values of one field Q(b), b = r^(1/d), with integer
-coefficients; the KKT certificate is decided in it by exact signs.
+combination of 1, b and b^2 for one square or cube root b.  Radical holds the
+values of one such field Q(b), b = r^(1/d), with integer coefficients; every
+decision is an exact sign or equality in it.  A value becomes a float only to
+be printed: Radical.to_value gives a Fraction for a rational element and a
+float for an irrational one, and decimal_str, human_str and value_to_json
+print through it.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Union
 
-Value = Union[Fraction, float]
+Value = Union[Fraction, float]  # a number as printed
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:
@@ -55,32 +53,6 @@ def nth_root_exact(x: Fraction, k: int) -> Fraction | None:
     if not ok:
         return None
     return Fraction(num, den)
-
-
-def root_value(x: Value, k: int) -> Value:
-    """k-th root, exact Fraction when possible, float otherwise."""
-    if isinstance(x, Fraction):
-        r = nth_root_exact(x, k)
-        if r is not None:
-            return r
-        x = float(x)
-    if k == 2:
-        return math.sqrt(x)
-    return x ** (1.0 / k)
-
-
-def sqrt_value(x: Value) -> Value:
-    return root_value(x, 2)
-
-
-def pow23(x: Value) -> Value:
-    """x ** (2/3), exact when x is a rational perfect cube."""
-    if isinstance(x, Fraction):
-        r = nth_root_exact(x, 3)
-        if r is not None:
-            return r * r
-        x = float(x)
-    return x ** (2.0 / 3.0)
 
 
 RATIONAL = (1, 1, 1)  # Radical.root of Q itself
@@ -199,10 +171,13 @@ class Radical:
         return num / (self.den * U ** (d - 1))
 
     def to_value(self) -> Value:
-        """A Fraction in Q, else the display float."""
-        if self.root == RATIONAL:
-            return Fraction(self.coeffs[0], self.den)
-        return float(self)
+        """A Fraction for a rational element, else the display float."""
+        if any(self.coeffs[1:]):
+            return float(self)
+        return Fraction(self.coeffs[0], self.den)
+
+    def __str__(self) -> str:
+        return str(self.to_value())
 
     def __repr__(self) -> str:
         return f"Radical({self.coeffs}, {self.den}, {self.root})"
@@ -217,15 +192,12 @@ def coefficient_rows(values) -> tuple[int, list[list[int]]]:
     return den // g, [[a // g for a in row] for row in rows]
 
 
-def values_agree(a: Value, b: Value, rel_tol: float = 1e-12) -> bool:
-    """Exact equality for rational pairs, relative closeness otherwise."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    fa, fb = float(a), float(b)
-    return abs(fa - fb) <= rel_tol * max(1.0, abs(fa), abs(fb))
+def _display(v) -> Value:
+    """A Radical as its display value; a Fraction or float as it is."""
+    return v.to_value() if type(v) is Radical else v
 
 
-def decimal_str(v: Value, digits: int = 28) -> str:
+def decimal_str(v, digits: int = 28) -> str:
     """Decimal rendering that keeps every integer digit.
 
     A rational is exact when its expansion terminates within `digits`
@@ -233,6 +205,7 @@ def decimal_str(v: Value, digits: int = 28) -> str:
     that many fractional digits (`digits` significant ones below 1) and still
     shows its decimal point, so a number printed without one is exact.
     """
+    v = _display(v)
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return str(v.numerator)
@@ -244,13 +217,14 @@ def decimal_str(v: Value, digits: int = 28) -> str:
     return repr(float(v))
 
 
-def human_str(v: Value) -> str:
+def human_str(v) -> str:
     """Compact rendering for terminal output.
 
     A float is shown to 12 significant digits unless that drops both the point
     and the exponent (1803989696.9957 rounds to 1803989697); then it is shown
     in full, so a number printed without a decimal point is exact.
     """
+    v = _display(v)
     if isinstance(v, Fraction):
         return decimal_str(v)
     text = "%.12g" % float(v)
@@ -259,17 +233,9 @@ def human_str(v: Value) -> str:
     return repr(float(v))
 
 
-def value_to_json(v: Value):
+def value_to_json(v):
     """JSON form: rationals as {decimal, num, den}, floats as plain numbers."""
+    v = _display(v)
     if isinstance(v, Fraction):
         return {"decimal": decimal_str(v), "num": v.numerator, "den": v.denominator}
     return float(v)
-
-
-def json_to_value(obj) -> Value:
-    """Inverse of value_to_json."""
-    if isinstance(obj, dict):
-        return Fraction(obj["num"], obj["den"])
-    if isinstance(obj, int):
-        return Fraction(obj)
-    return float(obj)

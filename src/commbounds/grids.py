@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import ProblemShape, case_of
-from .exact import Value, root_value, sqrt_value
+from .bounds import ProblemShape, case_field, case_of
+from .exact import Radical
 
 
 @dataclass(frozen=True)
@@ -82,13 +82,14 @@ def comm_cost(shape: ProblemShape, grid: ProcessorGrid) -> CostBreakdown:
 class AnalyticGridResult:
     """Real-valued optimal factors, and the integral grid when they admit one.
 
-    factors follow the shape's axis order (p1, p2, p3); non_integral_axes
-    lists 1-based axes whose factor is fractional or irrational, in which
-    case grid is None and exhaustive search is the fallback.
+    factors follow the shape's axis order (p1, p2, p3), exact in the case's
+    field; non_integral_axes lists 1-based axes whose factor is fractional or
+    irrational, in which case grid is None and exhaustive search is the
+    fallback.
     """
 
     case: int
-    factors: tuple[Value, Value, Value]
+    factors: tuple[Radical, Radical, Radical]
     grid: Optional[ProcessorGrid]
     non_integral_axes: tuple[int, ...]
 
@@ -101,18 +102,14 @@ def analytic_grid(shape: ProblemShape, procs: int) -> AnalyticGridResult:
         raise ValueError(f"processor count must be positive, got {procs}")
     m, n, k = shape.sorted_dims
     case, _ = case_of(m, n, k, procs)
+    b = case_field(case, m, n, k, procs)
     if case == 1:
-        p, q, r = Fraction(procs), Fraction(1), Fraction(1)
-    elif case == 2:
-        # p^2 = P m/n from m/p = n/q and pq = P
-        p = sqrt_value(Fraction(procs * m, n))
-        q = Fraction(procs) / p if isinstance(p, Fraction) else procs / p
-        r = Fraction(1)
+        p, q, r = b * procs, b, b
     else:
-        # p^3 = P m^2/(nk) etc. from m/p = n/q = k/r and pqr = P
-        p = root_value(Fraction(procs * m * m, n * k), 3)
-        q = root_value(Fraction(procs * n * n, m * k), 3)
-        r = root_value(Fraction(procs * k * k, m * n), 3)
+        # m/p = n/q (= k/r in case 3) and pqr = P give p = bP/(nk),
+        # q = bP/(mk), and r = bP/(mn) in case 3 or 1 in case 2
+        p, q = b * Fraction(procs, n * k), b * Fraction(procs, m * k)
+        r = b * Fraction(procs, m * n) if case == 3 else b.lift(1)
 
     order = shape.axis_order
     factors = [None, None, None]
@@ -120,14 +117,14 @@ def analytic_grid(shape: ProblemShape, procs: int) -> AnalyticGridResult:
         factors[axis] = f
     factors = tuple(factors)
 
+    # f is an integer iff its b and b^2 coefficients vanish and den divides
+    # the rational one
     bad = tuple(
-        i + 1
-        for i, f in enumerate(factors)
-        if not (isinstance(f, Fraction) and f.denominator == 1)
+        i + 1 for i, f in enumerate(factors) if any(f.coeffs[1:]) or f.coeffs[0] % f.den
     )
     grid = None
     if not bad:
-        grid = ProcessorGrid(*(int(f) for f in factors))
+        grid = ProcessorGrid(*(f.coeffs[0] // f.den for f in factors))
         assert grid.size == procs
     return AnalyticGridResult(case=case, factors=factors, grid=grid, non_integral_axes=bad)
 

@@ -9,7 +9,7 @@ The bound's D term is the optimum of
 for m >= n >= k >= 1 and P >= 1, where x_i counts the elements of A, B, C a
 processor accesses.  analytic_solution returns the closed-form minimizer and
 dual vector for each of the three cases, exactly, as elements of one field
-Q(b) (exact.Radical): b = 1 in case 1, b = sqrt(mnk^2/P) in case 2 and
+Q(b) (exact.Radical, from bounds.case_field): b = 1 in case 1, b = sqrt(mnk^2/P) in case 2 and
 b = ((mnk/P)^2)^(1/3) in case 3.  kkt_verify decides primal and dual
 feasibility, stationarity, and complementary slackness at any proposed
 solution by exact signs in that field, with no tolerance; for instance every
@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import case_of
+from .bounds import case_field, case_of
 from .exact import RATIONAL, Radical
 
 
@@ -99,18 +99,6 @@ def objective(x):
     return x[0] + x[1] + x[2]
 
 
-def case_root(prob: OptProblem, case: int) -> Radical:
-    """The generator b of the field a case's closed forms live in."""
-    m, n, k, P = prob.m, prob.n, prob.k, prob.P
-    if case == 1:
-        return Radical.generator(1, 1)
-    if case == 2:
-        return Radical.generator(Fraction(m * n * k * k, P), 2)
-    if case == 3:
-        return Radical.generator(Fraction(m * n * k, P) ** 2, 3)
-    raise ValueError(f"case must be 1, 2, or 3, got {case}")
-
-
 def analytic_solution_for_case(prob: OptProblem, case: int) -> OptSolution:
     """Closed-form (x*, mu*) of one case, whether or not P is in its range.
 
@@ -119,7 +107,7 @@ def analytic_solution_for_case(prob: OptProblem, case: int) -> OptSolution:
     it fail.
     """
     m, n, k, P = prob.m, prob.n, prob.k, prob.P
-    b = case_root(prob, case)
+    b = case_field(case, m, n, k, P)
     zero = b.lift(0)
     if case == 1:
         x = tuple(map(b.lift, (n * k, Fraction(m * k, P), Fraction(m * n, P))))
@@ -135,17 +123,6 @@ def analytic_solution_for_case(prob: OptProblem, case: int) -> OptSolution:
         x = (b, b, b)
         mu = (b * Fraction(P * P, (m * n * k) ** 2), zero, zero, zero)
     return OptSolution(x=x, mu=mu, case_tag=case)
-
-
-def accessed_data_exact(prob: OptProblem, case: int) -> Radical:
-    """The case's D formula from bounds' docstring, in the case's field."""
-    m, n, k, P = prob.m, prob.n, prob.k, prob.P
-    b = case_root(prob, case)
-    if case == 1:
-        return b * Fraction(m * n + m * k, P) + n * k
-    if case == 2:
-        return 2 * b + Fraction(m * n, P)
-    return 3 * b
 
 
 def analytic_solution(prob: OptProblem) -> OptSolution:

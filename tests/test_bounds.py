@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commbounds.bounds import (
     ProblemShape,
@@ -15,7 +16,7 @@ from commbounds.bounds import (
     lower_bound,
     prior_constants,
 )
-from commbounds.exact import values_agree
+from commbounds.exact import RATIONAL, Radical
 
 RUNNING = ProblemShape(9600, 2400, 600)  # m/n = 4, mn/k^2 = 64
 
@@ -101,6 +102,14 @@ class TestBoundValues:
         assert rep.bound == 0
         assert rep.accessed == rep.owned == Fraction(RUNNING.pair_sum)
 
+    def test_huge_dimensions_are_exact(self):
+        # mnk/P = 10^330/7 is beyond float range; D = 3b with b^3 = (mnk/P)^2
+        rep = lower_bound(ProblemShape(10**110, 10**110, 10**110), 7)
+        q = Fraction(10**330, 7)
+        assert rep.accessed * rep.accessed * rep.accessed == 27 * q * q
+        assert rep.owned == Fraction(3 * 10**220, 7)
+        assert rep.bound == rep.accessed - rep.owned and rep.bound.sign() > 0
+
     def test_oversubscription_flag(self):
         shape = ProblemShape(2, 2, 2)
         assert not lower_bound(shape, 8).oversubscribed
@@ -109,7 +118,7 @@ class TestBoundValues:
     def test_bound_never_negative(self):
         for shape in random_shapes(200, seed=1, hi=60):
             procs = int(np.random.default_rng(shape.volume).integers(1, 3 * shape.volume))
-            assert lower_bound(shape, procs).bound >= 0
+            assert lower_bound(shape, procs).bound.sign() >= 0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
@@ -138,24 +147,35 @@ class TestContinuityMonotonicity:
             m, n, k = sorted(
                 (int(v) for v in rng.integers(1, 300, size=3)), reverse=True
             )
+            # both sides lie in Q there, so they agree exactly
             p12 = Fraction(m, n)
-            assert values_agree(d_case(1, m, n, k, p12), d_case(2, m, n, k, p12))
+            assert d_case(1, m, n, k, p12) == d_case(2, m, n, k, p12)
             p23 = Fraction(m * n, k * k)
-            assert values_agree(d_case(2, m, n, k, p23), d_case(3, m, n, k, p23))
+            assert d_case(2, m, n, k, p23) == d_case(3, m, n, k, p23)
 
     def test_accessed_data_non_increasing(self):
-        # D decreases in P (the communicated part need not)
+        # D decreases in P (the communicated part need not), exactly, and
+        # correct rounding is monotone, so the printed floats do too
         for shape in random_shapes(30, seed=5, hi=200):
             prev = None
             for procs in range(1, 40):
                 d = accessed_data(shape, procs)
                 if prev is not None:
-                    assert float(d) <= float(prev) * (1 + 1e-12)
+                    assert float(d) <= float(prev)
                 prev = d
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 10**6)),
+           st.integers(1, 10**6))
+    def test_accessed_data_non_increasing_drawn(self, dims, procs):
+        shape = ProblemShape(*dims)
+        d, after = accessed_data(shape, procs), accessed_data(shape, procs + 1)
+        assert float(after) <= float(d)
+
     def test_case_1_communication_increases_in_p(self):
-        # (1 - 1/P) nk grows with P, the reason the bound is not monotone
-        vals = [lower_bound(RUNNING, p).bound for p in (1, 2, 3, 4)]
+        # (1 - 1/P) nk grows with P, the reason the bound is not monotone;
+        # case 1 values are rational
+        vals = [lower_bound(RUNNING, p).bound.to_value() for p in (1, 2, 3, 4)]
         assert vals == sorted(vals)
         assert vals[0] == 0
 
@@ -179,8 +199,9 @@ class TestMemory:
     def test_memory_dependent_term(self):
         shape = ProblemShape(96, 96, 96)
         rep = lower_bound(shape, 512, memory=54)
-        expect = 2 * 96**3 / (512 * 54**0.5)
-        assert values_agree(rep.memory_dependent, expect)
+        # 2 96^3 / (512 sqrt(54)) = sqrt(54) 2 96^3 / (512 54)
+        assert rep.memory_dependent == Radical.generator(54, 2) * Fraction(2 * 96**3, 512 * 54)
+        assert rep.memory_dependent * rep.memory_dependent == Fraction(2 * 96**3, 512) ** 2 / 54
         assert rep.binding == "memory_dependent"
 
     def test_memory_must_fit_inputs(self):
@@ -193,7 +214,9 @@ class TestMemory:
         shape = ProblemShape(96, 96, 96)
         dom = bound_dominance(shape, 512, 54)
         assert dom.in_window
-        assert values_agree(dom.window_upper, (8 / 27) * 96**3 / 54**1.5)
+        # (8/27) 96^3 / 54^(3/2), squared
+        assert dom.window_upper * dom.window_upper == Fraction(8 * 96**3, 27) ** 2 / 54**3
+        assert dom.window_upper.sign() > 0
         assert dom.dominant == "memory_dependent"
 
     def test_memory_independent_dominates_through_case_2(self):
@@ -220,13 +243,15 @@ class TestMemory:
 class TestConstants:
     def test_table_values(self):
         c3 = prior_constants(RegimeTag.THREE_D)
-        assert abs(c3["ACS90"] - 0.5 ** (2 / 3)) <= 1e-15
+        acs90 = c3["ACS90"]  # (1/2)^(2/3), whose cube is 1/4
+        assert acs90 * acs90 * acs90 == Fraction(1, 4) and acs90.root != RATIONAL
         assert c3["ITT04"] == Fraction(1, 2)
         assert c3["DE+13"] == 1
         assert c3["this_work"] == 3
         c2 = prior_constants(RegimeTag.TWO_D)
         assert c2["ACS90"] is None and c2["ITT04"] is None
-        assert abs(c2["DE+13"] - (2 / 3) ** 0.5) <= 1e-15
+        de13 = c2["DE+13"]  # (2/3)^(1/2)
+        assert de13 * de13 == Fraction(2, 3) and de13.root != RATIONAL
         assert c2["this_work"] == 2
         c1 = prior_constants(RegimeTag.ONE_D)
         assert c1["DE+13"] == Fraction(16, 25)

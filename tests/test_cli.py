@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import commbounds.cli as cli
-from commbounds.exact import json_to_value
+from test_exact import json_to_value
 
 
 def run_cli(capsys, *argv):
@@ -38,13 +38,14 @@ class TestBound:
         assert "lower bound     : 96" in out
 
     def test_inexact_float_keeps_its_point(self, capsys):
-        # 1803989696.9957... has 12 significant digits 1803989697
+        # 1803989696.9957437982... has 12 significant digits 1803989697;
+        # both floats are its correctly rounded value
         code, out, _ = run_cli(
             capsys, "bound", "--shape", "63868", "63868", "63868", "--procs", "3"
         )
         assert code == 0
-        assert "accessed data D : 5883111120.995737\n" in out
-        assert "lower bound     : 1803989696.995737\n" in out
+        assert "accessed data D : 5883111120.995744\n" in out
+        assert "lower bound     : 1803989696.9957438\n" in out
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(
@@ -276,10 +277,8 @@ class TestVerify:
     @pytest.mark.parametrize("procs", [3, 37, 65])
     def test_certificate_fails_on_a_wrong_d(self, capsys, monkeypatch, procs):
         # the KKT point is right; a D off by 10^-30 fails the exact check
-        real = cli.accessed_data_exact
-        monkeypatch.setattr(
-            cli, "accessed_data_exact", lambda *a: real(*a) + Fraction(1, 10**30)
-        )
+        real = cli.d_case
+        monkeypatch.setattr(cli, "d_case", lambda *a: real(*a) + Fraction(1, 10**30))
         code, out, _ = run_cli(
             capsys, "verify", "--shape", "9600", "2400", "600", "--procs", str(procs),
             "--format", "json",
@@ -338,7 +337,7 @@ class TestSweep:
         assert code == 0
         row = out.splitlines()[-1].split()
         assert row[:6] == [
-            "3", "3d", "false", "5883111120.995737", "4079121424", "1803989696.995737"
+            "3", "3d", "false", "5883111120.995744", "4079121424", "1803989696.9957438"
         ]
 
     def test_attained_column(self, capsys):
@@ -442,7 +441,8 @@ class TestConfigAndIO:
 
     @pytest.mark.parametrize("command", ["bound", "grid", "sweep"])
     def test_huge_dimensions_exit_2_with_one_line(self, capsys, command):
-        huge = str(10**110)
+        # the irrational D at P = 7 is about 10^400, beyond float range
+        huge = str(10**200)
         procs = "7:8" if command == "sweep" else "7"
         code, out, err = run_cli(
             capsys, command, "--shape", huge, huge, huge, "--procs", procs
@@ -504,10 +504,11 @@ class TestConfigAndIO:
             procs = int(row[header.index("procs")])
             rep = lower_bound(ProblemShape(96, 24, 6), procs)
             got = row[header.index("lower_bound")]
-            if isinstance(rep.bound, Fraction):
-                assert Fraction(got) == rep.bound
+            expect = rep.bound.to_value()
+            if isinstance(expect, Fraction):
+                assert Fraction(got) == expect
             else:
-                assert float(got) == rep.bound
+                assert float(got) == expect
 
 
 class TestParserReuse:

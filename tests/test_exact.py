@@ -16,14 +16,19 @@ from commbounds.exact import (
     decimal_str,
     human_str,
     iroot,
-    json_to_value,
     nth_root_exact,
-    pow23,
-    root_value,
-    sqrt_value,
     value_to_json,
-    values_agree,
 )
+
+
+def json_to_value(obj):
+    """Inverse of value_to_json: a Fraction for {num, den} or an int, else
+    the float."""
+    if isinstance(obj, dict):
+        return Fraction(obj["num"], obj["den"])
+    if isinstance(obj, int):
+        return Fraction(obj)
+    return float(obj)
 
 
 def test_iroot_small_values():
@@ -73,31 +78,6 @@ def test_nth_root_exact():
         nth_root_exact(Fraction(-8), 3)
 
 
-def test_root_value_types():
-    r = root_value(Fraction(144), 2)
-    assert isinstance(r, Fraction) and r == 12
-    r = root_value(Fraction(2), 2)
-    assert isinstance(r, float) and r == math.sqrt(2.0)
-    assert sqrt_value(Fraction(9, 16)) == Fraction(3, 4)
-
-
-def test_pow23():
-    assert pow23(Fraction(27)) == Fraction(9)
-    assert pow23(Fraction(27, 64)) == Fraction(9, 16)
-    v = pow23(Fraction(2))
-    assert isinstance(v, float) and v == 2.0 ** (2.0 / 3.0)
-    # exactness detection keeps large attainable cases rational
-    assert pow23(Fraction(96**3)) == Fraction(96**2)
-
-
-def test_values_agree():
-    assert values_agree(Fraction(1, 3), Fraction(1, 3))
-    assert not values_agree(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**15))
-    assert values_agree(1.0, 1.0 + 1e-13)
-    assert not values_agree(1.0, 1.0 + 1e-11)
-    assert values_agree(Fraction(1, 3), 1 / 3)
-
-
 def test_decimal_str():
     assert decimal_str(Fraction(76)) == "76"
     assert decimal_str(Fraction(421875, 2)) == "210937.5"
@@ -129,6 +109,21 @@ def test_human_str():
 def test_json_round_trip():
     for v in (Fraction(421875, 2), Fraction(7, 3), Fraction(0), 2.0 ** (2.0 / 3.0)):
         assert json_to_value(value_to_json(v)) == v
+    b = Radical.generator(2, 3)
+    assert json_to_value(value_to_json(b)) == float(b)
+    assert json_to_value(value_to_json(b * b * b)) == 2
+
+
+def test_a_radical_prints_as_its_fraction_or_float():
+    s2 = Radical.generator(2, 2)
+    half = s2.lift(Fraction(1, 2))  # rational, in an irrational field
+    assert half.to_value() == Fraction(1, 2) and str(half) == "1/2"
+    assert value_to_json(half) == {"decimal": "0.5", "num": 1, "den": 2}
+    assert decimal_str(half) == human_str(half) == "0.5"
+    assert s2.to_value() == float(s2) == math.sqrt(2)  # IEEE sqrt is correctly rounded
+    assert str(s2) == decimal_str(s2) == repr(math.sqrt(2))
+    assert value_to_json(s2) == math.sqrt(2)
+    assert human_str(s2) == "1.41421356237"
 
 
 def test_json_shape():

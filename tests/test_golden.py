@@ -7,7 +7,8 @@ the edges where `binding` and `in_window` switch) and with a float
 bound whose 12 significant digits form an integer; `grid` with
 integral and non-integral analytic grids; `simulate` with even and uneven
 splits; `verify` plain, `--tiny`, with irrational optima and at huge
-dimensions and P; `sweep` across both boundaries and the
+dimensions and P; `bound`, `grid` and `sweep` at dimensions 10^110, whose
+products are beyond float range; `sweep` across both boundaries and the
 constants table; each in the human, json and csv formats; and the error
 paths. A change to any output shows here as a failing case.
 """

@@ -85,9 +85,8 @@ class TestAnalyticGrid:
         res = analytic_grid(ProblemShape(7, 7, 7), 7)
         assert res.grid is None
         assert res.non_integral_axes == (1, 2, 3)
-        expect = 7.0 ** (1.0 / 3.0)
-        for f in res.factors:
-            assert float(f) == pytest.approx(expect, rel=1e-12)
+        for f in res.factors:  # each is 7^(1/3), exactly
+            assert f * f * f == 7 and f.sign() > 0
 
     def test_case_2_non_integral(self):
         # p = sqrt(P m / n) = sqrt(8) for (4,2,x) at P = 4
@@ -95,6 +94,8 @@ class TestAnalyticGrid:
         assert res.case == 2
         assert res.grid is None
         assert 1 in res.non_integral_axes
+        p, q, r = res.factors
+        assert p * p == 8 and q * q == 2 and r == 1
 
     def test_grid_product_is_p(self):
         rng = np.random.default_rng(14)
@@ -103,6 +104,8 @@ class TestAnalyticGrid:
             shape = ProblemShape(*(int(v) for v in rng.integers(1, 60, size=3)))
             procs = int(rng.integers(1, 200))
             res = analytic_grid(shape, procs)
+            p, q, r = res.factors
+            assert p * q * r == procs  # exactly, whether or not integral
             if res.grid is not None:
                 assert res.grid.size == procs
                 hits += 1

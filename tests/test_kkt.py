@@ -9,11 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commbounds.bounds import d_case
-from commbounds.exact import RATIONAL, values_agree
 from commbounds.kkt import (
     OptProblem,
     OptSolution,
-    accessed_data_exact,
     analytic_solution,
     analytic_solution_for_case,
     kkt_verify,
@@ -71,18 +69,12 @@ class TestAnalyticSolutions:
         assert sol.x[0] == sol.x[1] == sol.x[2] == Fraction(90000)
 
     def test_objective_equals_accessed_data(self):
-        # the optimizer's value equals the case's D formula exactly; the
-        # bound formula's value is that D, exactly where it is rational
+        # the optimizer's value equals the bound formula's D exactly, in the
+        # same field (values of two fields never compare equal)
         for prob in random_problems(300, seed=9):
             sol = analytic_solution(prob)
-            exact = accessed_data_exact(prob, sol.case_tag)
-            assert objective(sol.x) == exact
             d = d_case(sol.case_tag, prob.m, prob.n, prob.k, prob.P)
-            assert isinstance(d, Fraction) == (exact.root == RATIONAL)
-            if isinstance(d, Fraction):
-                assert exact == d
-            else:
-                assert values_agree(float(exact), d)
+            assert objective(sol.x) == d
 
     def test_multiplier_nonnegativity_in_range(self):
         for prob in random_problems(300, seed=10):

@@ -11,20 +11,30 @@ feasible point.
 
 `bound --memory` prints two decisions, `binding` and `in_window`; each must
 equal the exact decision made here with integer powers, in all three formats,
-and most of all next to the edge where it switches.
+and most of all next to the edge where it switches.  The printed numbers must
+agree with them: correct rounding is monotone, so the term `binding` names is
+printed no smaller than the other, and P no larger than `window_upper` inside
+the window.
+
+Every number `bound`, `grid` and `sweep` print in JSON is checked against its
+exact value, recomputed here with 80-digit decimals, and every csv and human
+number against its JSON value.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
+from decimal import Context
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import commbounds.cli as cli
-from commbounds.exact import json_to_value
+from commbounds.exact import iroot
+from test_exact import json_to_value
 
 dims = st.integers(1, 10**6)
 random_cases = st.tuples(st.tuples(dims, dims, dims), st.integers(1, 10**4))
@@ -52,10 +62,8 @@ def test_grid_claims(case):
     bound = json_to_value(doc["lower_bound"])
     exact_bound = isinstance(doc["lower_bound"], dict)
     assert isinstance(cost, Fraction)
-    if exact_bound:
-        assert cost >= bound
-    else:
-        assert float(cost) >= bound - 1e-12 * max(1.0, abs(bound))
+    # a float bound is correctly rounded, and rounding is monotone
+    assert cost >= bound if exact_bound else float(cost) >= bound
     assert doc["attained"] == (exact_bound and cost == bound)
     if doc["analytic"]["integral"]:
         assert doc["agreement"] and doc["attained"]
@@ -63,23 +71,25 @@ def test_grid_claims(case):
         assert doc["analytic"]["integral"] and doc["agreement"]
 
 
-def bound_outputs(shape, procs, memory) -> dict:
-    """bound --memory in all three formats: the JSON document, the csv row
-    as a dict, and the human lines."""
-    argv = ["bound", "--shape", *map(str, shape), "--procs", str(procs),
-            "--memory", repr(memory)]
+def cli_outputs(command, shape, procs, *flags) -> dict:
+    """One command in all three formats: the JSON document, the csv rows as
+    dicts, and the human lines."""
+    argv = [command, "--shape", *map(str, shape), "--procs", str(procs), *flags]
     outs = {}
     for fmt in ("json", "csv", "human"):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(argv + ["--format", fmt]) == 0
         outs[fmt] = out.getvalue()
-    header, row = outs["csv"].splitlines()
     return {
         "json": json.loads(outs["json"]),
-        "csv": dict(zip(header.split(","), row.split(","))),
+        "csv": list(csv.DictReader(io.StringIO(outs["csv"]))),
         "human": outs["human"].splitlines(),
     }
+
+
+def bound_outputs(shape, procs, memory) -> dict:
+    return cli_outputs("bound", shape, procs, "--memory", repr(memory))
 
 
 def exact_decisions(shape, procs, memory) -> tuple[str, bool]:
@@ -107,11 +117,19 @@ def assert_decisions_printed(shape, procs, memory):
     out = bound_outputs(shape, procs, memory)
     assert out["json"]["binding"] == binding
     assert out["json"]["dominance"]["in_window"] is in_window
-    assert out["csv"]["binding"] == binding
+    assert out["csv"][0]["binding"] == binding
     line = next(l for l in out["human"] if l.startswith("binding"))
     assert line.split(":", 1)[1].split() == (
         [binding, "(inside", "dominance", "window)"] if in_window else [binding]
     )
+    # the printed numbers agree with the decisions
+    doc = out["json"]
+    mem_dep, accessed = (
+        float(json_to_value(doc[key])) for key in ("memory_dependent", "accessed")
+    )
+    assert mem_dep >= accessed if binding == "memory_dependent" else mem_dep <= accessed
+    upper = float(json_to_value(doc["dominance"]["window_upper"]))
+    assert procs <= upper if in_window else upper <= procs
     return binding, in_window
 
 
@@ -166,3 +184,203 @@ def test_binding_and_in_window_anywhere(shape, procs, factor):
     memory = float(Fraction(m * n + m * k + n * k, procs) * factor)
     assume(Fraction(memory) >= Fraction(m * n + m * k + n * k, procs))
     assert_decisions_printed(shape, procs, memory)
+
+
+# Printed numbers.  Exact values are Fractions where rational and 80-digit
+# Decimals otherwise, computed here from the closed forms in bounds.py's
+# docstring; float() of such a Decimal is its correctly rounded double.
+
+
+DIGITS = Context(prec=80)
+
+
+def _dec(q: Fraction):
+    return DIGITS.divide(q.numerator, q.denominator)
+
+
+def root(q: Fraction, d: int):
+    """q^(1/d): a Fraction when rational, else a Decimal."""
+    num, num_ok = iroot(q.numerator, d)
+    den, den_ok = iroot(q.denominator, d)
+    if num_ok and den_ok:
+        return Fraction(num, den)
+    return DIGITS.power(_dec(q), DIGITS.divide(1, d))
+
+
+def affine(c: Fraction, x, a: Fraction):
+    """c x + a, a Fraction when x is one."""
+    if isinstance(x, Fraction):
+        return c * x + a
+    return DIGITS.add(DIGITS.multiply(_dec(c), x), _dec(a))
+
+
+def expected_bound(shape, procs, memory=None) -> dict:
+    m, n, k = sorted(shape, reverse=True)
+    owned = Fraction(m * n + m * k + n * k, procs)
+    if procs * n <= m:
+        d = Fraction(m * n + m * k, procs) + n * k
+    elif procs * k * k <= m * n:
+        d = affine(Fraction(2), root(Fraction(m * n * k * k, procs), 2), Fraction(m * n, procs))
+    else:
+        d = affine(Fraction(3), root(Fraction(m * n * k, procs) ** 2, 3), Fraction(0))
+    values = {"accessed": d, "owned": owned, "lower_bound": affine(Fraction(1), d, -owned)}
+    if memory is not None:
+        mem = Fraction(memory)
+        values["memory"] = mem
+        # 2mnk/(P sqrt(M)) and (8/27) mnk / M^(3/2)
+        values["memory_dependent"] = affine(
+            Fraction(2 * m * n * k, procs) / mem, root(mem, 2), Fraction(0))
+        values["window_upper"] = affine(
+            Fraction(8 * m * n * k, 27) / mem ** 2, root(mem, 2), Fraction(0))
+    return values
+
+
+def expected_factors(shape, procs) -> list:
+    """The analytic grid factors, on the shape's own axes."""
+    m, n, k = sorted(shape, reverse=True)
+    if procs * n <= m:
+        pqr = (Fraction(procs), Fraction(1), Fraction(1))
+    elif procs * k * k <= m * n:
+        pqr = (root(Fraction(procs * m, n), 2), root(Fraction(procs * n, m), 2), Fraction(1))
+    else:
+        pqr = [root(Fraction(procs * a * a, b * c), 3) for a, b, c in ((m, n, k), (n, m, k),
+                                                                      (k, m, n))]
+    factors = [None] * 3
+    for axis, f in zip(sorted(range(3), key=lambda i: -shape[i]), pqr):
+        factors[axis] = f
+    return factors
+
+
+def grid_cost(shape, grid) -> tuple:
+    """(words_a, words_b, words_c, total) of the 3D algorithm on a grid."""
+    (n1, n2, n3), (p1, p2, p3) = shape, grid
+    words = ((1 - Fraction(1, p3)) * Fraction(n1 * n2, p1 * p2),
+             (1 - Fraction(1, p1)) * Fraction(n2 * n3, p2 * p3),
+             (1 - Fraction(1, p2)) * Fraction(n1 * n3, p1 * p3))
+    return (*words, sum(words))
+
+
+def assert_exact(j, e):
+    """A JSON number against its exact value: a rational equal exactly, an
+    irrational as the double nearest to it."""
+    if isinstance(e, Fraction):
+        assert isinstance(j, dict) and Fraction(j["num"], j["den"]) == e
+    else:
+        assert isinstance(j, float) and j == float(e)
+
+
+def assert_printed(text, j, human=False):
+    """A csv or human number against its JSON value: a rational as the same
+    decimal; a float as its repr, which round-trips, or in human text also
+    rounded to 12 significant digits, but always with its point."""
+    if isinstance(j, dict):
+        assert text == j["decimal"]
+    elif human:
+        assert ("." in text or "e" in text) and float(text) in (j, float("%.12g" % j))
+    else:
+        assert text == repr(j) and float(text) == j
+
+
+def labelled(lines) -> dict:
+    """Human lines `label : value` as a dict."""
+    return dict((a.strip(), b) for a, b in (l.split(" : ", 1) for l in lines if " : " in l))
+
+
+BOUND_LABELS = {"accessed data D": "accessed", "owned per proc": "owned",
+                "lower bound": "lower_bound", "memory M": "memory",
+                "memory-dep term": "memory_dependent"}
+
+
+def assert_bound_numbers(shape, procs, memory=None):
+    flags = () if memory is None else ("--memory", repr(memory))
+    out = cli_outputs("bound", shape, procs, *flags)
+    doc, row, human = out["json"], out["csv"][0], labelled(out["human"])
+    for key, e in expected_bound(shape, procs, memory).items():
+        j = doc["dominance"][key] if key == "window_upper" else doc[key]
+        assert_exact(j, e)
+        if key not in ("memory", "window_upper"):
+            assert_printed(row[key], j)
+    if memory is None:
+        assert row["memory_dependent"] == ""
+    for label, key in BOUND_LABELS.items():
+        if key in doc:
+            assert_printed(human[label].split()[0], doc[key], human=True)
+
+
+def assert_grid_numbers(shape, procs):
+    out = cli_outputs("grid", shape, procs)
+    doc, row, human = out["json"], out["csv"][0], labelled(out["human"])
+    an, ex = doc["analytic"], doc["exhaustive"]
+    for j, e in zip(an["factors"], expected_factors(shape, procs)):
+        assert_exact(j, e)
+    assert_exact(doc["lower_bound"], expected_bound(shape, procs)["lower_bound"])
+    for key, e in zip(("words_a", "words_b", "words_c", "cost"), grid_cost(shape, ex["grid"])):
+        assert_exact(ex[key], e)
+    assert_printed(row["exhaustive_cost"], ex["cost"])
+    assert_printed(row["lower_bound"], doc["lower_bound"])
+    assert_printed(human["exhaustive grid"].split()[-1], ex["cost"], human=True)
+    assert_printed(human["lower bound"].split()[0], doc["lower_bound"], human=True)
+    analytic = human["analytic grid"]
+    if an["integral"]:
+        assert_exact(an["cost"], grid_cost(shape, an["grid"])[3])
+        assert_printed(analytic.split()[-1], an["cost"], human=True)
+    else:
+        texts = analytic[analytic.index("(") + 1:analytic.index(")")].split(" x ")
+        for text, j in zip(texts, an["factors"], strict=True):
+            assert_printed(text, j, human=True)
+
+
+def assert_sweep_numbers(shape, lo, hi):
+    out = cli_outputs("sweep", shape, f"{lo}:{hi}")
+    doc, title, header, *rows = out["json"], *out["human"]
+    m, n, k = sorted(shape, reverse=True)
+    for key, e in (("one_two", Fraction(m, n)), ("two_three", Fraction(m * n, k * k))):
+        assert_exact(doc["boundaries"][key], e)
+    assert title.endswith(f"m/n = {doc['boundaries']['one_two']['decimal']}, "
+                          f"mn/k^2 = {doc['boundaries']['two_three']['decimal']}")
+    for row, row_csv, line in zip(doc["rows"], out["csv"], rows, strict=True):
+        row_human = dict(zip(header.split(), line.split(), strict=True))
+        e = expected_bound(shape, row["procs"])
+        e["exhaustive_cost"] = grid_cost(shape, map(int, row["exhaustive_grid"].split("x")))[3]
+        for key in ("accessed", "owned", "lower_bound", "exhaustive_cost"):
+            assert_exact(row[key], e[key])
+            assert_printed(row_csv[key], row[key])
+            assert_printed(row_human[key], row[key], human=True)
+
+
+@settings(deadline=None, max_examples=100)
+@given(random_cases, st.one_of(st.none(), st.fractions(1, 100)))
+def test_bound_numbers(case, factor):
+    shape, procs = case
+    memory = None
+    if factor is not None:  # any feasible memory, from the owned words up
+        m, n, k = shape
+        memory = float(Fraction(m * n + m * k + n * k, procs) * factor)
+        assume(Fraction(memory) >= Fraction(m * n + m * k + n * k, procs))
+    assert_bound_numbers(shape, procs, memory)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(random_cases, blocked_cases))
+def test_grid_numbers(case):
+    assert_grid_numbers(*case)
+
+
+@settings(deadline=None, max_examples=50)
+@given(random_cases, st.integers(0, 3))
+def test_sweep_numbers(case, extra):
+    shape, procs = case
+    assert_sweep_numbers(shape, procs, procs + extra)
+
+
+@pytest.mark.parametrize("command", ["bound", "grid", "sweep"])
+def test_numbers_at_huge_dimensions(command):
+    # mnk/P = 10^330/7: every number is beyond float range before it is
+    # reduced, and D is about 10^220
+    shape = (10**110,) * 3
+    if command == "bound":
+        assert_bound_numbers(shape, 7)
+    elif command == "grid":
+        assert_grid_numbers(shape, 7)
+    else:
+        assert_sweep_numbers(shape, 7, 8)
