@@ -10,12 +10,10 @@ problems.
 
 from .bounds import (
     BoundReport,
-    DominanceReport,
     ProblemShape,
     Regime,
     RegimeTag,
     accessed_data,
-    bound_dominance,
     classify_regime,
     lower_bound,
     prior_constants,
@@ -60,7 +58,6 @@ __all__ = [
     "AnalyticGridResult",
     "BoundReport",
     "CostBreakdown",
-    "DominanceReport",
     "KKTReport",
     "MinProjectionResult",
     "OptProblem",
@@ -75,7 +72,6 @@ __all__ = [
     "analytic_grid",
     "analytic_solution",
     "analytic_solution_for_case",
-    "bound_dominance",
     "build_machine",
     "classify_regime",
     "comm_cost",

@@ -166,6 +166,8 @@ class BoundReport:
     memory: Optional[Fraction] = None
     memory_dependent: Optional[Radical] = None  # 2mnk/(P sqrt(M)), in Q(sqrt(M))
     binding: Optional[str] = None  # which accessed-data term is larger given M
+    in_window: Optional[bool] = None  # mn/k^2 < P <= (8/27) mnk / M^(3/2)
+    window_upper: Optional[Radical] = None  # (8/27) mnk / M^(3/2), in Q(sqrt(M))
 
 
 def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
@@ -175,7 +177,9 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
     2mnk/(P sqrt(M)) is evaluated and compared against D.  The comparison is
     between the two accessed-data terms (not the owned-subtracted bound):
     that is the form in which the first two regimes provably dominate for
-    every feasible M.
+    every feasible M, so the window where the memory-dependent term can
+    dominate at all starts at mn/k^2 and in_window reports whether P lies in
+    it.
     """
     regime = classify_regime(shape, procs)
     m, n, k = shape.sorted_dims
@@ -185,7 +189,7 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
     if bound.sign() < 0:
         bound = bound.lift(0)
 
-    mem = mem_dep = binding = None
+    mem = mem_dep = binding = in_window = window_upper = None
     if memory is not None:
         mem = Fraction(memory)
         if mem <= 0:
@@ -199,6 +203,11 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
         mem_dep = Radical.generator(mem, 2) * (Fraction(2 * m * n * k, procs) / mem)
         larger = _memory_term_larger(regime.tag.case, m, n, k, procs, mem)
         binding = "memory_dependent" if larger else "memory_independent"
+        window_upper = Radical.generator(mem, 2) * (Fraction(8 * m * n * k, 27) / mem ** 2)
+        # P <= (8/27) mnk / M^(3/2), squared
+        in_window = (
+            procs * k * k > m * n and 729 * procs ** 2 * mem ** 3 <= 64 * (m * n * k) ** 2
+        )
 
     return BoundReport(
         shape=shape,
@@ -211,6 +220,8 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
         memory=mem,
         memory_dependent=mem_dep,
         binding=binding,
+        in_window=in_window,
+        window_upper=window_upper,
     )
 
 
@@ -229,37 +240,6 @@ def _memory_term_larger(case: int, m: int, n: int, k: int, procs: int, mem: Frac
     s2, a = Fraction(m * n * k * k, procs), Fraction(m * n, procs)
     lhs = 4 * q * q - (4 * s2 + a * a) * mem
     return lhs > 0 and lhs * lhs > 16 * a * a * mem * mem * s2
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    accessed: Radical          # memory-independent D
-    memory_dependent: Radical  # 2mnk/(P sqrt(M))
-    dominant: str              # "memory_independent" or "memory_dependent"
-    in_window: bool            # mn/k^2 < P <= (8/27) mnk / M^(3/2)
-    window_upper: Radical      # (8/27) mnk / M^(3/2), in Q(sqrt(M))
-
-
-def bound_dominance(shape: ProblemShape, procs: int, memory) -> DominanceReport:
-    """Which accessed-data term is larger, and whether (P, M) sits in the
-    window where the memory-dependent term can dominate at all.
-
-    Outside the 3d regime the memory-independent term dominates for every
-    feasible M, so the window's lower edge is mn/k^2.
-    """
-    rep = lower_bound(shape, procs, memory=memory)
-    m, n, k = shape.sorted_dims
-    mem = rep.memory
-    window_upper = Radical.generator(mem, 2) * (Fraction(8 * m * n * k, 27) / mem ** 2)
-    # P <= (8/27) mnk / M^(3/2), squared
-    in_window = procs * k * k > m * n and 729 * procs ** 2 * mem ** 3 <= 64 * (m * n * k) ** 2
-    return DominanceReport(
-        accessed=rep.accessed,
-        memory_dependent=rep.memory_dependent,
-        dominant=rep.binding,
-        in_window=bool(in_window),
-        window_upper=window_upper,
-    )
 
 
 # Leading-term constants of the square-case bound c * n^2 / P^e established by

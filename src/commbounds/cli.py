@@ -46,7 +46,6 @@ from typing import Optional
 from .bounds import (
     ProblemShape,
     RegimeTag,
-    bound_dominance,
     case_of,
     d_case,
     lower_bound,
@@ -276,13 +275,12 @@ def cmd_bound(cfg: RunConfig) -> tuple[dict, int]:
         "lower_bound": rep.bound,
     }
     if cfg.memory is not None:
-        dom = bound_dominance(shape, procs, cfg.memory)
         record["memory"] = rep.memory
         record["memory_dependent"] = rep.memory_dependent
         record["binding"] = rep.binding
         record["dominance"] = {
-            "in_window": dom.in_window,
-            "window_upper": dom.window_upper,
+            "in_window": rep.in_window,
+            "window_upper": rep.window_upper,
         }
     return record, EXIT_OK
 

@@ -9,15 +9,19 @@ fiber, for a per-processor cost of
 
 words.  The grid minimizing this attains the lower bound whenever the analytic
 minimizer is integral; exhaustive search over factor triples confirms the
-analytic choice independently.  All cost arithmetic is exact rationals since
-competing grids can differ by tiny margins.
+analytic choice independently.  Times P = p1 p2 p3 the cost is the integer
+
+    p1 n2n3 + p2 n1n3 + p3 n1n2 - (n1n2 + n2n3 + n1n3),
+
+so each word count is a rational over P and grids for one P compare exactly by
+p1 n2n3 + p2 n1n3 + p3 n1n2, however small the margin between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .bounds import ProblemShape, case_field, case_of
 from .exact import Radical
@@ -66,9 +70,9 @@ def comm_cost(shape: ProblemShape, grid: ProcessorGrid) -> CostBreakdown:
     """
     n1, n2, n3 = shape.dims
     p1, p2, p3 = grid.dims
-    words_a = (1 - Fraction(1, p3)) * Fraction(n1 * n2, p1 * p2)
-    words_b = (1 - Fraction(1, p1)) * Fraction(n2 * n3, p2 * p3)
-    words_c = (1 - Fraction(1, p2)) * Fraction(n1 * n3, p1 * p3)
+    words_a = Fraction((p3 - 1) * n1 * n2, grid.size)
+    words_b = Fraction((p1 - 1) * n2 * n3, grid.size)
+    words_c = Fraction((p2 - 1) * n1 * n3, grid.size)
     return CostBreakdown(
         words_a=words_a,
         words_b=words_b,
@@ -129,51 +133,71 @@ def analytic_grid(shape: ProblemShape, procs: int) -> AnalyticGridResult:
     return AnalyticGridResult(case=case, factors=factors, grid=grid, non_integral_axes=bad)
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    primes = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
+            primes.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return small + large[::-1]
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
-def factor_triples(procs: int) -> list[tuple[int, int, int]]:
-    """All ordered triples (p1, p2, p3) with product P, no duplicates."""
+def _sorted_divisors(n: int, primes: list[int]) -> list[int]:
+    """Sorted divisors of n, every prime factor of which is in primes."""
+    divs = [1]
+    for p in primes:
+        layer = divs
+        while n % p == 0:
+            n //= p
+            layer = [d * p for d in layer]
+            divs = divs + layer
+    divs.sort()
+    return divs
+
+
+def factor_triples(procs: int) -> Iterator[tuple[int, int, int]]:
+    """All ordered triples (p1, p2, p3) with product P, no duplicates, in
+    lexicographic order, produced lazily: highly composite P have millions.
+    P is factorized once and every divisor list is built from its primes."""
     if procs < 1:
         raise ValueError(f"processor count must be positive, got {procs}")
-    out = []
-    for d1 in _divisors(procs):
-        rest = procs // d1
-        for d2 in _divisors(rest):
-            out.append((d1, d2, rest // d2))
-    return out
+    primes = _prime_factors(procs)
+    return (
+        (d1, d2, procs // d1 // d2)
+        for d1 in _sorted_divisors(procs, primes)
+        for d2 in _sorted_divisors(procs // d1, primes)
+    )
 
 
 def exhaustive_grid(
     shape: ProblemShape, procs: int, require_divisibility: bool = False
 ) -> tuple[ProcessorGrid, CostBreakdown]:
-    """Brute-force cost minimum over all factor triples of P.
+    """Brute-force cost minimum over all factor triples of P, compared by the
+    integer P * cost + (n1n2 + n2n3 + n1n3) of the module docstring.
 
     Ties break to the lexicographically largest triple, which keeps the big
     factors on the big dimensions (for shape (n,n,n) and prime P the three
     axis-aligned grids tie and (P,1,1) wins).
     """
-    best = None
-    for t in factor_triples(procs):
-        grid = ProcessorGrid(*t)
-        if require_divisibility and not grid.divides(shape):
-            continue
-        cb = comm_cost(shape, grid)
-        if best is None or cb.total < best[1].total or (
-            cb.total == best[1].total and t > best[0].dims
-        ):
-            best = (grid, cb)
+    n1, n2, n3 = shape.dims
+    n23, n13, n12 = n2 * n3, n1 * n3, n1 * n2
+    triples = factor_triples(procs)
+    if require_divisibility:
+        triples = (t for t in triples if n1 % t[0] == n2 % t[1] == n3 % t[2] == 0)
+    best = max(
+        triples,
+        key=lambda t: (-(t[0] * n23 + t[1] * n13 + t[2] * n12), t),
+        default=None,
+    )
     if best is None:
         raise ValueError(
             f"no factor triple of P={procs} divides shape {shape.dims}"
         )
-    return best
+    grid = ProcessorGrid(*best)
+    return grid, comm_cost(shape, grid)

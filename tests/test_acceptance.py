@@ -16,7 +16,6 @@ import pytest
 import commbounds.cli as cli
 from commbounds.bounds import (
     ProblemShape,
-    bound_dominance,
     d_case,
     lower_bound,
 )
@@ -287,6 +286,6 @@ def test_c8_continuity_and_dominance():
                 shape = ProblemShape(m, n, k)
                 owned = Fraction(shape.pair_sum, procs)
                 mem = owned * (1 + Fraction(int(rng.integers(0, 1000)), 64))
-                dom = bound_dominance(shape, procs, mem)
-                assert dom.dominant == "memory_independent", (m, n, k, procs, mem)
+                rep = lower_bound(shape, procs, memory=mem)
+                assert rep.binding == "memory_independent", (m, n, k, procs, mem)
             count += 1

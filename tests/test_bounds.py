@@ -10,7 +10,6 @@ from commbounds.bounds import (
     ProblemShape,
     RegimeTag,
     accessed_data,
-    bound_dominance,
     classify_regime,
     d_case,
     lower_bound,
@@ -212,12 +211,12 @@ class TestMemory:
 
     def test_dominance_window(self):
         shape = ProblemShape(96, 96, 96)
-        dom = bound_dominance(shape, 512, 54)
-        assert dom.in_window
+        rep = lower_bound(shape, 512, memory=54)
+        assert rep.in_window
         # (8/27) 96^3 / 54^(3/2), squared
-        assert dom.window_upper * dom.window_upper == Fraction(8 * 96**3, 27) ** 2 / 54**3
-        assert dom.window_upper.sign() > 0
-        assert dom.dominant == "memory_dependent"
+        assert rep.window_upper * rep.window_upper == Fraction(8 * 96**3, 27) ** 2 / 54**3
+        assert rep.window_upper.sign() > 0
+        assert rep.binding == "memory_dependent"
 
     def test_memory_independent_dominates_through_case_2(self):
         # for P <= mn/k^2 no feasible M lets the classical term win
@@ -234,9 +233,9 @@ class TestMemory:
             shape = ProblemShape(m, n, k)
             owned = Fraction(shape.pair_sum, procs)
             mem = owned * (1 + Fraction(int(rng.integers(0, 100)), 17))
-            dom = bound_dominance(shape, procs, mem)
-            assert dom.dominant == "memory_independent"
-            assert not dom.in_window
+            rep = lower_bound(shape, procs, memory=mem)
+            assert rep.binding == "memory_independent"
+            assert not rep.in_window
             tried += 1
 
 

@@ -1,12 +1,20 @@
 """Grid planning: exact collective costs, analytic factors, brute force."""
 
+import contextlib
+import io
+import json
+import math
+import signal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import commbounds.cli as cli
 from commbounds.bounds import ProblemShape, lower_bound
 from commbounds.grids import (
+    CostBreakdown,
     ProcessorGrid,
     analytic_grid,
     comm_cost,
@@ -15,6 +23,66 @@ from commbounds.grids import (
 )
 
 RUNNING = ProblemShape(9600, 2400, 600)
+
+
+# The planner as it was before costs became integers: trial division for the
+# divisors of every P/p1, and a Fraction cost per factor triple.  It is the
+# oracle the integer planner must agree with.
+
+
+def reference_divisors(n: int) -> list[int]:
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def reference_cost(shape: ProblemShape, grid: ProcessorGrid) -> CostBreakdown:
+    n1, n2, n3 = shape.dims
+    p1, p2, p3 = grid.dims
+    words_a = (1 - Fraction(1, p3)) * Fraction(n1 * n2, p1 * p2)
+    words_b = (1 - Fraction(1, p1)) * Fraction(n2 * n3, p2 * p3)
+    words_c = (1 - Fraction(1, p2)) * Fraction(n1 * n3, p1 * p3)
+    return CostBreakdown(
+        words_a=words_a,
+        words_b=words_b,
+        words_c=words_c,
+        total=words_a + words_b + words_c,
+        owned=Fraction(shape.pair_sum, grid.size),
+    )
+
+
+def reference_grid(shape: ProblemShape, procs: int, require_divisibility: bool):
+    best = None
+    for d1 in reference_divisors(procs):
+        rest = procs // d1
+        for d2 in reference_divisors(rest):
+            t = (d1, d2, rest // d2)
+            grid = ProcessorGrid(*t)
+            if require_divisibility and not grid.divides(shape):
+                continue
+            cb = reference_cost(shape, grid)
+            if best is None or cb.total < best[1].total or (
+                cb.total == best[1].total and t > best[0].dims
+            ):
+                best = (grid, cb)
+    if best is None:
+        raise ValueError(
+            f"no factor triple of P={procs} divides shape {shape.dims}"
+        )
+    return best
+
+
+def plan_or_error(plan, shape, procs, require_divisibility):
+    try:
+        return plan(shape, procs, require_divisibility)
+    except ValueError as e:
+        return str(e)
 
 
 class TestProcessorGrid:
@@ -114,13 +182,13 @@ class TestAnalyticGrid:
 
 class TestFactorTriples:
     def test_counts(self):
-        assert factor_triples(1) == [(1, 1, 1)]
-        assert len(factor_triples(6)) == 9
-        assert len(factor_triples(8)) == 10
+        assert list(factor_triples(1)) == [(1, 1, 1)]
+        assert len(list(factor_triples(6))) == 9
+        assert len(list(factor_triples(8))) == 10
 
     def test_complete_and_distinct(self):
         for procs in (12, 36, 64, 97):
-            triples = factor_triples(procs)
+            triples = list(factor_triples(procs))
             assert len(set(triples)) == len(triples)
             for t in triples:
                 assert t[0] * t[1] * t[2] == procs
@@ -133,6 +201,29 @@ class TestFactorTriples:
                 if (procs // a) % b == 0
             )
             assert len(triples) == expect
+
+    @pytest.mark.parametrize(
+        "procs, exponents",
+        [(1, []), (2**10, [10]), (2 * (10**9 + 7), [1, 1]), (720720, [4, 2, 1, 1, 1, 1])],
+        ids=["one", "prime-power", "large-last-prime", "highly-composite"],
+    )
+    def test_count_from_exponents(self, procs, exponents):
+        # an ordered triple splits each prime's exponent e three ways, in
+        # C(e+2, 2) ways; the large prime 10^9+7 is left over after trial
+        # division stops at its square root
+        triples = list(factor_triples(procs))
+        assert len(triples) == math.prod(math.comb(e + 2, 2) for e in exponents)
+        assert triples == sorted(set(triples))
+        assert all(a * b * c == procs for a, b, c in triples)
+
+    def test_matches_reference_order(self):
+        for procs in range(1, 1001):
+            expect = [
+                (d1, d2, procs // d1 // d2)
+                for d1 in reference_divisors(procs)
+                for d2 in reference_divisors(procs // d1)
+            ]
+            assert list(factor_triples(procs)) == expect, procs
 
 
 class TestExhaustiveGrid:
@@ -209,3 +300,71 @@ class TestExhaustiveGrid:
                     ProblemShape(*(dims[i] for i in perm)), procs
                 )
                 assert other.total == base.total
+
+
+# P = 1..250 for eight shapes: the running example and a permutation of it,
+# cubes where the axis grids tie at prime P, cubes with no dividing grid for
+# most P, and shapes with prime or mixed dimensions.
+EQUIVALENCE_SHAPES = [
+    ProblemShape(9600, 2400, 600),
+    ProblemShape(600, 9600, 2400),
+    ProblemShape(7, 7, 7),
+    ProblemShape(96, 96, 96),
+    ProblemShape(5, 5, 5),
+    ProblemShape(1, 1, 1),
+    ProblemShape(12, 18, 30),
+    ProblemShape(97, 3, 64),
+]
+
+
+class TestEquivalenceWithReference:
+    """The integer planner returns the reference's grid and CostBreakdown, or
+    its ValueError, with and without the divisibility filter."""
+
+    @pytest.mark.parametrize(
+        "shape", EQUIVALENCE_SHAPES, ids=lambda s: "x".join(map(str, s.dims))
+    )
+    def test_fixed_range(self, shape):
+        for procs in range(1, 251):
+            for divisible in (False, True):
+                assert plan_or_error(exhaustive_grid, shape, procs, divisible) == (
+                    plan_or_error(reference_grid, shape, procs, divisible)
+                ), (procs, divisible)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 10**6)),
+           st.integers(1, 10**4), st.booleans())
+    def test_random(self, dims, procs, divisible):
+        shape = ProblemShape(*dims)
+        assert plan_or_error(exhaustive_grid, shape, procs, divisible) == (
+            plan_or_error(reference_grid, shape, procs, divisible)
+        )
+
+
+@contextlib.contextmanager
+def time_box(seconds: int):
+    """Fail with TimeoutError if the body runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_grid_at_highly_composite_procs_finishes():
+    # 963761198400 has 6720 divisors and 1,837,080 factor triples; the
+    # planner once ran for minutes here.  The grid and cost were confirmed
+    # by the reference Fraction loop over every triple.
+    argv = ["grid", "--shape", "9600", "2400", "600", "--procs", "963761198400",
+            "--format", "json"]
+    out = io.StringIO()
+    with time_box(20), contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    ex = json.loads(out.getvalue())["exhaustive"]
+    assert ex["grid"] == [39330, 9945, 2464]
+    assert Fraction(ex["cost"]["num"], ex["cost"]["den"]) == Fraction(11851300, 66927861)

@@ -16,6 +16,10 @@ agree with them: correct rounding is monotone, so the term `binding` names is
 printed no smaller than the other, and P no larger than `window_upper` inside
 the window.
 
+`bound` and `sweep` print each P's `regime` and `on_boundary`; they must
+equal the integer decision, in all three formats, at P on a regime boundary
+and at its two neighbours as well as at random P.
+
 Every number `bound`, `grid` and `sweep` print in JSON is checked against its
 exact value, recomputed here with 80-digit decimals, and every csv and human
 number against its JSON value.
@@ -184,6 +188,73 @@ def test_binding_and_in_window_anywhere(shape, procs, factor):
     memory = float(Fraction(m * n + m * k + n * k, procs) * factor)
     assume(Fraction(memory) >= Fraction(m * n + m * k + n * k, procs))
     assert_decisions_printed(shape, procs, memory)
+
+
+def exact_regime(shape, procs) -> tuple[str, bool]:
+    """1d iff P n <= m, else 2d iff P k^2 <= mn, else 3d; on the boundary iff
+    the comparison that decided holds with equality."""
+    m, n, k = sorted(shape, reverse=True)
+    if procs * n <= m:
+        return "1d", procs * n == m
+    if procs * k * k <= m * n:
+        return "2d", procs * k * k == m * n
+    return "3d", False
+
+
+def printed_regime(regime: str, on_boundary: str) -> tuple[str, bool]:
+    assert on_boundary in ("true", "false")
+    return regime, on_boundary == "true"
+
+
+def assert_regimes_printed(shape, lo, hi):
+    expect = [exact_regime(shape, procs) for procs in range(lo, hi + 1)]
+    for procs, e in zip(range(lo, hi + 1), expect):
+        out = cli_outputs("bound", shape, procs)
+        assert (out["json"]["regime"], out["json"]["on_boundary"]) == e
+        assert printed_regime(out["csv"][0]["regime"], out["csv"][0]["on_boundary"]) == e
+        words = out["human"][0].split("regime ", 1)[1].split()
+        assert (words[0], words[1:] == ["(on", "boundary)"]) == e
+    out = cli_outputs("sweep", shape, f"{lo}:{hi}")
+    assert [(r["regime"], r["on_boundary"]) for r in out["json"]["rows"]] == expect
+    assert [printed_regime(r["regime"], r["on_boundary"]) for r in out["csv"]] == expect
+    header, *lines = out["human"][1:]
+    rows = [dict(zip(header.split(), line.split(), strict=True)) for line in lines]
+    assert [printed_regime(r["regime"], r["on_boundary"]) for r in rows] == expect
+
+
+def _on_one_two(n, k, procs, perm):
+    # m = P n >= n >= k, so P = m/n
+    n, k = max(n, k), min(n, k)
+    dims = (procs * n, n, k)
+    return tuple(dims[i] for i in perm), procs
+
+
+def _on_two_three(k, a, c, perm):
+    # m = c k >= n = a k >= k, so P = mn/k^2 = ac
+    a, c = min(a, c), max(a, c)
+    dims = (c * k, a * k, k)
+    return tuple(dims[i] for i in perm), a * c
+
+
+sides, perms = st.integers(1, 1000), st.permutations(range(3))
+boundary_cases = st.one_of(
+    st.builds(_on_one_two, sides, sides, sides, perms),
+    st.builds(_on_two_three, sides, sides, sides, perms),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(boundary_cases)
+def test_regime_at_boundaries(case):
+    shape, procs = case
+    assert_regimes_printed(shape, max(1, procs - 1), procs + 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(random_cases, st.integers(0, 2))
+def test_regime_anywhere(case, extra):
+    shape, procs = case
+    assert_regimes_printed(shape, procs, procs + extra)
 
 
 # Printed numbers.  Exact values are Fractions where rational and 80-digit
