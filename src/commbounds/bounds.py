@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .exact import Radical
+from .exact import Radical, decimal_str
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class BoundReport:
     regime: Regime
     accessed: Radical          # D, words of matrix data touched per processor
     owned: Fraction            # (mn + mk + nk)/P, words already resident
-    bound: Radical             # max(0, D - owned), words communicated
+    bound: Radical             # D - owned >= 0, words communicated
     oversubscribed: bool       # P > mnk: fewer than one multiply per processor
     memory: Optional[Fraction] = None
     memory_dependent: Optional[Radical] = None  # 2mnk/(P sqrt(M)), in Q(sqrt(M))
@@ -172,6 +172,12 @@ class BoundReport:
 
 def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
     """Memory-independent communication lower bound, exact.
+
+    The bound D - owned is never negative, in any regime and at any P, even
+    above mnk.  In 1d, D - owned = nk - nk/P.  In 2d, P >= m/n gives
+    2 sqrt(mnk^2/P) = 2k sqrt(mnP)/P >= 2km/P >= (m + n)k/P, the owned words
+    mk/P + nk/P.  In 3d, P >= mn/k^2 gives D = 3 (mnk/P)^(2/3) >= 3mn/P, at
+    least the owned words.
 
     When memory is given, the classical memory-dependent leading term
     2mnk/(P sqrt(M)) is evaluated and compared against D.  The comparison is
@@ -185,9 +191,6 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
     m, n, k = shape.sorted_dims
     accessed = d_case(regime.tag.case, m, n, k, procs)
     owned = Fraction(shape.pair_sum, procs)
-    bound = accessed - owned
-    if bound.sign() < 0:
-        bound = bound.lift(0)
 
     mem = mem_dep = binding = in_window = window_upper = None
     if memory is not None:
@@ -196,7 +199,7 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
             raise ValueError("memory must be positive")
         if mem < owned:
             raise ValueError(
-                f"memory {memory} below (mn+mk+nk)/P = {owned}; "
+                f"memory {decimal_str(mem)} below (mn+mk+nk)/P = {owned}; "
                 "inputs and output must fit"
             )
         # 2mnk/(P sqrt(M)) = sqrt(M) 2mnk/(PM)
@@ -215,7 +218,7 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
         regime=regime,
         accessed=accessed,
         owned=owned,
-        bound=bound,
+        bound=accessed - owned,
         oversubscribed=procs > shape.volume,
         memory=mem,
         memory_dependent=mem_dep,

@@ -1,21 +1,18 @@
 """Command line front end.
 
-Subcommands, with the flags each reads besides the common ones:
+Subcommands:
     bound     lower bound for one (shape, P), optionally against a memory cap
-              (--memory M)
     grid      analytic grid selection plus exhaustive confirmation
     simulate  run the 3D algorithm on a virtual machine and compare to the
-              prediction and the bound (--grid P1 P2 P3, --seed S)
+              prediction and the bound
     verify    exact KKT certificate of the closed-form optimum, plus the
-              exhaustive projection oracle (--tiny); kkt.py's docstring
-              proves that a KKT point is the global minimum
+              exhaustive projection oracle; kkt.py's docstring proves that a
+              KKT point is the global minimum
     sweep     bound/grid/attainment table over a P range, or the prior-work
-              constants table (--table constants)
+              constants table
 
-The common flags are --shape N1 N2 N3, --procs P (LO:HI for sweep),
---format {human,json,csv}, --out PATH and --config FILE; a command rejects
-any other flag.  A config file is a JSON object keyed by flag name (flags
-win); it may hold any key, checked whichever command reads the file.
+A config file is a JSON object keyed by flag name (flags win); it may hold any
+key, checked whichever command reads the file.  _KEYS reads every key.
 
 Each cmd_* function computes its answer once, as a record: the JSON document
 with its values still typed (exact Radicals and Fractions, tuples), plus an
@@ -37,11 +34,9 @@ import csv
 import functools
 import io
 import json
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .bounds import (
     ProblemShape,
@@ -69,75 +64,98 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    command: str
-    shape: Optional[tuple[int, int, int]]
-    procs: Optional[tuple[int, int]]
-    memory: Optional[object]
-    grid: Optional[tuple[int, int, int]]
-    seed: int
-    fmt: str
-    out: Optional[str]
-    tiny: bool
-    table: Optional[str]
+    shape: tuple[int, int, int] | None = None
+    procs: range | None = None
+    format: str = "human"
+    out: str | None = None
+    memory: Fraction | None = None
+    grid: tuple[int, int, int] | None = None
+    seed: int = 0
+    tiny: bool = False
+    table: str | None = None
 
 
-def _number(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+def _expect(ok: bool, v, what: str):
+    """v if ok, else a converter's one-line error."""
+    if not ok:
+        raise ValueError(f"expected {what}, got {v!r}")
+    return v
 
 
-def _parse_procs(value) -> tuple[int, int]:
-    if isinstance(value, int):
-        lo = hi = value
-    else:
-        text = str(value)
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 2:
-                raise ConfigError(f"bad --procs range {text!r}, expected LO:HI")
-            try:
-                lo, hi = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ConfigError(f"bad --procs range {text!r}, expected integers")
-        else:
-            try:
-                lo = hi = int(text)
-            except ValueError:
-                raise ConfigError(f"bad --procs value {text!r}")
-    if lo < 1 or hi < lo:
-        raise ConfigError(f"empty or invalid --procs range {value!r}")
-    return lo, hi
+NUMBER_CAP = 1000
 
 
-def _int_triple(value, message: str) -> tuple[int, int, int]:
-    """Three integers from a flag or a JSON list, else a ConfigError."""
-    try:
-        triple = tuple(map(operator.index, value)) if isinstance(value, list) else ()
-    except TypeError:
-        triple = ()
-    if len(triple) != 3:
-        raise ConfigError(f"{message}, got {value!r}")
-    return triple
+def _rational(v) -> Fraction:
+    """The exact rational a memory value or a JSON number means.  A text is an
+    integer, a decimal with an optional exponent, or p/q, in ASCII digits, at
+    most NUMBER_CAP characters long and with |exponent| <= NUMBER_CAP, so that
+    1e1000000 is refused at once; a JSON integer is read as its text, and a
+    decimal may start with a minus, as JSON numbers do."""
+    if type(v) is Fraction:  # a JSON number, read here already
+        return v
+    v = str(v) if type(v) is int else v
+    num, slash, den = _expect(isinstance(v, str), v, "a number").partition("/")
+    mantissa, e, exponent = num.lower().partition("e")
+    whole, point, frac = mantissa.removeprefix("-").partition(".")
+    unsigned_exponent = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+    _expect(
+        len(v) <= NUMBER_CAP
+        and v.isascii()
+        and whole.isdigit()
+        and (frac.isdigit() or not point)
+        and (unsigned_exponent.isdigit() or not e)
+        and abs(int(exponent or 0)) <= NUMBER_CAP
+        and (not slash or num == whole and den.isdigit() and int(den) > 0),
+        v,
+        f"an integer, a decimal or p/q, in at most {NUMBER_CAP} characters "
+        f"and with |exponent| <= {NUMBER_CAP}",
+    )
+    scale = Fraction(10) ** (int(exponent or 0) - len(frac))
+    return Fraction(int(mantissa.replace(".", "")), int(den or 1)) * scale
 
 
-# The flags each command reads besides the common ones; argparse rejects the
-# rest.  Config files may hold any of them, since one file can serve several
-# commands.
-_COMMAND_FLAGS = {
-    "bound": ("memory",),
-    "grid": (),
-    "simulate": ("grid", "seed"),
-    "verify": ("tiny",),
-    "sweep": ("table",),
-}
-_FLAG_SPECS = {
-    "memory": dict(type=_number, metavar="M"),
-    "grid": dict(nargs=3, type=int, metavar=("P1", "P2", "P3")),
-    "seed": dict(type=int, metavar="S"),
-    "tiny": dict(action="store_const", const=True, default=None),
-    "table": dict(choices=("constants",)),
+def _integer(v, least: int = 1) -> int:
+    """An integer >= least: a flag's ASCII digits or a JSON integer, not a bool."""
+    n = int(v) if isinstance(v, str) and v.isascii() and v.isdigit() else v
+    _expect(type(n) is int and n >= least, v, f"an integer >= {least}")
+    return n
+
+
+def _triple(v) -> tuple[int, ...]:
+    _expect(type(v) is list and len(v) == 3, v, "three integers >= 1")
+    return tuple(map(_integer, v))
+
+
+def _procs(v) -> range:
+    """P or LO:HI, with 1 <= LO <= HI, as the range of processor counts."""
+    lo, colon, hi = v.partition(":") if isinstance(v, str) else (v, "", v)
+    lo, hi = _integer(lo), _integer(hi if colon else lo)
+    _expect(lo <= hi, v, "LO <= HI")
+    return range(lo, hi + 1)
+
+
+def _one_of(*choices):
+    what = f"one of {', '.join(choices)}"
+    return lambda v: _expect(v in choices, v, what)
+
+
+# Every input key: its argparse spec, the commands that take it as a flag,
+# and its converter.  A flag's value reaches the converter as text (a list of
+# texts for a triple), a config file's value as JSON, which may also be the
+# flag's text.  The converter returns the typed value or raises ValueError;
+# no other code checks a key's value.
+_ALL = ("bound", "grid", "simulate", "verify", "sweep")
+_KEYS = {
+    "shape": (dict(nargs=3, metavar=("N1", "N2", "N3")), _ALL, _triple),
+    "procs": (dict(metavar="P|LO:HI"), _ALL, _procs),
+    "format": (dict(metavar="{human,json,csv}"), _ALL, _one_of("human", "json", "csv")),
+    "out": (dict(metavar="PATH"), _ALL, lambda v: _expect(isinstance(v, str), v, "a path")),
+    "memory": (dict(metavar="M"), ("bound",), _rational),
+    "grid": (dict(nargs=3, metavar=("P1", "P2", "P3")), ("simulate",), _triple),
+    "seed": (dict(metavar="S"), ("simulate",), lambda v: _integer(v, 0)),
+    "tiny": (dict(action="store_const", const=True), ("verify",),
+             lambda v: _expect(type(v) is bool, v, "true or false")),
+    "table": (dict(metavar="{constants}"), ("sweep",), _one_of("constants")),
 }
 
 
@@ -161,76 +179,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="communication lower bounds for parallel matrix multiplication",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in _COMMAND_FLAGS.items():
-        p = sub.add_parser(name)
+    for command in _ALL:
+        p = sub.add_parser(command)
         p.add_argument("--config", metavar="PATH", help="JSON config; flags win")
-        p.add_argument("--shape", nargs=3, type=int, metavar=("N1", "N2", "N3"))
-        p.add_argument("--procs", metavar="P|LO:HI")
-        p.add_argument("--format", choices=("human", "json", "csv"))
-        p.add_argument("--out", metavar="PATH")
-        for flag in flags:
-            p.add_argument(f"--{flag}", **_FLAG_SPECS[flag])
+        for key, (spec, commands, _) in _KEYS.items():
+            if command in commands:
+                p.add_argument(f"--{key}", **spec)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Each key from its flag, else from the config file, through the key's
+    converter; JSON null leaves a key unset."""
     file_cfg = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+                file_cfg = json.load(fh, parse_float=_rational)
+        except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read config {args.config}: {e}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-
-    def pick(name, default=None):
-        v = getattr(args, name, None)
+    flags, values = vars(args), {}
+    for key, (_, _, convert) in _KEYS.items():
+        v = flags.get(key)
         if v is None:
-            v = file_cfg.get(name, default)
-        return v
-
-    shape = pick("shape")
-    if shape is not None:
-        shape = _int_triple(shape, "--shape needs three dimensions")
-    procs = pick("procs")
-    if procs is not None:
-        procs = _parse_procs(procs)
-    memory = pick("memory")
-    if memory is not None:
-        try:
-            Fraction(memory)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"--memory needs a finite number, got {memory!r}")
-    grid = pick("grid")
-    if grid is not None:
-        grid = _int_triple(grid, "--grid needs three factors")
-    seed = pick("seed", 0)
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--seed needs an integer, got {seed!r}")
-    fmt = pick("format", "human")
-    if fmt not in ("human", "json", "csv"):
-        raise ConfigError(f"bad format {fmt!r}")
-    out = pick("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"--out needs a path, got {out!r}")
-    table = pick("table")
-    if table not in (None, "constants"):
-        raise ConfigError(f"bad table {table!r}")
-    return RunConfig(
-        command=args.command,
-        shape=shape,
-        procs=procs,
-        memory=memory,
-        grid=grid,
-        seed=seed,
-        fmt=fmt,
-        out=out,
-        tiny=bool(pick("tiny", False)),
-        table=table,
-    )
+            v = file_cfg.get(key)
+        if v is not None:
+            try:
+                values[key] = convert(v)
+            except ValueError as e:
+                raise ConfigError(f"--{key}: {e}")
+    return RunConfig(**values)
 
 
 def _require_shape(cfg: RunConfig) -> ProblemShape:
@@ -242,10 +222,9 @@ def _require_shape(cfg: RunConfig) -> ProblemShape:
 def _single_procs(cfg: RunConfig) -> int:
     if cfg.procs is None:
         raise ConfigError("--procs is required")
-    lo, hi = cfg.procs
-    if lo != hi:
+    if cfg.procs[0] != cfg.procs[-1]:
         raise ConfigError("this command takes a single --procs value, not a range")
-    return lo
+    return cfg.procs[0]
 
 
 def _grid_str(dims) -> str:
@@ -327,10 +306,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
     else:
         procs = _single_procs(cfg)
         grid, _ = exhaustive_grid(shape, procs, require_divisibility=True)
-    try:
-        report = run_algorithm(shape, grid, cfg.seed)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    report = run_algorithm(shape, grid, cfg.seed)
     comp = compare_to_prediction(report)
     rep = lower_bound(shape, grid.size)
     record = {
@@ -446,11 +422,10 @@ def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
     shape = _require_shape(cfg)
     if cfg.procs is None:
         raise ConfigError("--procs LO:HI is required")
-    lo, hi = cfg.procs
     m, n, k = shape.sorted_dims
 
     rows = []
-    for procs in range(lo, hi + 1):
+    for procs in cfg.procs:
         rep = lower_bound(shape, procs)
         ag = analytic_grid(shape, procs)
         ex_grid, ex_cb = exhaustive_grid(shape, procs)
@@ -698,15 +673,14 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_OK
     try:
         cfg = resolve_config(args)
-        record, code = _DISPATCH[cfg.command](cfg)
-        text = render(record, cfg.fmt)
+        record, code = _DISPATCH[args.command](cfg)
+        text = render(record, cfg.format)
     except (ConfigError, ValueError, OverflowError) as e:
         # OverflowError: a printed irrational value beyond float range
         print(f"error: {e}", file=sys.stderr)

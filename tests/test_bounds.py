@@ -171,6 +171,14 @@ class TestContinuityMonotonicity:
         d, after = accessed_data(shape, procs), accessed_data(shape, procs + 1)
         assert float(after) <= float(d)
 
+    @settings(deadline=None, max_examples=300)
+    @given(st.tuples(st.integers(1, 10**4), st.integers(1, 10**4), st.integers(1, 10**4)),
+           st.integers(1, 10**13))
+    def test_bound_is_never_negative(self, dims, procs):
+        # D >= (mn + mk + nk)/P in every regime, with no clamp; P runs past mnk
+        rep = lower_bound(ProblemShape(*dims), procs)
+        assert (rep.accessed - rep.owned).sign() >= 0
+
     def test_case_1_communication_increases_in_p(self):
         # (1 - 1/P) nk grows with P, the reason the bound is not monotone;
         # case 1 values are rational

@@ -83,6 +83,28 @@ class TestBound:
         assert doc["binding"] == "memory_dependent"
         assert doc["dominance"]["in_window"] is True
 
+    @pytest.mark.parametrize("form", ["flag", "config-string", "config-number"])
+    def test_memory_is_the_decimal_typed(self, capsys, tmp_path, form):
+        argv = ["bound", "--shape", "96", "96", "96", "--procs", "512"]
+        if form == "flag":
+            argv += ["--memory", "54.1"]
+        else:
+            path = tmp_path / "run.json"
+            path.write_text('{"memory": %s}' % ('"54.1"' if form == "config-string" else "54.1"))
+            argv += ["--config", str(path)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "memory M        : 54.1\n" in out
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert json_to_value(json.loads(out)["memory"]) == Fraction(541, 10)
+
+    def test_memory_below_the_owned_words_is_printed_as_typed(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bound", "--shape", "96", "96", "96", "--procs", "512", "--memory", "53.9"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: memory 53.9 below (mn+mk+nk)/P = 54; inputs and output must fit\n"
+
     def test_missing_shape_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--procs", "4")
         assert code == 2
@@ -417,11 +439,17 @@ class TestConfigAndIO:
             ({"shape": [96, 24, 6], "procs": 8, "memory": [1]}, []),
             ({"shape": [96, 24, 6], "procs": 8, "seed": [1]}, []),
             ({"shape": [96, 24, 6], "procs": 8, "out": 3}, []),
+            ({"shape": [96, 24, 6], "procs": 8, "tiny": "no"}, []),
+            ({"shape": [96, 24, 6], "procs": 8, "seed": 1.7}, []),
+            ({"shape": [96, 24, 6], "procs": 8, "seed": True}, []),
+            ({"shape": [1, 1, 1], "procs": 3, "memory": True}, []),
+            ({"shape": [8, 8, True], "procs": 8}, []),
             (None, ["--memory", "inf"]),
             (None, ["--out", "{tmp}/missing/out.txt"]),
         ],
         ids=["shape-not-a-list", "shape-not-integers", "memory-list", "seed-list",
-             "out-not-a-path", "memory-inf", "out-missing-dir"],
+             "out-not-a-path", "tiny-not-a-bool", "seed-float", "seed-bool", "memory-bool",
+             "shape-with-a-bool", "memory-inf", "out-missing-dir"],
     )
     def test_malformed_input_exits_2_with_one_line(
         self, capsys, tmp_path, config, flags

@@ -30,7 +30,7 @@ import csv
 import io
 import json
 import math
-from decimal import Context
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -92,8 +92,14 @@ def cli_outputs(command, shape, procs, *flags) -> dict:
     }
 
 
+def memory_text(memory) -> str:
+    """The exact decimal a memory means: a float's expansion terminates, and
+    a text is sent as typed."""
+    return str(Decimal(memory))
+
+
 def bound_outputs(shape, procs, memory) -> dict:
-    return cli_outputs("bound", shape, procs, "--memory", repr(memory))
+    return cli_outputs("bound", shape, procs, "--memory", memory_text(memory))
 
 
 def exact_decisions(shape, procs, memory) -> tuple[str, bool]:
@@ -143,11 +149,13 @@ def assert_decisions_printed(shape, procs, memory):
         # the memory-dependent term 8.82440692851180587 exceeds D
         # 8.82440692851180573; float comparison said the opposite
         ((157, 157, 157), 767101, 1.307319544964712, ("memory_dependent", True)),
+        # the decimal as typed is a different rational, outside the window
+        ((157, 157, 157), 767101, "1.307319544964712", ("memory_independent", False)),
         # 729 P^2 M^3 > 64 n^6, so P lies above the window whose float upper
         # edge printed as 87586.0
         ((180, 180, 180), 87586, 7.301398129198532, ("memory_independent", False)),
     ],
-    ids=["binding-157", "in_window-180"],
+    ids=["binding-157", "binding-157-typed", "in_window-180"],
 )
 def test_decision_repros(shape, procs, memory, expect):
     assert assert_decisions_printed(shape, procs, memory) == expect
@@ -363,7 +371,7 @@ BOUND_LABELS = {"accessed data D": "accessed", "owned per proc": "owned",
 
 
 def assert_bound_numbers(shape, procs, memory=None):
-    flags = () if memory is None else ("--memory", repr(memory))
+    flags = () if memory is None else ("--memory", memory_text(memory))
     out = cli_outputs("bound", shape, procs, *flags)
     doc, row, human = out["json"], out["csv"][0], labelled(out["human"])
     for key, e in expected_bound(shape, procs, memory).items():
