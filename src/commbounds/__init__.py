@@ -43,10 +43,7 @@ from .projections import (
     subset_stats,
 )
 from .simulate import (
-    PredictionComparison,
     SimReport,
-    build_machine,
-    compare_to_prediction,
     ring_all_gather,
     ring_reduce_scatter,
     run_algorithm,
@@ -62,7 +59,6 @@ __all__ = [
     "MinProjectionResult",
     "OptProblem",
     "OptSolution",
-    "PredictionComparison",
     "ProblemShape",
     "ProcessorGrid",
     "Regime",
@@ -72,10 +68,8 @@ __all__ = [
     "analytic_grid",
     "analytic_solution",
     "analytic_solution_for_case",
-    "build_machine",
     "classify_regime",
     "comm_cost",
-    "compare_to_prediction",
     "decimal_str",
     "exhaustive_grid",
     "factor_triples",

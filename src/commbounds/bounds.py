@@ -198,8 +198,12 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
         if mem <= 0:
             raise ValueError("memory must be positive")
         if mem < owned:
+            # a terminating expansion has fewer fractional digits than the
+            # denominator has bits; any other M prints as p/q
+            digits = mem.denominator.bit_length()
+            typed = decimal_str(mem, digits) if 10**digits % mem.denominator == 0 else mem
             raise ValueError(
-                f"memory {decimal_str(mem)} below (mn+mk+nk)/P = {owned}; "
+                f"memory {typed} below (mn+mk+nk)/P = {owned}; "
                 "inputs and output must fit"
             )
         # 2mnk/(P sqrt(M)) = sqrt(M) 2mnk/(PM)

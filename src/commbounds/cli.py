@@ -3,8 +3,8 @@
 Subcommands:
     bound     lower bound for one (shape, P), optionally against a memory cap
     grid      analytic grid selection plus exhaustive confirmation
-    simulate  run the 3D algorithm on a virtual machine and compare to the
-              prediction and the bound
+    simulate  run the 3D algorithm fiber by fiber and compare each phase to
+              its closed form, the prediction and the bound
     verify    exact KKT certificate of the closed-form optimum, plus the
               exhaustive projection oracle; kkt.py's docstring proves that a
               KKT point is the global minimum
@@ -23,8 +23,9 @@ command's (header, rows) view, and human text through the command's template.
 `verify --format json` also prints its certificate, which
 tests/check_certificate.py checks without this package.
 
-Exit codes: 0 success, 2 bad configuration or a printed value beyond float
-range, 3 simulation correctness failure, 4 verification failure.
+Exit codes: 0 success, 2 bad configuration, a simulate run above its work
+caps or a printed value beyond float range, 3 simulation correctness failure,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .exact import Radical, coefficient_rows, decimal_str, human_str, value_to_j
 from .grids import ProcessorGrid, analytic_grid, comm_cost, exhaustive_grid
 from .kkt import OptProblem, analytic_solution, kkt_verify, objective
 from .projections import min_projection_sum, subset_stats
-from .simulate import compare_to_prediction, run_algorithm
+from .simulate import run_algorithm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,15 +86,18 @@ def _expect(ok: bool, v, what: str):
 NUMBER_CAP = 1000
 
 
+class _Literal(str):
+    """A JSON number's text as typed: its key's converter reads it with the
+    flag's grammar and quotes it as typed.  `out` asks for type str, so it
+    refuses one."""
+
+
 def _rational(v) -> Fraction:
-    """The exact rational a memory value or a JSON number means.  A text is an
-    integer, a decimal with an optional exponent, or p/q, in ASCII digits, at
-    most NUMBER_CAP characters long and with |exponent| <= NUMBER_CAP, so that
-    1e1000000 is refused at once; a JSON integer is read as its text, and a
-    decimal may start with a minus, as JSON numbers do."""
-    if type(v) is Fraction:  # a JSON number, read here already
-        return v
-    v = str(v) if type(v) is int else v
+    """The exact rational a memory value means: a text that is an integer, a
+    decimal with an optional exponent, or p/q, in ASCII digits, at most
+    NUMBER_CAP characters long and with |exponent| <= NUMBER_CAP, so that
+    1e1000000 is refused at once; a decimal may start with a minus, as JSON
+    numbers do."""
     num, slash, den = _expect(isinstance(v, str), v, "a number").partition("/")
     mantissa, e, exponent = num.lower().partition("e")
     whole, point, frac = mantissa.removeprefix("-").partition(".")
@@ -115,10 +119,12 @@ def _rational(v) -> Fraction:
 
 
 def _integer(v, least: int = 1) -> int:
-    """An integer >= least: a flag's ASCII digits or a JSON integer, not a bool."""
-    n = int(v) if isinstance(v, str) and v.isascii() and v.isdigit() else v
-    _expect(type(n) is int and n >= least, v, f"an integer >= {least}")
-    return n
+    """An integer >= least in at most NUMBER_CAP ASCII digits: a flag's text,
+    a config string or a JSON integer as typed."""
+    ok = isinstance(v, str) and v.isascii() and v.isdigit() and len(v) <= NUMBER_CAP
+    _expect(ok and int(v) >= least, v,
+            f"an integer >= {least} in at most {NUMBER_CAP} digits")
+    return int(v)
 
 
 def _triple(v) -> tuple[int, ...]:
@@ -149,7 +155,7 @@ _KEYS = {
     "shape": (dict(nargs=3, metavar=("N1", "N2", "N3")), _ALL, _triple),
     "procs": (dict(metavar="P|LO:HI"), _ALL, _procs),
     "format": (dict(metavar="{human,json,csv}"), _ALL, _one_of("human", "json", "csv")),
-    "out": (dict(metavar="PATH"), _ALL, lambda v: _expect(isinstance(v, str), v, "a path")),
+    "out": (dict(metavar="PATH"), _ALL, lambda v: _expect(type(v) is str, v, "a path")),
     "memory": (dict(metavar="M"), ("bound",), _rational),
     "grid": (dict(nargs=3, metavar=("P1", "P2", "P3")), ("simulate",), _triple),
     "seed": (dict(metavar="S"), ("simulate",), lambda v: _integer(v, 0)),
@@ -195,7 +201,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             with open(args.config) as fh:
-                file_cfg = json.load(fh, parse_float=_rational)
+                file_cfg = json.load(fh, parse_int=_Literal, parse_float=_Literal)
         except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read config {args.config}: {e}")
         if not isinstance(file_cfg, dict):
@@ -307,8 +313,17 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
         procs = _single_procs(cfg)
         grid, _ = exhaustive_grid(shape, procs, require_divisibility=True)
     report = run_algorithm(shape, grid, cfg.seed)
-    comp = compare_to_prediction(report)
     rep = lower_bound(shape, grid.size)
+    comparison = [
+        {
+            "phase": ph.name,
+            "measured_max": ph.max_words,
+            "ideal": ph.ideal,
+            "exact": ph.max_words == ph.ideal,
+            "deviation": abs(ph.max_words - ph.ideal),
+        }
+        for ph in report.phases
+    ]
     record = {
         "shape": report.shape,
         "grid": report.grid,
@@ -330,18 +345,12 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
         "predicted_total": report.predicted.total,
         "command": "simulate",
         "comparison": {
-            "all_exact": comp.all_exact,
-            "all_within_bound": comp.all_within,
-            "phases": [
-                {
-                    "phase": r.phase,
-                    "measured_max": r.measured_max,
-                    "ideal": r.ideal,
-                    "exact": r.exact,
-                    "deviation": r.deviation,
-                }
-                for r in comp.phases
-            ],
+            "all_exact": all(c["exact"] for c in comparison),
+            # each phase's max is w - floor(w/p), the closed form, exactly
+            "all_within_bound": all(
+                ph.max_words == ph.closed_form for ph in report.phases
+            ),
+            "phases": comparison,
         },
         "lower_bound": rep.bound,
         "attained": rep.bound == report.critical_path_words,

@@ -1,34 +1,36 @@
-"""Virtual-machine run of the 3D algorithm with exact word counting.
+"""Word-exact run of the 3D algorithm on seeded integer matrices.
 
-Every message of the A and B all-gathers and the C reduce-scatter is
-materialized and logged, so measured word counts are integers that can be
-compared exactly against the planner's CostBreakdown.  Matrices carry small
-random integers, which makes the final check C = A @ B exact regardless of
-reduction order.  The simulation is logical-time only: the cost metric is the
-per-phase maximum over processors, summed across the three phases, matching
-the critical-path convention the bound is stated in.
+run_algorithm executes the phases fiber by fiber on plain numpy blocks: the A
+and B all-gathers, the local multiply of the gathered blocks and the C
+reduce-scatter of the products.  Each fiber is one ring collective call, which
+counts the words its members send and receive and keeps a per-hop Message
+log; the run sums the counts per rank and keeps no log.  Matrices carry small
+random integers, so the check C = A @ B is exact regardless of reduction
+order.  The cost metric is logical-time: the per-phase maximum over
+processors, summed across the phases, the critical-path convention the bound
+is stated in.  For a phase with block words w and fiber size p that maximum is
+w - floor(w/p) (PhaseStats.closed_form).  The run counts its work in integers
+(work) before it allocates anything, and refuses a run above WORD_CAP int64
+words or MESSAGE_CAP messages.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
 
 from .bounds import ProblemShape
 from .grids import CostBreakdown, ProcessorGrid, comm_cost
 
-if TYPE_CHECKING:
-    import numpy as np
-
-Coord = tuple[int, int, int]
+# 2^26 int64 words are 512 MiB.  2^18 messages bound the per-hop loops and
+# the largest single ring log; a 16x16x16 grid sends 184,320.
+WORD_CAP = 2**26
+MESSAGE_CAP = 2**18
 
 
 @dataclass(frozen=True)
 class Message:
     phase: str
-    sender: Coord
-    receiver: Coord
+    sender: int
+    receiver: int
     words: int
     step: int
 
@@ -37,14 +39,6 @@ def split_sizes(total: int, parts: int) -> list[int]:
     """Contiguous near-even split; remainder words go to the lowest ranks."""
     q, r = divmod(total, parts)
     return [q + 1 if i < r else q for i in range(parts)]
-
-
-def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    out, start = [], 0
-    for w in split_sizes(total, parts):
-        out.append((start, start + w))
-        start += w
-    return out
 
 
 def ring_all_gather(members, chunks, tag: str = ""):
@@ -106,12 +100,11 @@ def ring_reduce_scatter(members, addends, tag: str = ""):
             raise ValueError("all addends must have the same length")
     if p == 1:
         return [addends[0].copy()], [0], [0], []
-    ranges = split_ranges(w, p)
+    sizes = split_sizes(w, p)
     sent = [0] * p
     received = [0] * p
     messages = []
-    for j, (a, b) in enumerate(ranges):
-        words = b - a
+    for j, words in enumerate(sizes):
         for step in range(1, p):
             s = (j + step) % p
             r = (s + 1) % p
@@ -119,88 +112,29 @@ def ring_reduce_scatter(members, addends, tag: str = ""):
             sent[s] += words
             received[r] += words
     for i in range(p):
-        assert sent[i] == w - (ranges[i][1] - ranges[i][0])
-    stack = np.stack(addends)
-    shards = [stack[:, a:b].sum(axis=0) for a, b in ranges]
+        assert sent[i] == w - sizes[i]
+    shards = np.split(np.stack(addends).sum(axis=0), np.cumsum(sizes)[:-1])
     return shards, sent, received, messages
-
-
-@dataclass
-class ProcessorStore:
-    a_chunk: np.ndarray = None
-    b_chunk: np.ndarray = None
-    a_block: Optional[np.ndarray] = None
-    b_block: Optional[np.ndarray] = None
-    d_block: Optional[np.ndarray] = None
-    c_shard: Optional[np.ndarray] = None
-
-
-@dataclass
-class VirtualMachine:
-    shape: ProblemShape
-    grid: ProcessorGrid
-    seed: int
-    a: np.ndarray
-    b: np.ndarray
-    stores: dict[Coord, ProcessorStore] = field(default_factory=dict)
-
-    @property
-    def coords(self) -> list[Coord]:
-        p1, p2, p3 = self.grid.dims
-        return [(i, j, l) for i in range(p1) for j in range(p2) for l in range(p3)]
-
-    def rank(self, c: Coord) -> int:
-        p1, p2, p3 = self.grid.dims
-        return (c[0] * p2 + c[1]) * p3 + c[2]
-
-
-def _block(mat: np.ndarray, i: int, j: int, rows: int, cols: int) -> np.ndarray:
-    return mat[i * rows : (i + 1) * rows, j * cols : (j + 1) * cols]
-
-
-def build_machine(shape: ProblemShape, grid: ProcessorGrid, seed: int = 0) -> VirtualMachine:
-    """Fill A, B from the seed and distribute one copy of each across stores.
-
-    Block A_{ij} lives spread over fiber (i, j, :) and B_{jl} over (:, j, l),
-    as contiguous column-major chunks with any remainder on the lowest ranks.
-    """
-    import numpy as np
-
-    for name, d, p in zip(("n1", "n2", "n3"), shape.dims, grid.dims):
-        if d % p != 0:
-            raise ValueError(f"grid factor {p} does not divide {name} = {d}")
-    rng = np.random.default_rng(seed)
-    a = rng.integers(-8, 9, size=(shape.n1, shape.n2), dtype=np.int64)
-    b = rng.integers(-8, 9, size=(shape.n2, shape.n3), dtype=np.int64)
-    vm = VirtualMachine(shape=shape, grid=grid, seed=seed, a=a, b=b)
-    p1, p2, p3 = grid.dims
-    br1, br2, br3 = shape.n1 // p1, shape.n2 // p2, shape.n3 // p3
-    for c in vm.coords:
-        vm.stores[c] = ProcessorStore()
-    for i in range(p1):
-        for j in range(p2):
-            flat = _block(a, i, j, br1, br2).flatten(order="F")
-            for l, (s, e) in enumerate(split_ranges(flat.size, p3)):
-                vm.stores[(i, j, l)].a_chunk = flat[s:e].copy()
-    for j in range(p2):
-        for l in range(p3):
-            flat = _block(b, j, l, br2, br3).flatten(order="F")
-            for i, (s, e) in enumerate(split_ranges(flat.size, p1)):
-                vm.stores[(i, j, l)].b_chunk = flat[s:e].copy()
-    # one-copy-in: the chunks partition A and B exactly
-    assert sum(st.a_chunk.size for st in vm.stores.values()) == shape.n1 * shape.n2
-    assert sum(st.b_chunk.size for st in vm.stores.values()) == shape.n2 * shape.n3
-    return vm
 
 
 @dataclass(frozen=True)
 class PhaseStats:
     name: str
-    fiber_size: int
-    ideal: Fraction          # per-processor words for an even split
+    fiber_size: int          # p
+    block_words: int         # w, the words of the block each fiber moves
+    ideal: Fraction          # (1 - 1/p) w, the planner's even-split term
     sent: tuple[int, ...]    # indexed by processor rank
     received: tuple[int, ...]
-    even_split: bool
+
+    @property
+    def even_split(self) -> bool:
+        return self.block_words % self.fiber_size == 0
+
+    @property
+    def closed_form(self) -> int:
+        """w - floor(w/p): a rank moves w less one chunk or shard, and
+        floor(w/p) is the smallest that split_sizes makes."""
+        return self.block_words - self.block_words // self.fiber_size
 
     @property
     def max_words(self) -> int:
@@ -215,183 +149,112 @@ class SimReport:
     phases: list[PhaseStats]
     critical_path_words: int
     flops_per_proc: int           # local multiplies, identical on every rank
-    rs_adds: tuple[int, ...]      # reduce-scatter additions per rank
     correctness: bool
     predicted: CostBreakdown
-    messages: list[Message]
+
+
+def work(shape: ProblemShape, grid: ProcessorGrid) -> tuple[int, int]:
+    """(int64 words, messages) of one run, counted in integers.
+
+    Words: A, B, the gathered blocks of each, the P local products (p2 n1n3
+    in all) and the assembled and reference C.  Messages: a fiber of p
+    members sends p(p - 1), and each phase's fibers cover the P ranks once.
+    """
+    n1, n2, n3 = shape.dims
+    p1, p2, p3 = grid.dims
+    words = 2 * (n1 * n2 + n2 * n3) + (p2 + 2) * n1 * n3
+    return words, grid.size * (p1 + p2 + p3 - 3)
+
+
+def _phase(name, collective, fibers, data, size, w, ideal):
+    """Run the collective on each fiber with its inputs from data; return the
+    phase's stats, counts summed per rank, and the fibers' results in order."""
+    sent, received, results = [0] * size, [0] * size, []
+    for members, inputs in zip(fibers, data):
+        out, s, r, _ = collective(members, inputs, name)
+        for rank, si, ri in zip(members, s, r):
+            sent[rank] += si
+            received[rank] += ri
+        results.append(out)
+    stats = PhaseStats(name, len(fibers[0]), w, ideal, tuple(sent), tuple(received))
+    return stats, results
 
 
 def run_algorithm(shape: ProblemShape, grid: ProcessorGrid, seed: int = 0) -> SimReport:
     """Execute the 3D algorithm and count every word on the wire.
 
-    Phases: all-gather A over (i, j, :), all-gather B over (:, j, l), local
-    D = A_block @ B_block, reduce-scatter D over (i, :, l).  Asserts the
-    one-copy invariants and verifies the assembled C against a sequential
-    multiply.
+    Raises ValueError, before allocating anything, when a grid factor does
+    not divide its dimension or the run's work exceeds a cap.  Verifies the
+    assembled C against a sequential multiply.
     """
+    for name, d, p in zip(("n1", "n2", "n3"), shape.dims, grid.dims):
+        if d % p != 0:
+            raise ValueError(f"grid factor {p} does not divide {name} = {d}")
+    words, messages = work(shape, grid)
+    if words > WORD_CAP:
+        raise ValueError(f"simulate needs {words} int64 words, above the cap of {WORD_CAP}")
+    if messages > MESSAGE_CAP:
+        raise ValueError(f"simulate sends {messages} messages, above the cap of {MESSAGE_CAP}")
     import numpy as np
 
-    vm = build_machine(shape, grid, seed)
     p1, p2, p3 = grid.dims
-    br1, br2, br3 = shape.n1 // p1, shape.n2 // p2, shape.n3 // p3
-    P = grid.size
+    r1, r2, r3 = shape.n1 // p1, shape.n2 // p2, shape.n3 // p3
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-8, 9, size=(shape.n1, shape.n2), dtype=np.int64)
+    b = rng.integers(-8, 9, size=(shape.n2, shape.n3), dtype=np.int64)
+    c = np.zeros((shape.n1, shape.n3), dtype=np.int64)
+    # block (i, j) of a is a_blocks[i, :, j, :], and likewise for b and c
+    a_blocks, b_blocks = a.reshape(p1, r1, p2, r2), b.reshape(p2, r2, p3, r3)
+    c_blocks = c.reshape(p1, r1, p3, r3)
+    ranks = np.arange(grid.size).reshape(grid.dims)
     predicted = comm_cost(shape, grid)
-    messages: list[Message] = []
-    phases: list[PhaseStats] = []
 
-    def run_phase(name, fiber_size, block_words, fibers_chunks, ideal, gather):
-        sent_all = [0] * P
-        recv_all = [0] * P
-        out = {}
-        for members, data in fibers_chunks:
-            if gather:
-                res, sent, recv, msgs = ring_all_gather(members, data, tag=name)
-            else:
-                res, sent, recv, msgs = ring_reduce_scatter(members, data, tag=name)
-            messages.extend(msgs)
-            for mem, s, r in zip(members, sent, recv):
-                sent_all[vm.rank(mem)] += s
-                recv_all[vm.rank(mem)] += r
-            out[tuple(members)] = res
-        phases.append(
-            PhaseStats(
-                name=name,
-                fiber_size=fiber_size,
-                ideal=ideal,
-                sent=tuple(sent_all),
-                received=tuple(recv_all),
-                even_split=block_words % fiber_size == 0,
-            )
-        )
-        return out
+    def chunks(block, p):
+        """The block's column-major words in split_sizes pieces."""
+        flat = block.flatten(order="F")
+        return np.split(flat, np.cumsum(split_sizes(flat.size, p))[:-1])
 
-    # A all-gather: everyone in fiber (i, j, :) ends with block A_{ij}
-    a_fibers = []
-    for i in range(p1):
-        for j in range(p2):
-            members = [(i, j, l) for l in range(p3)]
-            a_fibers.append((members, [vm.stores[c].a_chunk for c in members]))
-    a_gathered = run_phase(
-        "A_all_gather", p3, br1 * br2, a_fibers, predicted.words_a, gather=True
+    ij = [(i, j) for i in range(p1) for j in range(p2)]
+    a_stats, gathered = _phase(
+        "A_all_gather", ring_all_gather,
+        [ranks[i, j, :].tolist() for i, j in ij],
+        (chunks(a_blocks[i, :, j, :], p3) for i, j in ij),
+        grid.size, r1 * r2, predicted.words_a,
     )
-    for members, _ in a_fibers:
-        i, j, _l = members[0]
-        blk = a_gathered[tuple(members)].reshape((br1, br2), order="F")
-        assert np.array_equal(blk, _block(vm.a, i, j, br1, br2))
-        for c in members:
-            vm.stores[c].a_block = blk
+    a_gathered = {f: g.reshape((r1, r2), order="F") for f, g in zip(ij, gathered)}
 
-    # B all-gather: everyone in fiber (:, j, l) ends with block B_{jl}
-    b_fibers = []
-    for j in range(p2):
-        for l in range(p3):
-            members = [(i, j, l) for i in range(p1)]
-            b_fibers.append((members, [vm.stores[c].b_chunk for c in members]))
-    b_gathered = run_phase(
-        "B_all_gather", p1, br2 * br3, b_fibers, predicted.words_b, gather=True
+    jl = [(j, l) for j in range(p2) for l in range(p3)]
+    b_stats, gathered = _phase(
+        "B_all_gather", ring_all_gather,
+        [ranks[:, j, l].tolist() for j, l in jl],
+        (chunks(b_blocks[j, :, l, :], p1) for j, l in jl),
+        grid.size, r2 * r3, predicted.words_b,
     )
-    for members, _ in b_fibers:
-        _, j, l = members[0]
-        blk = b_gathered[tuple(members)].reshape((br2, br3), order="F")
-        assert np.array_equal(blk, _block(vm.b, j, l, br2, br3))
-        for c in members:
-            vm.stores[c].b_block = blk
+    b_gathered = {f: g.reshape((r2, r3), order="F") for f, g in zip(jl, gathered)}
 
-    # local multiply
-    for c in vm.coords:
-        st = vm.stores[c]
-        st.d_block = st.a_block @ st.b_block
-    flops_per_proc = br1 * br2 * br3
-
-    # C reduce-scatter: fiber (i, :, l) sums its D blocks, shard j to (i, j, l)
-    c_fibers = []
-    for i in range(p1):
-        for l in range(p3):
-            members = [(i, j, l) for j in range(p2)]
-            c_fibers.append(
-                (members, [vm.stores[c].d_block.flatten(order="F") for c in members])
-            )
-    block_words_c = br1 * br3
-    c_shards = run_phase(
-        "C_reduce_scatter", p2, block_words_c, c_fibers, predicted.words_c, gather=False
+    # rank (i, j, l) multiplies its gathered blocks just before its fiber
+    # (i, :, l) reduces the products
+    il = [(i, l) for i in range(p1) for l in range(p3)]
+    c_stats, shards = _phase(
+        "C_reduce_scatter", ring_reduce_scatter,
+        [ranks[i, :, l].tolist() for i, l in il],
+        (
+            [(a_gathered[i, j] @ b_gathered[j, l]).flatten(order="F") for j in range(p2)]
+            for i, l in il
+        ),
+        grid.size, r1 * r3, predicted.words_c,
     )
-    for members, _ in c_fibers:
-        shards = c_shards[tuple(members)]
-        for c, shard in zip(members, shards):
-            vm.stores[c].c_shard = shard
+    for (i, l), fiber_shards in zip(il, shards):
+        c_blocks[i, :, l, :] = np.concatenate(fiber_shards).reshape((r1, r3), order="F")
 
-    rs_adds = tuple(phases[-1].received)
-
-    # assemble and check: one copy of C, equal to the sequential product
-    c_sim = np.zeros((shape.n1, shape.n3), dtype=np.int64)
-    written = 0
-    for i in range(p1):
-        for l in range(p3):
-            flat = np.concatenate([vm.stores[(i, j, l)].c_shard for j in range(p2)])
-            assert flat.size == block_words_c
-            written += flat.size
-            c_sim[
-                i * br1 : (i + 1) * br1, l * br3 : (l + 1) * br3
-            ] = flat.reshape((br1, br3), order="F")
-    assert written == shape.n1 * shape.n3
-    correctness = bool(np.array_equal(c_sim, vm.a @ vm.b))
-
-    critical_path = sum(ph.max_words for ph in phases)
+    phases = [a_stats, b_stats, c_stats]
     return SimReport(
         shape=shape.dims,
         grid=grid.dims,
         seed=seed,
         phases=phases,
-        critical_path_words=critical_path,
-        flops_per_proc=flops_per_proc,
-        rs_adds=rs_adds,
-        correctness=correctness,
+        critical_path_words=sum(ph.max_words for ph in phases),
+        flops_per_proc=r1 * r2 * r3,
+        correctness=bool(np.array_equal(c, a @ b)),
         predicted=predicted,
-        messages=messages,
-    )
-
-
-@dataclass(frozen=True)
-class PhaseComparison:
-    phase: str
-    measured_max: int
-    ideal: Fraction
-    exact: bool
-    deviation: Fraction
-    within_bound: bool   # |measured - ideal| <= fiber_size - 1
-
-
-@dataclass(frozen=True)
-class PredictionComparison:
-    phases: tuple[PhaseComparison, ...]
-    all_exact: bool
-    all_within: bool
-    predicted_total: Fraction
-
-
-def compare_to_prediction(report: SimReport) -> PredictionComparison:
-    """Measured per-phase words against the planner's ideal terms.
-
-    Even splits must match exactly; uneven splits may exceed the ideal by
-    less than one element per ring slot, i.e. within fiber_size - 1 words.
-    """
-    rows = []
-    for ph in report.phases:
-        measured = ph.max_words
-        dev = abs(Fraction(measured) - ph.ideal)
-        rows.append(
-            PhaseComparison(
-                phase=ph.name,
-                measured_max=measured,
-                ideal=ph.ideal,
-                exact=Fraction(measured) == ph.ideal,
-                deviation=dev,
-                within_bound=dev <= max(ph.fiber_size - 1, 0),
-            )
-        )
-    return PredictionComparison(
-        phases=tuple(rows),
-        all_exact=all(r.exact for r in rows),
-        all_within=all(r.within_bound for r in rows),
-        predicted_total=report.predicted.total,
     )

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import commbounds.cli as cli
+from commbounds.simulate import MESSAGE_CAP, WORD_CAP
 from test_exact import json_to_value
 
 
@@ -104,6 +105,15 @@ class TestBound:
         )
         assert (code, out) == (2, "")
         assert err == "error: memory 53.9 below (mn+mk+nk)/P = 54; inputs and output must fit\n"
+
+    @pytest.mark.parametrize("memory", ["1/3", "2/7", "0.0009765625"])
+    def test_memory_below_is_printed_exactly(self, capsys, memory):
+        # a non-terminating M prints as p/q, a terminating one as its decimal
+        code, out, err = run_cli(
+            capsys, "bound", "--shape", "96", "96", "96", "--procs", "512", "--memory", memory
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: memory {memory} below (mn+mk+nk)/P = 54; inputs and output must fit\n"
 
     def test_missing_shape_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--procs", "4")
@@ -212,6 +222,20 @@ class TestSimulate:
         )
         assert code == 2
         assert "divide" in err
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            ("--shape 100000 100000 100000 --procs 8",
+             f"simulate needs 80000000000 int64 words, above the cap of {WORD_CAP}"),
+            ("--shape 1 1 600 --grid 1 1 600",
+             f"simulate sends 359400 messages, above the cap of {MESSAGE_CAP}"),
+        ],
+        ids=["words", "messages"],
+    )
+    def test_work_above_a_cap_exits_2_with_one_line(self, capsys, argv, line):
+        code, out, err = run_cli(capsys, "simulate", *argv.split())
+        assert (code, out, err) == (2, "", f"error: {line}\n")
 
     def test_correctness_failure_exits_3(self, capsys, monkeypatch):
         import commbounds.simulate as simulate

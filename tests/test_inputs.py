@@ -248,16 +248,43 @@ def test_number_texts_outside_the_grammar_are_refused(text):
         cli._rational(text)
 
 
+@pytest.mark.parametrize(
+    "config, line",
+    [
+        ('{"procs": 2, "seed": 1.7}',
+         f"--seed: expected an integer >= 0 in at most {CAP} digits, got '1.7'"),
+        ('{"procs": 1e3}',
+         f"--procs: expected an integer >= 1 in at most {CAP} digits, got '1e3'"),
+        ('{"procs": 2, "out": 3}', "--out: expected a path, got '3'"),
+    ],
+    ids=["seed", "procs", "out"],
+)
+def test_a_config_number_is_quoted_as_typed(config, line):
+    assert run("bound --shape 8 8 8".split(), config) == (2, "", f"error: {line}\n")
+
+
+# key: (a request without the key, the key's flag words and its config
+# object with {} for the number, the unit the error's cap is stated in)
+CAPPED = {
+    "memory": ("bound --shape 96 24 6 --procs 8", "--memory {}", '{{"memory": {}}}',
+               "characters"),
+    "shape": ("bound --procs 8", "--shape {} 2 2", '{{"shape": [{}, 2, 2]}}', "digits"),
+    "procs": ("bound --shape 96 24 6", "--procs {}", '{{"procs": {}}}', "digits"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CAPPED))
 @pytest.mark.parametrize("form", ["flag", "config-string", "config-number"])
 @pytest.mark.parametrize("text", ["1e1000000", "1" * (CAP + 1)], ids=["exponent", "digits"])
-def test_a_number_beyond_the_cap_is_refused_at_once(form, text):
-    argv = ["bound", "--shape", "96", "24", "6", "--procs", "8"]
+def test_a_number_beyond_the_cap_is_refused_at_once(key, form, text):
+    base, flag, config, unit = CAPPED[key]
     start = time.perf_counter()
     if form == "flag":
-        result = run(argv + ["--memory", text])
+        result = run(base.split() + flag.format(text).split())
     else:
         literal = json.dumps(text) if form == "config-string" else text
-        result = run(argv, config=f'{{"memory": {literal}}}')
+        result = run(base.split(), config=config.format(literal))
     assert time.perf_counter() - start < 1
-    assert result[0] == 2 and f"at most {CAP} characters" in result[2]
+    assert result[0] == 2 and result[2].startswith(f"error: --{key}: ")
+    assert f"at most {CAP} {unit}" in result[2]
     assert_clean(result)

@@ -4,16 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commbounds.bounds import ProblemShape, lower_bound
-from commbounds.grids import ProcessorGrid, comm_cost
+from commbounds.grids import ProcessorGrid
 from commbounds.simulate import (
-    build_machine,
-    compare_to_prediction,
+    MESSAGE_CAP,
+    WORD_CAP,
     ring_all_gather,
     ring_reduce_scatter,
     run_algorithm,
     split_sizes,
+    work,
 )
 
 
@@ -114,27 +116,31 @@ class TestRingReduceScatter:
             assert sum(sent) == sum(m.words for m in messages)
 
 
-class TestBuildMachine:
+def chunk_sizes(phase):
+    """Each rank's own chunk of the phase's block: received_i = w - |chunk_i|."""
+    return [phase.block_words - r for r in phase.received]
+
+
+class TestDistribution:
     def test_even_ownership(self):
-        vm = build_machine(ProblemShape(96, 96, 96), ProcessorGrid(2, 2, 2))
-        for st in vm.stores.values():
-            assert st.a_chunk.size == 96 * 96 // 8  # 1152
-            assert st.b_chunk.size == 1152
+        rep = run_algorithm(ProblemShape(96, 96, 96), ProcessorGrid(2, 2, 2))
+        a, b, _ = rep.phases
+        assert chunk_sizes(a) == [96 * 96 // 8] * 8  # 1152
+        assert chunk_sizes(b) == [1152] * 8
 
     def test_small_example_b_ownership(self):
-        vm = build_machine(ProblemShape(96, 24, 6), ProcessorGrid(12, 3, 1))
-        sizes = [st.b_chunk.size for st in vm.stores.values()]
-        assert all(s == 4 for s in sizes)  # 24*6 / 36
+        rep = run_algorithm(ProblemShape(96, 24, 6), ProcessorGrid(12, 3, 1))
+        assert chunk_sizes(rep.phases[1]) == [4] * 36  # 24*6 / 36
 
     def test_one_copy_of_inputs(self):
-        shape = ProblemShape(8, 4, 2)
-        vm = build_machine(shape, ProcessorGrid(2, 2, 1), seed=3)
-        assert sum(st.a_chunk.size for st in vm.stores.values()) == 32
-        assert sum(st.b_chunk.size for st in vm.stores.values()) == 8
+        rep = run_algorithm(ProblemShape(8, 4, 2), ProcessorGrid(2, 2, 1), seed=3)
+        a, b, _ = rep.phases
+        assert sum(chunk_sizes(a)) == 32
+        assert sum(chunk_sizes(b)) == 8
 
     def test_requires_divisibility(self):
-        with pytest.raises(ValueError):
-            build_machine(ProblemShape(7, 4, 2), ProcessorGrid(2, 2, 1))
+        with pytest.raises(ValueError, match="does not divide n1 = 7"):
+            run_algorithm(ProblemShape(7, 4, 2), ProcessorGrid(2, 2, 1))
 
 
 class TestRunAlgorithm:
@@ -173,23 +179,18 @@ class TestRunAlgorithm:
         ]
         for shape, grid in cases:
             rep = run_algorithm(shape, grid)
-            comp = compare_to_prediction(rep)
-            assert comp.all_exact, (shape, grid)
-            assert Fraction(rep.critical_path_words) == comp.predicted_total
+            assert all(ph.max_words == ph.ideal for ph in rep.phases), (shape, grid)
+            assert Fraction(rep.critical_path_words) == rep.predicted.total
 
-    def test_uneven_split_within_slack(self):
-        # fibers that do not divide the blocks stay within one element per slot
+    def test_uneven_split_meets_the_closed_form(self):
+        # fibers that do not divide the blocks move w - floor(w/p), above the ideal
         rep = run_algorithm(ProblemShape(192, 48, 12), ProcessorGrid(32, 8, 2))
         assert rep.correctness
-        comp = compare_to_prediction(rep)
-        assert not comp.all_exact
-        assert comp.all_within
-        by_phase = {c.phase: c for c in comp.phases}
-        assert by_phase["A_all_gather"].exact
-        assert by_phase["B_all_gather"].measured_max == 35
-        assert by_phase["B_all_gather"].ideal == Fraction(279, 8)
-        assert by_phase["C_reduce_scatter"].measured_max == 32
-        assert by_phase["C_reduce_scatter"].ideal == Fraction(63, 2)
+        a, b, c = rep.phases
+        assert a.even_split and a.max_words == a.ideal
+        assert (b.max_words, b.closed_form, b.ideal) == (35, 35, Fraction(279, 8))
+        assert (c.max_words, c.closed_form, c.ideal) == (32, 32, Fraction(63, 2))
+        assert not b.even_split and not c.even_split
 
     def test_attains_bound_on_matched_shapes(self):
         for shape, grid in (
@@ -209,15 +210,59 @@ class TestRunAlgorithm:
 
     def test_per_rank_load_balance(self):
         rep = run_algorithm(ProblemShape(24, 12, 6), ProcessorGrid(3, 2, 1))
-        assert len(set(rep.rs_adds)) <= 2  # even split here: all equal
+        assert len(set(rep.phases[-1].received)) == 1  # even split here
         for ph in rep.phases:
             assert len(ph.sent) == 6
 
-    def test_message_log_consistent(self):
-        rep = run_algorithm(ProblemShape(24, 12, 6), ProcessorGrid(2, 3, 1))
-        by_phase = {}
-        for msg in rep.messages:
-            by_phase.setdefault(msg.phase, 0)
-            by_phase[msg.phase] += msg.words
-        for ph in rep.phases:
-            assert by_phase.get(ph.name, 0) == sum(ph.sent)
+
+@st.composite
+def dividing_runs(draw):
+    """A shape with sides <= 24 and a grid of P <= 64 whose factors divide it."""
+    p1 = draw(st.integers(1, 24))
+    p2 = draw(st.integers(1, min(24, 64 // p1)))
+    p3 = draw(st.integers(1, min(24, 64 // (p1 * p2))))
+    sides = [p * draw(st.integers(1, 24 // p)) for p in (p1, p2, p3)]
+    return ProblemShape(*sides), ProcessorGrid(p1, p2, p3)
+
+
+@settings(deadline=None, max_examples=150)
+@given(dividing_runs(), st.integers(0, 2**32))
+def test_every_phase_moves_its_closed_form(run, seed):
+    shape, grid = run
+    rep = run_algorithm(shape, grid, seed)
+    assert rep.correctness
+    (n1, n2, n3), (p1, p2, p3) = shape.dims, grid.dims
+    blocks = (n1 * n2 // (p1 * p2), n2 * n3 // (p2 * p3), n1 * n3 // (p1 * p3))
+    for ph, p, w in zip(rep.phases, (p3, p1, p2), blocks):
+        assert (ph.fiber_size, ph.block_words) == (p, w)
+        assert ph.max_words == ph.closed_form == w - w // p
+        assert ph.even_split == (w % p == 0) == (ph.max_words == ph.ideal)
+    assert rep.critical_path_words == sum(ph.closed_form for ph in rep.phases)
+
+
+class TestWorkCaps:
+    def test_largest_documented_runs_fit(self):
+        # 1024^3 on 16x16x16 (ROADMAP), 64^3 on 4096 ranks and 384^3 on 8
+        # (perfbench), 96^3 on 2x2x2 (tests and README)
+        for sides, dims, want in (
+            ((1024,) * 3, (16, 16, 16), (22 * 2**20, 184_320)),
+            ((64,) * 3, (16, 16, 16), (22 * 2**12, 184_320)),
+            ((384,) * 3, (2, 2, 2), (8 * 384**2, 24)),
+            ((96,) * 3, (2, 2, 2), (8 * 96**2, 24)),
+        ):
+            words, messages = work(ProblemShape(*sides), ProcessorGrid(*dims))
+            assert (words, messages) == want
+            assert words <= WORD_CAP and messages <= MESSAGE_CAP
+
+    def test_words_above_the_cap_are_refused_before_allocating(self):
+        shape, grid = ProblemShape(100000, 100000, 100000), ProcessorGrid(2, 2, 2)
+        assert work(shape, grid)[0] > WORD_CAP
+        with pytest.raises(ValueError, match=f"above the cap of {WORD_CAP}$"):
+            run_algorithm(shape, grid)
+
+    def test_messages_above_the_cap_are_refused(self):
+        # 600 ranks on one ring: 600 * 599 messages, 3002 words
+        shape, grid = ProblemShape(1, 1, 600), ProcessorGrid(1, 1, 600)
+        assert work(shape, grid) == (3002, 600 * 599)
+        with pytest.raises(ValueError, match=f"above the cap of {MESSAGE_CAP}$"):
+            run_algorithm(shape, grid)
