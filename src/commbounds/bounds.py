@@ -185,7 +185,23 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
     that is the form in which the first two regimes provably dominate for
     every feasible M, so the window where the memory-dependent term can
     dominate at all starts at mn/k^2 and in_window reports whether P lies in
-    it.
+    it.  Both decisions are the sign of one integer, with M = p/q in lowest
+    terms,
+
+        key = 729 P^2 p^3 - 64 (mnk)^2 q^3 = q^3 (729 P^2 M^3 - 64 (mnk)^2).
+
+    binding is memory_dependent iff key < 0, and in_window holds iff
+    key <= 0.  At key = 0 the two terms are equal: binding names
+    memory_independent, and P is inside the window, at its upper edge.
+
+    Proof.  In 3d, D = 3 (mnk/P)^(2/3), so squaring 2mnk/(P sqrt(M)) > D
+    gives key < 0, and squaring P <= (8/27) mnk / M^(3/2) gives key <= 0.  In
+    1d and 2d, P k^2 <= mn and D >= 2k sqrt(mn/P) + mn/P: equal in 2d, and by
+    AM-GM on mk/P + nk in 1d.  A feasible M is at least the owned words, so
+    M > mn/P.  Then 2mnk/(P sqrt(M)) < 2k sqrt(mn/P) < D, so the memory term
+    is not larger; and 729 P^2 M^3 > 729 (mn)^3/P >= 64 (mnk)^2, so key > 0,
+    which names memory_independent and keeps P, at most mn/k^2, out of the
+    window.
     """
     regime = classify_regime(shape, procs)
     m, n, k = shape.sorted_dims
@@ -208,13 +224,11 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
             )
         # 2mnk/(P sqrt(M)) = sqrt(M) 2mnk/(PM)
         mem_dep = Radical.generator(mem, 2) * (Fraction(2 * m * n * k, procs) / mem)
-        larger = _memory_term_larger(regime.tag.case, m, n, k, procs, mem)
-        binding = "memory_dependent" if larger else "memory_independent"
         window_upper = Radical.generator(mem, 2) * (Fraction(8 * m * n * k, 27) / mem ** 2)
-        # P <= (8/27) mnk / M^(3/2), squared
-        in_window = (
-            procs * k * k > m * n and 729 * procs ** 2 * mem ** 3 <= 64 * (m * n * k) ** 2
-        )
+        key = (729 * procs ** 2 * mem.numerator ** 3
+               - 64 * (m * n * k) ** 2 * mem.denominator ** 3)
+        binding = "memory_dependent" if key < 0 else "memory_independent"
+        in_window = key <= 0
 
     return BoundReport(
         shape=shape,
@@ -230,23 +244,6 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
         in_window=in_window,
         window_upper=window_upper,
     )
-
-
-def _memory_term_larger(case: int, m: int, n: int, k: int, procs: int, mem: Fraction) -> bool:
-    """2q/sqrt(M) > D exactly, q = mnk/P, comparing positive squares: in 3d
-    64 q^2 > 729 M^3, in 1d 4q^2 > D^2 M, and in 2d, D = 2s + a with
-    s^2 = mnk^2/P and a = mn/P, L = 4q^2 - (4s^2 + a^2) M > 4aMs, which holds
-    iff L > 0 and L^2 > 16 a^2 M^2 s^2.
-    """
-    q = Fraction(m * n * k, procs)
-    if case == 3:
-        return 64 * q * q > 729 * mem ** 3
-    if case == 1:
-        d = Fraction(m * n + m * k, procs) + n * k
-        return 4 * q * q > d * d * mem
-    s2, a = Fraction(m * n * k * k, procs), Fraction(m * n, procs)
-    lhs = 4 * q * q - (4 * s2 + a * a) * mem
-    return lhs > 0 and lhs * lhs > 16 * a * a * mem * mem * s2
 
 
 # Leading-term constants of the square-case bound c * n^2 / P^e established by

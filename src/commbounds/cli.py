@@ -76,14 +76,19 @@ class RunConfig:
     table: str | None = None
 
 
-def _expect(ok: bool, v, what: str):
-    """v if ok, else a converter's one-line error."""
-    if not ok:
-        raise ValueError(f"expected {what}, got {v!r}")
-    return v
-
-
 NUMBER_CAP = 1000
+QUOTE_CAP = 40
+
+
+def _expect(ok: bool, v, what: str):
+    """v if ok, else a converter's one-line error.  The error quotes v as
+    typed, or, past QUOTE_CAP characters, only their start and their count."""
+    if not ok:
+        text = v if isinstance(v, str) else repr(v)
+        got = repr(v) if len(text) <= QUOTE_CAP else (
+            f"{text[:QUOTE_CAP]!r}... ({len(text)} characters)")
+        raise ValueError(f"expected {what}, got {got}")
+    return v
 
 
 class _Literal(str):
@@ -241,6 +246,12 @@ def _shape_str(dims) -> str:
     return " x ".join(str(d) for d in dims)
 
 
+def _field_str(root) -> str:
+    """The field Q(b) an exact.Radical.root names."""
+    rn, rd, degree = root
+    return "Q" if degree == 1 else f"Q(b), b^{degree} = {Fraction(rn, rd)}"
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -369,19 +380,18 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     krep = kkt_verify(prob, sol)
     d = d_case(case_of(m, n, k, procs)[0], m, n, k, procs)
     rn, rd, root = d.root
-    field = "Q" if root == 1 else f"Q(b), b^{root} = {Fraction(rn, rd)}"
 
     checks = [
         (
             "kkt",
             krep.passed,
-            "residuals "
-            + " ".join(f"{k_}={v:.2e}" for k_, v in krep.residuals.items()),
+            f"{krep.conditions} conditions by exact sign in {_field_str(krep.root)}"
+            + ("" if krep.passed else f"; failed: {', '.join(krep.failed)}"),
         ),
         (
             "certificate",
             objective(sol.x) == d,
-            f"x1 + x2 + x3 = D = {human_str(d)}, exact in {field}",
+            f"x1 + x2 + x3 = D = {human_str(d)}, exact in {_field_str(d.root)}",
         ),
     ]
     certificate = {"radicand": {"num": rn, "den": rd}, "root": root}

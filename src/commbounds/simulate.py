@@ -3,14 +3,14 @@
 run_algorithm executes the phases fiber by fiber on plain numpy blocks: the A
 and B all-gathers, the local multiply of the gathered blocks and the C
 reduce-scatter of the products.  Each fiber is one ring collective call, which
-counts the words its members send and receive and keeps a per-hop Message
-log; the run sums the counts per rank and keeps no log.  Matrices carry small
-random integers, so the check C = A @ B is exact regardless of reduction
-order.  The cost metric is logical-time: the per-phase maximum over
-processors, summed across the phases, the critical-path convention the bound
-is stated in.  For a phase with block words w and fiber size p that maximum is
-w - floor(w/p) (PhaseStats.closed_form).  The run counts its work in integers
-(work) before it allocates anything, and refuses a run above WORD_CAP int64
+walks the ring hop by hop and counts the words its members send and receive;
+the run sums the counts per rank.  Matrices carry small random integers, so
+the check C = A @ B is exact regardless of reduction order.  The cost metric
+is logical-time: the per-phase maximum over processors, summed across the
+phases, the critical-path convention the bound is stated in.  For a phase
+with block words w and fiber size p that maximum is w - floor(w/p)
+(PhaseStats.closed_form).  The run counts its work in integers (work) before
+it allocates anything, and check_work refuses a run above WORD_CAP int64
 words or MESSAGE_CAP messages.
 """
 
@@ -20,19 +20,10 @@ from fractions import Fraction
 from .bounds import ProblemShape
 from .grids import CostBreakdown, ProcessorGrid, comm_cost
 
-# 2^26 int64 words are 512 MiB.  2^18 messages bound the per-hop loops and
-# the largest single ring log; a 16x16x16 grid sends 184,320.
+# 2^26 int64 words are 512 MiB.  2^18 messages bound the iterations of the
+# per-hop counting loops, one per message; a 16x16x16 grid sends 184,320.
 WORD_CAP = 2**26
 MESSAGE_CAP = 2**18
-
-
-@dataclass(frozen=True)
-class Message:
-    phase: str
-    sender: int
-    receiver: int
-    words: int
-    step: int
 
 
 def split_sizes(total: int, parts: int) -> list[int]:
@@ -41,7 +32,7 @@ def split_sizes(total: int, parts: int) -> list[int]:
     return [q + 1 if i < r else q for i in range(parts)]
 
 
-def ring_all_gather(members, chunks, tag: str = ""):
+def ring_all_gather(members, chunks):
     """One ring all-gather over an ordered fiber.
 
     members[i] starts with chunks[i] (a 1-D array); after p-1 steps every
@@ -51,7 +42,7 @@ def ring_all_gather(members, chunks, tag: str = ""):
     received_i = total - |chunk_i|, sent_i = total - |chunk_{i+1}|, both
     (1 - 1/p) w for even splits.
 
-    Returns (gathered, sent, received, messages).
+    Returns (gathered, sent, received).
     """
     import numpy as np
 
@@ -62,23 +53,19 @@ def ring_all_gather(members, chunks, tag: str = ""):
     total = sum(lens)
     sent = [0] * p
     received = [0] * p
-    messages = []
     for step in range(1, p):
         for i in range(p):
-            src = (i - step + 1) % p
-            nxt = (i + 1) % p
-            w = lens[src]
-            messages.append(Message(tag, members[i], members[nxt], w, step))
+            w = lens[(i - step + 1) % p]
             sent[i] += w
-            received[nxt] += w
+            received[(i + 1) % p] += w
     for i in range(p):
         assert sent[i] == total - lens[(i + 1) % p]
         assert received[i] == total - lens[i]
-    gathered = np.concatenate(chunks) if p > 1 else chunks[0].copy()
-    return gathered, sent, received, messages
+    gathered = np.concatenate(chunks)
+    return gathered, sent, received
 
 
-def ring_reduce_scatter(members, addends, tag: str = ""):
+def ring_reduce_scatter(members, addends):
     """One ring reduce-scatter over an ordered fiber.
 
     Every member contributes an equal-length 1-D addend; member j ends with
@@ -87,7 +74,7 @@ def ring_reduce_scatter(members, addends, tag: str = ""):
     contribution, so sent_i = total - |shard_i| and additions = words
     received; both are (1 - 1/p) w for even shards.
 
-    Returns (shards, sent, received, messages).
+    Returns (shards, sent, received).
     """
     import numpy as np
 
@@ -98,23 +85,19 @@ def ring_reduce_scatter(members, addends, tag: str = ""):
     for a in addends:
         if len(a) != w:
             raise ValueError("all addends must have the same length")
-    if p == 1:
-        return [addends[0].copy()], [0], [0], []
     sizes = split_sizes(w, p)
     sent = [0] * p
     received = [0] * p
-    messages = []
     for j, words in enumerate(sizes):
         for step in range(1, p):
             s = (j + step) % p
             r = (s + 1) % p
-            messages.append(Message(tag, members[s], members[r], words, step))
             sent[s] += words
             received[r] += words
     for i in range(p):
         assert sent[i] == w - sizes[i]
     shards = np.split(np.stack(addends).sum(axis=0), np.cumsum(sizes)[:-1])
-    return shards, sent, received, messages
+    return shards, sent, received
 
 
 @dataclass(frozen=True)
@@ -166,12 +149,20 @@ def work(shape: ProblemShape, grid: ProcessorGrid) -> tuple[int, int]:
     return words, grid.size * (p1 + p2 + p3 - 3)
 
 
+def check_work(words: int, messages: int) -> None:
+    """Raise ValueError when a run's work, as counted by work, exceeds a cap."""
+    if words > WORD_CAP:
+        raise ValueError(f"simulate needs {words} int64 words, above the cap of {WORD_CAP}")
+    if messages > MESSAGE_CAP:
+        raise ValueError(f"simulate sends {messages} messages, above the cap of {MESSAGE_CAP}")
+
+
 def _phase(name, collective, fibers, data, size, w, ideal):
     """Run the collective on each fiber with its inputs from data; return the
     phase's stats, counts summed per rank, and the fibers' results in order."""
     sent, received, results = [0] * size, [0] * size, []
     for members, inputs in zip(fibers, data):
-        out, s, r, _ = collective(members, inputs, name)
+        out, s, r = collective(members, inputs)
         for rank, si, ri in zip(members, s, r):
             sent[rank] += si
             received[rank] += ri
@@ -190,11 +181,7 @@ def run_algorithm(shape: ProblemShape, grid: ProcessorGrid, seed: int = 0) -> Si
     for name, d, p in zip(("n1", "n2", "n3"), shape.dims, grid.dims):
         if d % p != 0:
             raise ValueError(f"grid factor {p} does not divide {name} = {d}")
-    words, messages = work(shape, grid)
-    if words > WORD_CAP:
-        raise ValueError(f"simulate needs {words} int64 words, above the cap of {WORD_CAP}")
-    if messages > MESSAGE_CAP:
-        raise ValueError(f"simulate sends {messages} messages, above the cap of {MESSAGE_CAP}")
+    check_work(*work(shape, grid))
     import numpy as np
 
     p1, p2, p3 = grid.dims

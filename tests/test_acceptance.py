@@ -28,7 +28,13 @@ from commbounds.kkt import (
     objective,
 )
 from commbounds.projections import min_projection_sum, subset_stats
-from commbounds.simulate import ring_all_gather, ring_reduce_scatter, run_algorithm
+from commbounds.simulate import (
+    ring_all_gather,
+    ring_reduce_scatter,
+    run_algorithm,
+    split_sizes,
+)
+from ring_reference import all_gather_hops, reduce_scatter_hops, tally
 
 RUNNING = ProblemShape(9600, 2400, 600)
 
@@ -130,7 +136,7 @@ def test_c4_kkt_and_oracle_sweep():
             prob = OptProblem(m, n, k, P)
             sol = analytic_solution(prob)
             rep = kkt_verify(prob, sol)
-            assert rep.passed, (m, n, k, P, rep.residuals)
+            assert rep.passed, (m, n, k, P, rep)
             d = d_case(sol.case_tag, m, n, k, P)
             assert objective(sol.x) == d, (m, n, k, P)
             # every case's closed form fails exactly outside its P range
@@ -197,36 +203,27 @@ def test_c5_exhaustive_projection_oracle():
 
 
 def test_c6_ring_collectives():
-    with criterion(6, "ring collectives move (1 - 1/p) w words, message-log audited"):
+    with criterion(6, "ring collectives move (1 - 1/p) w words, hop-by-hop audited"):
         for p in range(2, 17):
             w = 6 * p
             per = w // p
             chunks = [
                 np.arange(i * per, (i + 1) * per, dtype=np.int64) for i in range(p)
             ]
-            expect = (1 - Fraction(1, p)) * w
-            gathered, sent, received, messages = ring_all_gather(
-                list(range(p)), chunks
-            )
-            by_sender = [0] * p
-            by_receiver = [0] * p
-            for msg in messages:
-                by_sender[msg.sender] += msg.words
-                by_receiver[msg.receiver] += msg.words
-            for i in range(p):
-                assert Fraction(by_sender[i]) == expect
-                assert Fraction(by_receiver[i]) == expect
+            expect = [(1 - Fraction(1, p)) * w] * p
+            gathered, sent, received = ring_all_gather(list(range(p)), chunks)
+            hops = list(all_gather_hops([per] * p))
+            assert len(hops) == p * (p - 1)
+            assert (sent, received) == tally(hops, p)
+            assert sent == expect and received == expect
             np.testing.assert_array_equal(gathered, np.arange(w))
 
             addends = [np.full(w, i, dtype=np.int64) for i in range(p)]
-            shards, sent, received, messages = ring_reduce_scatter(
-                list(range(p)), addends
-            )
-            by_sender = [0] * p
-            for msg in messages:
-                by_sender[msg.sender] += msg.words
-            for i in range(p):
-                assert Fraction(by_sender[i]) == expect
+            shards, sent, received = ring_reduce_scatter(list(range(p)), addends)
+            hops = list(reduce_scatter_hops(split_sizes(w, p)))
+            assert len(hops) == p * (p - 1)
+            assert (sent, received) == tally(hops, p)
+            assert sent == expect and received == expect
             total = p * (p - 1) // 2
             for s in shards:
                 np.testing.assert_array_equal(s, np.full(per, total, dtype=np.int64))

@@ -262,6 +262,7 @@ class TestVerify:
             capsys, "verify", "--shape", "9600", "2400", "600", "--procs", "512"
         )
         assert code == 0
+        assert "kkt                : PASS   (15 conditions by exact sign in Q)\n" in out
         assert "overall            : PASS" in out
 
     def test_tiny_adds_projection_checks(self, capsys):
@@ -347,7 +348,8 @@ class TestVerify:
             capsys, "verify", "--shape", "9600", "2400", "600", "--procs", "512"
         )
         assert code == 4
-        assert "FAIL" in out
+        # the case 1 multipliers go negative above P = m/n
+        assert "kkt                : FAIL   (15 conditions by exact sign in Q; failed: dual)\n" in out
 
 
 class TestSweep:
@@ -442,6 +444,23 @@ class TestConfigAndIO:
         cfg.write_text("{not json")
         code, _, err = run_cli(capsys, "bound", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, config, line",
+        [
+            ("bound", "[1, 2]", "config file must hold a JSON object"),
+            ("bound --shape 2 2 2", None, "--procs is required"),
+            ("bound --shape 2 2 2 --procs 1 --memory 0", None, "memory must be positive"),
+        ],
+        ids=["config-not-an-object", "procs-missing", "memory-zero"],
+    )
+    def test_error_line(self, capsys, tmp_path, argv, config, line):
+        argv = argv.split()
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
 
     def test_out_writes_file(self, capsys, tmp_path):
         dest = tmp_path / "bound.json"

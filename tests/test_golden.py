@@ -3,7 +3,8 @@
 `golden_cli.json` maps an argv, its words joined by single spaces, to
 `[exit code, stdout, stderr]`. It covers every README example; `bound` in
 each regime, on both boundaries, with P > mnk, with `--memory` (also next to
-the edges where `binding` and `in_window` switch, where M is the decimal as
+the edges where `binding` and `in_window` switch, on the exact tie of 64^3 at
+P = 512 with M = 256/9, where both terms are 192, where M is the decimal as
 typed, and as a decimal and the equal p/q, 500.5 and 1001/2, which print the
 same report) and with a float bound whose 12 significant digits form an
 integer; `grid` with integral and non-integral analytic grids; `simulate`

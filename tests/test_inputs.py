@@ -288,3 +288,49 @@ def test_a_number_beyond_the_cap_is_refused_at_once(key, form, text):
     assert result[0] == 2 and result[2].startswith(f"error: --{key}: ")
     assert f"at most {CAP} {unit}" in result[2]
     assert_clean(result)
+
+
+@pytest.mark.parametrize("key", ["procs", "memory"])
+@pytest.mark.parametrize("form", ["flag", "config-string", "config-number"])
+def test_a_number_of_exactly_the_cap_is_read(key, form):
+    # NUMBER_CAP characters are accepted for an integer key and for --memory
+    text = "1" + "0" * (CAP - 1)
+    base, flag, config = {
+        "procs": ("bound --shape 2 2 2", "--procs {}", '{{"procs": {}}}'),
+        "memory": ("bound --shape 2 2 2 --procs 1", "--memory {}", '{{"memory": {}}}'),
+    }[key]
+    if form == "flag":
+        code, out, err = run(base.split() + flag.format(text).split() + ["--format", "json"])
+    else:
+        literal = json.dumps(text) if form == "config-string" else text
+        code, out, err = run(base.split() + ["--format", "json"], config=config.format(literal))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["procs"] if key == "procs" else doc["memory"]["num"]) == 10 ** (CAP - 1)
+
+
+@pytest.mark.parametrize("key", ["shape", "memory"])
+@pytest.mark.parametrize("form", ["flag", "config-number"])
+def test_a_long_refused_number_is_quoted_by_its_start_and_length(key, form):
+    # the stderr line quotes 40 characters and the count, not all 5000
+    text = "9" * 5000
+    base, flag, config, _ = CAPPED[key]
+    if form == "flag":
+        code, out, err = run(base.split() + flag.format(text).split())
+    else:
+        code, out, err = run(base.split(), config=config.format(text))
+    assert (code, out) == (2, "")
+    assert err.endswith(f", got '{text[:40]}'... (5000 characters)\n")
+    assert len(err.encode()) < 200 and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, got",
+    [("x" * 40, "'" + "x" * 40 + "'"), ("x" * 41, "'" + "x" * 40 + "'... (41 characters)")],
+    ids=["at-the-quote-cap", "past-it"],
+)
+def test_a_refused_text_is_quoted_whole_up_to_the_quote_cap(text, got):
+    assert cli.QUOTE_CAP == 40
+    code, out, err = run(["bound", "--shape", "2", "2", "2", "--procs", "1", "--memory", text])
+    assert (code, out) == (2, "")
+    assert err.endswith(f", got {got}\n")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commbounds.bounds import d_case
+from commbounds.exact import RATIONAL
 from commbounds.kkt import (
     OptProblem,
     OptSolution,
@@ -88,12 +89,12 @@ class TestKKTVerify:
     def test_running_example_all_cases(self, procs):
         prob = OptProblem(*RUNNING, procs)
         rep = kkt_verify(prob, analytic_solution(prob))
-        assert rep.passed, rep.residuals
+        assert rep.passed, rep
 
     def test_random_sweep(self):
         for prob in random_problems(400, seed=11):
             rep = kkt_verify(prob, analytic_solution(prob))
-            assert rep.passed, (prob, rep.residuals)
+            assert rep.passed, (prob, rep)
 
     def test_boundary_solutions_coincide(self):
         # at P = m/n both case formulas give the same primal point and the
@@ -165,8 +166,7 @@ class TestKKTVerify:
             mu[3] = mu[3] + 1e-12
         rep = kkt_verify(prob, OptSolution(tuple(x), tuple(mu), sol.case_tag))
         assert not rep.passed, rep
-        assert max(rep.residuals.values()) < 1e-9, rep.residuals
-        assert max(rep.residuals.values()) > 0, rep.residuals
+        assert "stationarity" in rep.failed and not {"primal", "dual"} & set(rep.failed)
 
     def test_float_fraction_and_int_inputs_lift_exactly(self):
         # case 1 of 64 x 8 x 4 at P = 4 has dyadic values, exact as floats
@@ -178,7 +178,7 @@ class TestKKTVerify:
         for s in (as_floats, as_mixed):
             rep = kkt_verify(prob, s)
             assert rep.passed, rep
-            assert set(rep.residuals.values()) == {0.0}
+            assert (rep.conditions, rep.root, rep.failed) == (15, RATIONAL, [])
 
 
 def in_range(prob, case) -> bool:

@@ -11,7 +11,8 @@ feasible point.
 
 `bound --memory` prints two decisions, `binding` and `in_window`; each must
 equal the exact decision made here with integer powers, in all three formats,
-and most of all next to the edge where it switches.  The printed numbers must
+and most of all next to the edge where it switches and on it, at an exact
+rational tie.  The printed numbers must
 agree with them: correct rounding is monotone, so the term `binding` names is
 printed no smaller than the other, and P no larger than `window_upper` inside
 the window.
@@ -28,6 +29,7 @@ number against its JSON value.
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 from decimal import Context, Decimal
@@ -93,8 +95,10 @@ def cli_outputs(command, shape, procs, *flags) -> dict:
 
 
 def memory_text(memory) -> str:
-    """The exact decimal a memory means: a float's expansion terminates, and
-    a text is sent as typed."""
+    """The exact text a memory means: p/q for a Fraction, the decimal
+    expansion for a float, which terminates, and a text as typed."""
+    if isinstance(memory, Fraction):
+        return f"{memory.numerator}/{memory.denominator}"
     return str(Decimal(memory))
 
 
@@ -185,6 +189,18 @@ def test_binding_and_in_window_at_their_edge(shape, procs, which):
     memory = float_edges(Fraction(64, 729) * Fraction(m * n * k, procs) ** 2)[which]
     assume(Fraction(memory) >= Fraction(m * n + m * k + n * k, procs))
     assert_decisions_printed(shape, procs, memory)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.tuples(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60)),
+       st.integers(1, 200), st.integers(1, 12))
+def test_binding_and_in_window_on_an_exact_tie(xyz, c, d):
+    # shape c (x, y, z) at P = xyz d^3 has mnk/P = (c/d)^3, so the two terms
+    # tie at M = 4c^2 / (9d^2): memory_independent, and P inside the window
+    shape, procs = tuple(c * v for v in xyz), math.prod(xyz) * d**3
+    memory = Fraction(4 * c * c, 9 * d * d)
+    assume(memory >= Fraction(sum(a * b for a, b in itertools.combinations(shape, 2)), procs))
+    assert assert_decisions_printed(shape, procs, memory) == ("memory_independent", True)
 
 
 @settings(deadline=None, max_examples=100)

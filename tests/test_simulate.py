@@ -11,12 +11,14 @@ from commbounds.grids import ProcessorGrid
 from commbounds.simulate import (
     MESSAGE_CAP,
     WORD_CAP,
+    check_work,
     ring_all_gather,
     ring_reduce_scatter,
     run_algorithm,
     split_sizes,
     work,
 )
+from ring_reference import all_gather_hops, reduce_scatter_hops, tally
 
 
 def even_chunks(p, w):
@@ -36,30 +38,30 @@ class TestSplit:
 class TestRingAllGather:
     def test_even_split_counts(self):
         # p = 4, w = 12: every member sends and receives 9 = (1 - 1/4) * 12
-        gathered, sent, received, messages = ring_all_gather(
-            [10, 11, 12, 13], even_chunks(4, 12)
-        )
+        gathered, sent, received = ring_all_gather([10, 11, 12, 13], even_chunks(4, 12))
         assert sent == [9, 9, 9, 9]
         assert received == [9, 9, 9, 9]
         np.testing.assert_array_equal(gathered, np.arange(12))
-        assert len(messages) == 3 * 4
+        hops = list(all_gather_hops([3] * 4))
+        assert len(hops) == 3 * 4
+        assert tally(hops, 4) == (sent, received)
 
     def test_p3_w144(self):
-        _, sent, _, _ = ring_all_gather([0, 1, 2], even_chunks(3, 144))
+        _, sent, _ = ring_all_gather([0, 1, 2], even_chunks(3, 144))
         assert sent == [96, 96, 96]
 
     def test_uneven_counts(self):
         # w = 7 over p = 3: chunks 3, 2, 2; member i sends total - next chunk
         chunks = [np.arange(3), np.arange(3, 5), np.arange(5, 7)]
-        gathered, sent, received, _ = ring_all_gather([4, 5, 6], chunks)
+        gathered, sent, received = ring_all_gather([4, 5, 6], chunks)
         assert sent == [7 - 2, 7 - 2, 7 - 3]
         assert received == [7 - 3, 7 - 2, 7 - 2]
         np.testing.assert_array_equal(gathered, np.arange(7))
 
     def test_single_member_silent(self):
-        gathered, sent, received, messages = ring_all_gather([9], [np.arange(5)])
+        gathered, sent, received = ring_all_gather([9], [np.arange(5)])
         assert sent == [0] and received == [0]
-        assert messages == []
+        assert list(all_gather_hops([5])) == []
         np.testing.assert_array_equal(gathered, np.arange(5))
 
     def test_conservation(self):
@@ -72,23 +74,23 @@ class TestRingAllGather:
             for s in sizes:
                 chunks.append(np.arange(at, at + s))
                 at += s
-            _, sent, received, messages = ring_all_gather(list(range(p)), chunks)
+            _, sent, received = ring_all_gather(list(range(p)), chunks)
             assert sum(sent) == sum(received)
-            assert sum(sent) == sum(m.words for m in messages)
+            assert (sent, received) == tally(all_gather_hops(sizes), p)
 
 
 class TestRingReduceScatter:
     def test_even_split_counts(self):
         # p = 2, w = 2304: each sends one 1152-word shard
         addends = [np.ones(2304, dtype=np.int64), 2 * np.ones(2304, dtype=np.int64)]
-        shards, sent, received, _ = ring_reduce_scatter([0, 1], addends)
+        shards, sent, received = ring_reduce_scatter([0, 1], addends)
         assert sent == [1152, 1152]
         np.testing.assert_array_equal(shards[0], 3 * np.ones(1152, dtype=np.int64))
         np.testing.assert_array_equal(shards[1], 3 * np.ones(1152, dtype=np.int64))
 
     def test_p3_w48(self):
         addends = [np.full(48, i, dtype=np.int64) for i in range(3)]
-        shards, sent, _, _ = ring_reduce_scatter([7, 8, 9], addends)
+        shards, sent, _ = ring_reduce_scatter([7, 8, 9], addends)
         assert sent == [32, 32, 32]
         for s in shards:
             np.testing.assert_array_equal(s, np.full(16, 3, dtype=np.int64))
@@ -96,7 +98,7 @@ class TestRingReduceScatter:
     def test_uneven_shards(self):
         # w = 5 over p = 2: shards 3 and 2
         addends = [np.arange(5), np.arange(5)]
-        shards, sent, received, _ = ring_reduce_scatter([0, 1], addends)
+        shards, sent, received = ring_reduce_scatter([0, 1], addends)
         assert sent == [5 - 3, 5 - 2]
         assert len(shards[0]) == 3 and len(shards[1]) == 2
         np.testing.assert_array_equal(shards[0], 2 * np.arange(3))
@@ -107,13 +109,35 @@ class TestRingReduceScatter:
             p = int(rng.integers(1, 7))
             w = int(rng.integers(p, 30))
             addends = [rng.integers(-5, 5, size=w) for _ in range(p)]
-            shards, sent, received, messages = ring_reduce_scatter(
-                list(range(p)), addends
-            )
+            shards, sent, received = ring_reduce_scatter(list(range(p)), addends)
             total = sum(a for a in addends)
             got = np.concatenate(shards)
             np.testing.assert_array_equal(got, total)
-            assert sum(sent) == sum(m.words for m in messages)
+            assert (sent, received) == tally(reduce_scatter_hops(split_sizes(w, p)), p)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 20), min_size=1, max_size=16), st.integers(0, 200))
+def test_ring_counts_match_the_hop_reference(lens, w):
+    # uneven chunks for the all-gather, an uneven split of w for the
+    # reduce-scatter; on average a member moves (1 - 1/p) w words, and each
+    # exactly that when the split is even
+    p = len(lens)
+    chunks = [np.zeros(n, dtype=np.int64) for n in lens]
+    _, sent, received = ring_all_gather(list(range(p)), chunks)
+    assert (sent, received) == tally(all_gather_hops(lens), p)
+    total = sum(lens)
+    assert sum(sent) == sum(received) == p * (1 - Fraction(1, p)) * total
+    if len(set(lens)) == 1:
+        assert sent == received == [(1 - Fraction(1, p)) * total] * p
+
+    addends = [np.zeros(w, dtype=np.int64) for _ in range(p)]
+    _, sent, received = ring_reduce_scatter(list(range(p)), addends)
+    sizes = split_sizes(w, p)
+    assert (sent, received) == tally(reduce_scatter_hops(sizes), p)
+    assert sum(sent) == sum(received) == p * (1 - Fraction(1, p)) * w
+    if w % p == 0:
+        assert sent == received == [(1 - Fraction(1, p)) * w] * p
 
 
 def chunk_sizes(phase):
@@ -259,6 +283,23 @@ class TestWorkCaps:
         assert work(shape, grid)[0] > WORD_CAP
         with pytest.raises(ValueError, match=f"above the cap of {WORD_CAP}$"):
             run_algorithm(shape, grid)
+
+    @pytest.mark.parametrize(
+        "words, messages, refused",
+        [
+            (WORD_CAP, MESSAGE_CAP, None),
+            (WORD_CAP + 1, 0, f"simulate needs {WORD_CAP + 1} int64 words"),
+            (0, MESSAGE_CAP + 1, f"simulate sends {MESSAGE_CAP + 1} messages"),
+        ],
+        ids=["at-caps", "words-over", "messages-over"],
+    )
+    def test_caps_hold_at_equality(self, words, messages, refused):
+        # counted, not allocated: check_work only compares integers
+        if refused is None:
+            check_work(words, messages)
+        else:
+            with pytest.raises(ValueError, match=f"^{refused}, above the cap of "):
+                check_work(words, messages)
 
     def test_messages_above_the_cap_are_refused(self):
         # 600 ranks on one ring: 600 * 599 messages, 3002 words
