@@ -49,7 +49,7 @@ from .bounds import (
 )
 from .exact import Radical, coefficient_rows, decimal_str, human_str, value_to_json
 from .grids import ProcessorGrid, analytic_grid, comm_cost, exhaustive_grid
-from .kkt import OptProblem, analytic_solution, kkt_verify, objective
+from .kkt import CONDITIONS, OptProblem, analytic_solution, kkt_verify, objective
 from .projections import min_projection_sum, subset_stats
 from .simulate import run_algorithm
 
@@ -81,12 +81,17 @@ QUOTE_CAP = 40
 
 
 def _expect(ok: bool, v, what: str):
-    """v if ok, else a converter's one-line error.  The error quotes v as
-    typed, or, past QUOTE_CAP characters, only their start and their count."""
+    """v if ok, else a converter's one-line error.  The error quotes a text
+    as typed and shows any other value (a JSON list, say) as its repr; past
+    QUOTE_CAP characters of that text or repr it shows only their start and
+    their count."""
     if not ok:
-        text = v if isinstance(v, str) else repr(v)
-        got = repr(v) if len(text) <= QUOTE_CAP else (
-            f"{text[:QUOTE_CAP]!r}... ({len(text)} characters)")
+        got = repr(v)
+        typed = isinstance(v, str)
+        text = v if typed else got
+        if len(text) > QUOTE_CAP:
+            start = repr(text[:QUOTE_CAP]) if typed else text[:QUOTE_CAP]
+            got = f"{start}... ({len(text)} characters)"
         raise ValueError(f"expected {what}, got {got}")
     return v
 
@@ -385,7 +390,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
         (
             "kkt",
             krep.passed,
-            f"{krep.conditions} conditions by exact sign in {_field_str(krep.root)}"
+            f"{CONDITIONS} conditions by exact sign in {_field_str(krep.root)}"
             + ("" if krep.passed else f"; failed: {', '.join(krep.failed)}"),
         ),
         (

@@ -129,14 +129,18 @@ def analytic_solution(prob: OptProblem) -> OptSolution:
     return analytic_solution_for_case(prob, case)
 
 
+# the signs kkt_verify decides: 4 primal, 4 dual, 3 stationarity and 4
+# complementary
+CONDITIONS = 15
+
+
 @dataclass(frozen=True)
 class KKTReport:
     primal_feasible: bool
     dual_feasible: bool
     stationary: bool
     complementary: bool
-    conditions: int          # how many signs were decided
-    root: tuple              # the field they were decided in, as Radical.root
+    root: tuple              # the field the signs were decided in, as Radical.root
 
     @property
     def failed(self) -> list[str]:
@@ -154,7 +158,7 @@ def kkt_verify(prob: OptProblem, sol: OptSolution) -> KKTReport:
     """Decide the four KKT conditions at sol by exact signs, with sol lifted
     into the field of its Radical components (Q if none): g_i <= 0,
     mu_i >= 0, 1 - mu1 x1x2x3/x_j - mu_{j+1} = 0 (x1x2x3/x_j taken as the
-    product of the other two), and mu_i g_i = 0: 15 conditions.
+    product of the other two), and mu_i g_i = 0: CONDITIONS in all.
     """
     field = next((v for v in (*sol.x, *sol.mu) if isinstance(v, Radical)),
                  Radical((1,), 1, RATIONAL))
@@ -168,6 +172,5 @@ def kkt_verify(prob: OptProblem, sol: OptSolution) -> KKTReport:
         dual_feasible=min(mv.sign() for mv in mu) >= 0,
         stationary=not any(stat),
         complementary=not any(comp),
-        conditions=len(gvals) + len(mu) + len(stat) + len(comp),
         root=field.root,
     )

@@ -32,10 +32,10 @@ def split_sizes(total: int, parts: int) -> list[int]:
     return [q + 1 if i < r else q for i in range(parts)]
 
 
-def ring_all_gather(members, chunks):
-    """One ring all-gather over an ordered fiber.
+def ring_all_gather(chunks):
+    """One ring all-gather over an ordered fiber of p = len(chunks) members.
 
-    members[i] starts with chunks[i] (a 1-D array); after p-1 steps every
+    Member i starts with chunks[i] (a 1-D array); after p-1 steps every
     member holds the concatenation in member order.  At step s, member i
     forwards the chunk that originated at member (i - s + 1) mod p to its ring
     successor, so each member receives every chunk but its own:
@@ -46,9 +46,9 @@ def ring_all_gather(members, chunks):
     """
     import numpy as np
 
-    p = len(members)
-    if len(chunks) != p or p == 0:
-        raise ValueError("need one chunk per fiber member")
+    p = len(chunks)
+    if p == 0:
+        raise ValueError("need at least one chunk")
     lens = [len(c) for c in chunks]
     total = sum(lens)
     sent = [0] * p
@@ -65,8 +65,8 @@ def ring_all_gather(members, chunks):
     return gathered, sent, received
 
 
-def ring_reduce_scatter(members, addends):
-    """One ring reduce-scatter over an ordered fiber.
+def ring_reduce_scatter(addends):
+    """One ring reduce-scatter over an ordered fiber of p = len(addends) members.
 
     Every member contributes an equal-length 1-D addend; member j ends with
     shard j of the elementwise sum, shards being the contiguous near-even
@@ -78,9 +78,9 @@ def ring_reduce_scatter(members, addends):
     """
     import numpy as np
 
-    p = len(members)
-    if len(addends) != p or p == 0:
-        raise ValueError("need one addend per fiber member")
+    p = len(addends)
+    if p == 0:
+        raise ValueError("need at least one addend")
     w = len(addends[0])
     for a in addends:
         if len(a) != w:
@@ -162,7 +162,7 @@ def _phase(name, collective, fibers, data, size, w, ideal):
     phase's stats, counts summed per rank, and the fibers' results in order."""
     sent, received, results = [0] * size, [0] * size, []
     for members, inputs in zip(fibers, data):
-        out, s, r = collective(members, inputs)
+        out, s, r = collective(inputs)
         for rank, si, ri in zip(members, s, r):
             sent[rank] += si
             received[rank] += ri

@@ -1,12 +1,12 @@
 """Comparison mutants of the package, each run against the test suite.
 
-    python tests/mutate.py src/commbounds/bounds.py src/commbounds/kkt.py [--workers 2]
+    python tests/mutate.py src/commbounds/bounds.py src/commbounds/kkt.py
 
 For every comparison in the named files, one mutant swaps its operator:
 < with <=, > with >=, == with !=, and back.  Each mutant is written into a
-temporary copy of the repository, where the suite runs with -x; a mutant
-the suite passes survives, and one it runs past --timeout seconds is
-reported as hanging.  The output lists the survivors and hangs as
+temporary copy of the repository, where the suite runs with -x, WORKERS
+mutants at a time; a mutant the suite passes survives, and one it runs past
+SUITE_TIMEOUT seconds is reported as hanging.  The output lists the survivors and hangs as
 file:line old -> new, then the counts.  Only the operator's characters
 change, so every other line keeps its text and its number.  pytest does not
 collect this file.
@@ -29,6 +29,10 @@ SWAP = {
     ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
 }
 OPERATOR = re.compile(r"<=|>=|==|!=|<|>")
+# each suite run takes one core; the conftest alarm fails a single test
+# after 60 s, so this only catches a suite that hangs outside any test
+WORKERS = 2
+SUITE_TIMEOUT = 600
 
 
 def offset(lines: list[str], lineno: int, col: int) -> int:
@@ -56,14 +60,14 @@ def mutants(source: str):
                    source[: found.start()] + new + source[found.end():])
 
 
-def run_suite(root: Path, timeout: float) -> str:
+def run_suite(root: Path) -> str:
     """How the suite in root fares: killed, survived or hangs."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
             cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=timeout,
+            timeout=SUITE_TIMEOUT,
         )
     except subprocess.TimeoutExpired:
         return "hangs"
@@ -73,8 +77,6 @@ def run_suite(root: Path, timeout: float) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("files", nargs="+", help="source files, relative to the repository")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--timeout", type=float, default=600)
     args = parser.parse_args(argv)
 
     jobs = []
@@ -89,10 +91,10 @@ def main(argv=None) -> int:
             copy = Path(tmp, "repo")
             shutil.copytree(ROOT, copy, ignore=ignore)
             (copy / name).write_text(text)
-            return job, run_suite(copy, args.timeout)
+            return job, run_suite(copy)
 
     counts = {"killed": 0, "survived": 0, "hangs": 0}
-    with ThreadPoolExecutor(args.workers) as pool:
+    with ThreadPoolExecutor(WORKERS) as pool:
         for (name, line, old, new, _), verdict in pool.map(run, jobs):
             counts[verdict] += 1
             if verdict != "killed":

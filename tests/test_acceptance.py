@@ -211,7 +211,7 @@ def test_c6_ring_collectives():
                 np.arange(i * per, (i + 1) * per, dtype=np.int64) for i in range(p)
             ]
             expect = [(1 - Fraction(1, p)) * w] * p
-            gathered, sent, received = ring_all_gather(list(range(p)), chunks)
+            gathered, sent, received = ring_all_gather(chunks)
             hops = list(all_gather_hops([per] * p))
             assert len(hops) == p * (p - 1)
             assert (sent, received) == tally(hops, p)
@@ -219,7 +219,7 @@ def test_c6_ring_collectives():
             np.testing.assert_array_equal(gathered, np.arange(w))
 
             addends = [np.full(w, i, dtype=np.int64) for i in range(p)]
-            shards, sent, received = ring_reduce_scatter(list(range(p)), addends)
+            shards, sent, received = ring_reduce_scatter(addends)
             hops = list(reduce_scatter_hops(split_sizes(w, p)))
             assert len(hops) == p * (p - 1)
             assert (sent, received) == tally(hops, p)

@@ -325,12 +325,20 @@ def test_a_long_refused_number_is_quoted_by_its_start_and_length(key, form):
 
 
 @pytest.mark.parametrize(
-    "text, got",
-    [("x" * 40, "'" + "x" * 40 + "'"), ("x" * 41, "'" + "x" * 40 + "'... (41 characters)")],
-    ids=["at-the-quote-cap", "past-it"],
+    "value, got",
+    [("x" * 40, "'" + "x" * 40 + "'"), ("x" * 41, "'" + "x" * 40 + "'... (41 characters)"),
+     (["1", "2"], "['1', '2']"),
+     ([str(i) for i in range(1, 17)], "['1', '2', '3', '4', '5', '6', '7', '8',... (87 characters)")],
+    ids=["at-the-quote-cap", "past-it", "short-list", "long-list"],
 )
-def test_a_refused_text_is_quoted_whole_up_to_the_quote_cap(text, got):
+def test_a_refused_value_is_quoted_whole_up_to_the_quote_cap(value, got):
+    # a text is quoted as typed; a config list is shown, and cut, as its
+    # repr, which is not quoted a second time
     assert cli.QUOTE_CAP == 40
-    code, out, err = run(["bound", "--shape", "2", "2", "2", "--procs", "1", "--memory", text])
+    base = ["bound", "--shape", "2", "2", "2", "--procs", "1"]
+    if isinstance(value, str):
+        code, out, err = run(base + ["--memory", value])
+    else:
+        code, out, err = run(base, config=json.dumps({"memory": value}))
     assert (code, out) == (2, "")
     assert err.endswith(f", got {got}\n")

@@ -38,7 +38,7 @@ class TestSplit:
 class TestRingAllGather:
     def test_even_split_counts(self):
         # p = 4, w = 12: every member sends and receives 9 = (1 - 1/4) * 12
-        gathered, sent, received = ring_all_gather([10, 11, 12, 13], even_chunks(4, 12))
+        gathered, sent, received = ring_all_gather(even_chunks(4, 12))
         assert sent == [9, 9, 9, 9]
         assert received == [9, 9, 9, 9]
         np.testing.assert_array_equal(gathered, np.arange(12))
@@ -47,19 +47,19 @@ class TestRingAllGather:
         assert tally(hops, 4) == (sent, received)
 
     def test_p3_w144(self):
-        _, sent, _ = ring_all_gather([0, 1, 2], even_chunks(3, 144))
+        _, sent, _ = ring_all_gather(even_chunks(3, 144))
         assert sent == [96, 96, 96]
 
     def test_uneven_counts(self):
         # w = 7 over p = 3: chunks 3, 2, 2; member i sends total - next chunk
         chunks = [np.arange(3), np.arange(3, 5), np.arange(5, 7)]
-        gathered, sent, received = ring_all_gather([4, 5, 6], chunks)
+        gathered, sent, received = ring_all_gather(chunks)
         assert sent == [7 - 2, 7 - 2, 7 - 3]
         assert received == [7 - 3, 7 - 2, 7 - 2]
         np.testing.assert_array_equal(gathered, np.arange(7))
 
     def test_single_member_silent(self):
-        gathered, sent, received = ring_all_gather([9], [np.arange(5)])
+        gathered, sent, received = ring_all_gather([np.arange(5)])
         assert sent == [0] and received == [0]
         assert list(all_gather_hops([5])) == []
         np.testing.assert_array_equal(gathered, np.arange(5))
@@ -74,7 +74,7 @@ class TestRingAllGather:
             for s in sizes:
                 chunks.append(np.arange(at, at + s))
                 at += s
-            _, sent, received = ring_all_gather(list(range(p)), chunks)
+            _, sent, received = ring_all_gather(chunks)
             assert sum(sent) == sum(received)
             assert (sent, received) == tally(all_gather_hops(sizes), p)
 
@@ -83,14 +83,14 @@ class TestRingReduceScatter:
     def test_even_split_counts(self):
         # p = 2, w = 2304: each sends one 1152-word shard
         addends = [np.ones(2304, dtype=np.int64), 2 * np.ones(2304, dtype=np.int64)]
-        shards, sent, received = ring_reduce_scatter([0, 1], addends)
+        shards, sent, received = ring_reduce_scatter(addends)
         assert sent == [1152, 1152]
         np.testing.assert_array_equal(shards[0], 3 * np.ones(1152, dtype=np.int64))
         np.testing.assert_array_equal(shards[1], 3 * np.ones(1152, dtype=np.int64))
 
     def test_p3_w48(self):
         addends = [np.full(48, i, dtype=np.int64) for i in range(3)]
-        shards, sent, _ = ring_reduce_scatter([7, 8, 9], addends)
+        shards, sent, _ = ring_reduce_scatter(addends)
         assert sent == [32, 32, 32]
         for s in shards:
             np.testing.assert_array_equal(s, np.full(16, 3, dtype=np.int64))
@@ -98,7 +98,7 @@ class TestRingReduceScatter:
     def test_uneven_shards(self):
         # w = 5 over p = 2: shards 3 and 2
         addends = [np.arange(5), np.arange(5)]
-        shards, sent, received = ring_reduce_scatter([0, 1], addends)
+        shards, sent, received = ring_reduce_scatter(addends)
         assert sent == [5 - 3, 5 - 2]
         assert len(shards[0]) == 3 and len(shards[1]) == 2
         np.testing.assert_array_equal(shards[0], 2 * np.arange(3))
@@ -109,7 +109,7 @@ class TestRingReduceScatter:
             p = int(rng.integers(1, 7))
             w = int(rng.integers(p, 30))
             addends = [rng.integers(-5, 5, size=w) for _ in range(p)]
-            shards, sent, received = ring_reduce_scatter(list(range(p)), addends)
+            shards, sent, received = ring_reduce_scatter(addends)
             total = sum(a for a in addends)
             got = np.concatenate(shards)
             np.testing.assert_array_equal(got, total)
@@ -124,7 +124,7 @@ def test_ring_counts_match_the_hop_reference(lens, w):
     # exactly that when the split is even
     p = len(lens)
     chunks = [np.zeros(n, dtype=np.int64) for n in lens]
-    _, sent, received = ring_all_gather(list(range(p)), chunks)
+    _, sent, received = ring_all_gather(chunks)
     assert (sent, received) == tally(all_gather_hops(lens), p)
     total = sum(lens)
     assert sum(sent) == sum(received) == p * (1 - Fraction(1, p)) * total
@@ -132,7 +132,7 @@ def test_ring_counts_match_the_hop_reference(lens, w):
         assert sent == received == [(1 - Fraction(1, p)) * total] * p
 
     addends = [np.zeros(w, dtype=np.int64) for _ in range(p)]
-    _, sent, received = ring_reduce_scatter(list(range(p)), addends)
+    _, sent, received = ring_reduce_scatter(addends)
     sizes = split_sizes(w, p)
     assert (sent, received) == tally(reduce_scatter_hops(sizes), p)
     assert sum(sent) == sum(received) == p * (1 - Fraction(1, p)) * w
