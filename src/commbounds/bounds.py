@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .exact import Radical, decimal_str
+from .exact import Radical, cut, decimal_str
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
             digits = mem.denominator.bit_length()
             typed = decimal_str(mem, digits) if 10**digits % mem.denominator == 0 else mem
             raise ValueError(
-                f"memory {typed} below (mn+mk+nk)/P = {owned}; "
+                f"memory {cut(str(typed))} below (mn+mk+nk)/P = {cut(str(owned))}; "
                 "inputs and output must fit"
             )
         # 2mnk/(P sqrt(M)) = sqrt(M) 2mnk/(PM)

@@ -24,8 +24,8 @@ command's (header, rows) view, and human text through the command's template.
 tests/check_certificate.py checks without this package.
 
 Exit codes: 0 success, 2 bad configuration, a simulate run above its work
-caps or a printed value beyond float range, 3 simulation correctness failure,
-4 verification failure.
+caps, a sweep above its row cap or a printed value beyond float range, 3
+simulation correctness failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ from .bounds import (
     lower_bound,
     prior_constants,
 )
-from .exact import Radical, coefficient_rows, decimal_str, human_str, value_to_json
+from .exact import Radical, coefficient_rows, cut, decimal_str, human_str, value_to_json
 from .grids import ProcessorGrid, analytic_grid, comm_cost, exhaustive_grid
 from .kkt import CONDITIONS, OptProblem, analytic_solution, kkt_verify, objective
-from .projections import min_projection_sum, subset_stats
+from .projections import EXHAUSTIVE_LIMIT, min_projection_sum, subset_stats
 from .simulate import run_algorithm
 
 EXIT_OK = 0
@@ -77,21 +77,14 @@ class RunConfig:
 
 
 NUMBER_CAP = 1000
-QUOTE_CAP = 40
 
 
 def _expect(ok: bool, v, what: str):
     """v if ok, else a converter's one-line error.  The error quotes a text
-    as typed and shows any other value (a JSON list, say) as its repr; past
-    QUOTE_CAP characters of that text or repr it shows only their start and
-    their count."""
+    as typed and shows any other value (a JSON list, say) as its repr, each
+    cut to its start and length past exact.QUOTE_CAP characters."""
     if not ok:
-        got = repr(v)
-        typed = isinstance(v, str)
-        text = v if typed else got
-        if len(text) > QUOTE_CAP:
-            start = repr(text[:QUOTE_CAP]) if typed else text[:QUOTE_CAP]
-            got = f"{start}... ({len(text)} characters)"
+        got = cut(v, repr) if isinstance(v, str) else cut(repr(v))
         raise ValueError(f"expected {what}, got {got}")
     return v
 
@@ -330,16 +323,6 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
         grid, _ = exhaustive_grid(shape, procs, require_divisibility=True)
     report = run_algorithm(shape, grid, cfg.seed)
     rep = lower_bound(shape, grid.size)
-    comparison = [
-        {
-            "phase": ph.name,
-            "measured_max": ph.max_words,
-            "ideal": ph.ideal,
-            "exact": ph.max_words == ph.ideal,
-            "deviation": abs(ph.max_words - ph.ideal),
-        }
-        for ph in report.phases
-    ]
     record = {
         "shape": report.shape,
         "grid": report.grid,
@@ -350,6 +333,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
                 "per_proc_sent": ph.sent,
                 "max_sent": max(ph.sent),
                 "per_proc_received": ph.received,
+                "closed_form": ph.closed_form,
                 "ideal": ph.ideal,
                 "even_split": ph.even_split,
             }
@@ -361,12 +345,10 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
         "predicted_total": report.predicted.total,
         "command": "simulate",
         "comparison": {
-            "all_exact": all(c["exact"] for c in comparison),
-            # each phase's max is w - floor(w/p), the closed form, exactly
+            "all_exact": all(ph.max_words == ph.ideal for ph in report.phases),
             "all_within_bound": all(
                 ph.max_words == ph.closed_form for ph in report.phases
             ),
-            "phases": comparison,
         },
         "lower_bound": rep.bound,
         "attained": rep.bound == report.critical_path_words,
@@ -377,8 +359,10 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
 def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     shape = _require_shape(cfg)
     procs = _single_procs(cfg)
-    if cfg.tiny and shape.volume > 24:
-        raise ConfigError(f"--tiny needs n1*n2*n3 <= 24, got {shape.volume}")
+    if cfg.tiny and shape.volume > EXHAUSTIVE_LIMIT:
+        raise ConfigError(
+            f"--tiny needs n1*n2*n3 <= {EXHAUSTIVE_LIMIT}, got {cut(str(shape.volume))}"
+        )
     m, n, k = shape.sorted_dims
     prob = OptProblem(m, n, k, procs)
     sol = analytic_solution(prob)
@@ -440,12 +424,24 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     return record, EXIT_OK if passed else EXIT_VERIFY
 
 
+# A row of 9600x2400x600 plans its grid in about 0.25 ms on a 2-core VM with
+# Python 3.11, so 2^14 rows take about 4 s.
+SWEEP_ROW_CAP = 2**14
+
+
+def check_rows(rows: int) -> None:
+    """Raise ValueError when a sweep of this many rows exceeds SWEEP_ROW_CAP."""
+    if rows > SWEEP_ROW_CAP:
+        raise ValueError(f"sweep has {cut(str(rows))} rows, above the cap of {SWEEP_ROW_CAP}")
+
+
 def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.table == "constants":
         return _sweep_constants(), EXIT_OK
     shape = _require_shape(cfg)
     if cfg.procs is None:
         raise ConfigError("--procs LO:HI is required")
+    check_rows(cfg.procs.stop - cfg.procs.start)
     m, n, k = shape.sorted_dims
 
     rows = []
@@ -566,12 +562,12 @@ def _grid_human(r: dict) -> list[str]:
 
 
 def _simulate_table(r: dict) -> tuple[list, list]:
-    header = ["phase", "measured_max", "ideal", "even_split", "deviation"]
+    header = ["phase", "measured_max", "closed_form", "ideal", "even_split"]
     rows = [
-        [c["phase"], c["measured_max"], c["ideal"], ph["even_split"], c["deviation"]]
-        for c, ph in zip(r["comparison"]["phases"], r["per_phase"])
+        [ph["phase"], ph["max_sent"], ph["closed_form"], ph["ideal"], ph["even_split"]]
+        for ph in r["per_phase"]
     ]
-    rows.append(["total", r["critical_path_words"], r["predicted_total"], None, None])
+    rows.append(["total", r["critical_path_words"], None, r["predicted_total"], None])
     return header, rows
 
 
@@ -580,11 +576,12 @@ def _simulate_human(r: dict) -> list[str]:
         f"shape {_shape_str(r['shape'])}   "
         f"grid {_grid_str(r['grid'])}   seed {r['seed']}"
     ]
-    for c, ph in zip(r["comparison"]["phases"], r["per_phase"]):
+    for ph in r["per_phase"]:
         split = "even" if ph["even_split"] else "uneven"
         lines.append(
-            f"{c['phase']:<17}: max {c['measured_max']} words   "
-            f"(ideal {human_str(c['ideal'])}, {split} split)"
+            f"{ph['phase']:<17}: max {ph['max_sent']} words   "
+            f"(closed form {ph['closed_form']}, ideal {human_str(ph['ideal'])}, "
+            f"{split} split)"
         )
     lines += [
         f"critical path    : {r['critical_path_words']} words",

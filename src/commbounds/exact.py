@@ -233,6 +233,17 @@ def human_str(v) -> str:
     return repr(float(v))
 
 
+QUOTE_CAP = 40
+
+
+def cut(text: str, show=str) -> str:
+    """show(text) for an error line; past QUOTE_CAP characters, show of its
+    start and its length, so a long input or number keeps the line short."""
+    if len(text) <= QUOTE_CAP:
+        return show(text)
+    return f"{show(text[:QUOTE_CAP])}... ({len(text)} characters)"
+
+
 def value_to_json(v):
     """JSON form: rationals as {decimal, num, den}, floats as plain numbers."""
     v = _display(v)

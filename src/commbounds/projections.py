@@ -24,7 +24,7 @@ from itertools import accumulate
 
 from .bounds import ProblemShape
 
-_EXHAUSTIVE_LIMIT = 24
+EXHAUSTIVE_LIMIT = 24
 
 
 class SubsetStats:
@@ -64,9 +64,9 @@ def subset_stats(dims) -> SubsetStats:
         return _STATS_CACHE[dims]
     n1, n2, n3 = dims
     n_total = n1 * n2 * n3
-    if n_total > _EXHAUSTIVE_LIMIT:
+    if n_total > EXHAUSTIVE_LIMIT:
         raise ValueError(
-            f"exhaustive enumeration is limited to n1*n2*n3 <= {_EXHAUSTIVE_LIMIT}, "
+            f"exhaustive enumeration is limited to n1*n2*n3 <= {EXHAUSTIVE_LIMIT}, "
             f"got {n_total}"
         )
     min_sum = [3 * n_total] * (n_total + 1)

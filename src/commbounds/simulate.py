@@ -2,16 +2,19 @@
 
 run_algorithm executes the phases fiber by fiber on plain numpy blocks: the A
 and B all-gathers, the local multiply of the gathered blocks and the C
-reduce-scatter of the products.  Each fiber is one ring collective call, which
-walks the ring hop by hop and counts the words its members send and receive;
-the run sums the counts per rank.  Matrices carry small random integers, so
-the check C = A @ B is exact regardless of reduction order.  The cost metric
-is logical-time: the per-phase maximum over processors, summed across the
-phases, the critical-path convention the bound is stated in.  For a phase
-with block words w and fiber size p that maximum is w - floor(w/p)
-(PhaseStats.closed_form).  The run counts its work in integers (work) before
-it allocates anything, and check_work refuses a run above WORD_CAP int64
-words or MESSAGE_CAP messages.
+reduce-scatter of the products.  Each fiber is one ring collective call.  Both
+collectives count through one ring schedule (_ring_counts), the reduce-scatter
+being the all-gather's schedule with each piece shifted by one member (Chan,
+Heimlich, Purkayastha and van de Geijn, 2007): it sums, hop by hop, the words
+each member sends and receives, and the run sums the counts per rank.
+Matrices carry small random integers, so the check C = A @ B is exact
+regardless of reduction order.  The cost metric is logical-time: the
+per-phase maximum over processors, summed across the phases, the
+critical-path convention the bound is stated in.  For a phase with block
+words w and fiber size p that maximum is w - floor(w/p)
+(PhaseStats.closed_form), which the tests check the hop counts against.  The
+run counts its work in integers (work) before it allocates anything, and
+check_work refuses a run above WORD_CAP int64 words or MESSAGE_CAP messages.
 """
 
 from dataclasses import dataclass
@@ -20,8 +23,8 @@ from fractions import Fraction
 from .bounds import ProblemShape
 from .grids import CostBreakdown, ProcessorGrid, comm_cost
 
-# 2^26 int64 words are 512 MiB.  2^18 messages bound the iterations of the
-# per-hop counting loops, one per message; a 16x16x16 grid sends 184,320.
+# 2^26 int64 words are 512 MiB.  2^18 messages bound the hops the ring
+# schedule counts, one loop iteration each; a 16x16x16 grid sends 184,320.
 WORD_CAP = 2**26
 MESSAGE_CAP = 2**18
 
@@ -32,37 +35,42 @@ def split_sizes(total: int, parts: int) -> list[int]:
     return [q + 1 if i < r else q for i in range(parts)]
 
 
+def _ring_counts(sizes, shift):
+    """(sent, received) of one ring schedule over pieces of these sizes.
+
+    At step s = 1..p-1 member i sends member i+1 the piece (i - s + shift)
+    mod p.  The all-gather forwards the chunk it received the step before
+    (shift 1); the reduce-scatter passes on the partial sum of shard i - s,
+    which it has just added its own addend to (shift 0).  Each count is a sum
+    over the hops, taken piece by piece: piece j leaves member j + s - shift
+    (mod p) at step s.
+    """
+    p = len(sizes)
+    sent, received = [0] * p, [0] * p
+    for j, words in enumerate(sizes):
+        for i in range(j + 1 - shift, j + p - shift):
+            sent[i % p] += words
+            received[(i + 1) % p] += words
+    return sent, received
+
+
 def ring_all_gather(chunks):
     """One ring all-gather over an ordered fiber of p = len(chunks) members.
 
     Member i starts with chunks[i] (a 1-D array); after p-1 steps every
-    member holds the concatenation in member order.  At step s, member i
-    forwards the chunk that originated at member (i - s + 1) mod p to its ring
-    successor, so each member receives every chunk but its own:
-    received_i = total - |chunk_i|, sent_i = total - |chunk_{i+1}|, both
+    member holds the concatenation in member order.  Each member receives
+    every chunk but its own and forwards every chunk but its successor's, so
+    received_i = total - |chunk_i| and sent_i = total - |chunk_{i+1}|, both
     (1 - 1/p) w for even splits.
 
     Returns (gathered, sent, received).
     """
     import numpy as np
 
-    p = len(chunks)
-    if p == 0:
+    if len(chunks) == 0:
         raise ValueError("need at least one chunk")
-    lens = [len(c) for c in chunks]
-    total = sum(lens)
-    sent = [0] * p
-    received = [0] * p
-    for step in range(1, p):
-        for i in range(p):
-            w = lens[(i - step + 1) % p]
-            sent[i] += w
-            received[(i + 1) % p] += w
-    for i in range(p):
-        assert sent[i] == total - lens[(i + 1) % p]
-        assert received[i] == total - lens[i]
-    gathered = np.concatenate(chunks)
-    return gathered, sent, received
+    sent, received = _ring_counts([len(c) for c in chunks], 1)
+    return np.concatenate(chunks), sent, received
 
 
 def ring_reduce_scatter(addends):
@@ -78,24 +86,13 @@ def ring_reduce_scatter(addends):
     """
     import numpy as np
 
-    p = len(addends)
-    if p == 0:
+    if len(addends) == 0:
         raise ValueError("need at least one addend")
     w = len(addends[0])
-    for a in addends:
-        if len(a) != w:
-            raise ValueError("all addends must have the same length")
-    sizes = split_sizes(w, p)
-    sent = [0] * p
-    received = [0] * p
-    for j, words in enumerate(sizes):
-        for step in range(1, p):
-            s = (j + step) % p
-            r = (s + 1) % p
-            sent[s] += words
-            received[r] += words
-    for i in range(p):
-        assert sent[i] == w - sizes[i]
+    if any(len(a) != w for a in addends):
+        raise ValueError("all addends must have the same length")
+    sizes = split_sizes(w, len(addends))
+    sent, received = _ring_counts(sizes, 0)
     shards = np.split(np.stack(addends).sum(axis=0), np.cumsum(sizes)[:-1])
     return shards, sent, received
 

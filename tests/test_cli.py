@@ -16,6 +16,9 @@ from commbounds.simulate import MESSAGE_CAP, WORD_CAP
 from test_exact import json_to_value
 
 
+NINES = "9" * 1000  # the longest integer an input key takes
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -114,6 +117,25 @@ class TestBound:
         )
         assert (code, out) == (2, "")
         assert err == f"error: memory {memory} below (mn+mk+nk)/P = 54; inputs and output must fit\n"
+
+    @pytest.mark.parametrize(
+        "side, memory, typed, owned",
+        [
+            (NINES, "1", "1", str(Fraction(3 * int(NINES) ** 2, 2))),
+            ("2", "1e-1000", "0." + "0" * 999 + "1", "6"),
+        ],
+        ids=["long-owned", "long-memory"],
+    )
+    def test_memory_below_cuts_a_long_number(self, capsys, side, memory, typed, owned):
+        # each number past 40 characters prints as its start and its length
+        code, out, err = run_cli(
+            capsys, "bound", "--shape", side, side, side, "--procs", "2", "--memory", memory
+        )
+        assert (code, out) == (2, "")
+        cut = [t if len(t) <= 40 else f"{t[:40]}... ({len(t)} characters)" for t in (typed, owned)]
+        assert err == (f"error: memory {cut[0]} below (mn+mk+nk)/P = {cut[1]}; "
+                       "inputs and output must fit\n")
+        assert len(err.encode()) < 200
 
     def test_missing_shape_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--procs", "4")
@@ -283,7 +305,17 @@ class TestVerify:
             capsys, "verify", "--shape", "96", "24", "6", "--procs", "4", "--tiny"
         )
         assert code == 2
-        assert "24" in err
+        assert err == "error: --tiny needs n1*n2*n3 <= 24, got 13824\n"
+
+    def test_tiny_cuts_a_long_volume(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--shape", NINES, NINES, NINES, "--procs", "2", "--tiny"
+        )
+        volume = str(int(NINES) ** 3)
+        assert (code, out) == (2, "")
+        assert err == (f"error: --tiny needs n1*n2*n3 <= 24, got {volume[:40]}... "
+                       "(3000 characters)\n")
+        assert len(err.encode()) < 200
 
     def test_tiny_cap_is_checked_before_any_work(self, capsys, monkeypatch):
         calls = []
@@ -353,6 +385,34 @@ class TestVerify:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("rows", [cli.SWEEP_ROW_CAP, cli.SWEEP_ROW_CAP + 1],
+                             ids=["at-the-cap", "over-it"])
+    def test_row_cap_holds_at_equality(self, rows):
+        # counted, not planned: check_rows only compares integers
+        if rows == cli.SWEEP_ROW_CAP:
+            cli.check_rows(rows)
+        else:
+            with pytest.raises(ValueError, match=f"^sweep has {rows} rows, above the cap of "
+                                                 f"{cli.SWEEP_ROW_CAP}$"):
+                cli.check_rows(rows)
+
+    @pytest.mark.parametrize(
+        "procs, rows",
+        [("1:100000000", "100000000"),
+         (f"2:{NINES}", f"{NINES[:40]}... (1000 characters)")],
+        ids=["1e8", "1000-digits"],
+    )
+    def test_a_range_above_the_cap_exits_2_before_planning(
+        self, capsys, monkeypatch, procs, rows
+    ):
+        def planned(*args, **kwargs):
+            raise AssertionError("a row was planned")
+
+        monkeypatch.setattr(cli, "lower_bound", planned)
+        code, out, err = run_cli(capsys, "sweep", "--shape", "9600", "2400", "600",
+                                 "--procs", procs)
+        assert (code, out) == (2, "")
+        assert err == f"error: sweep has {rows} rows, above the cap of {cli.SWEEP_ROW_CAP}\n"
     def test_regime_switches_in_table(self, capsys):
         code, out, _ = run_cli(
             capsys,

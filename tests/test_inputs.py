@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import commbounds.cli as cli
+import commbounds.exact as exact
 
 CAP = cli.NUMBER_CAP
 
@@ -334,7 +335,7 @@ def test_a_long_refused_number_is_quoted_by_its_start_and_length(key, form):
 def test_a_refused_value_is_quoted_whole_up_to_the_quote_cap(value, got):
     # a text is quoted as typed; a config list is shown, and cut, as its
     # repr, which is not quoted a second time
-    assert cli.QUOTE_CAP == 40
+    assert exact.QUOTE_CAP == 40
     base = ["bound", "--shape", "2", "2", "2", "--procs", "1"]
     if isinstance(value, str):
         code, out, err = run(base + ["--memory", value])

@@ -24,6 +24,12 @@ and at its two neighbours as well as at random P.
 Every number `bound`, `grid` and `sweep` print in JSON is checked against its
 exact value, recomputed here with 80-digit decimals, and every csv and human
 number against its JSON value.
+
+`simulate` prints, per phase, the measured maximum, the closed form
+w - floor(w/p) and the ideal (1 - 1/p) w, then the predicted total and the
+lower bound; each must equal its exact value in all three formats, and
+`attained`, `all_within_bound` and `all_exact` must be the decisions those
+values make.
 """
 
 import contextlib
@@ -41,6 +47,7 @@ from hypothesis import assume, given, settings, strategies as st
 import commbounds.cli as cli
 from commbounds.exact import iroot
 from test_exact import json_to_value
+from test_simulate import dividing_runs
 
 dims = st.integers(1, 10**6)
 random_cases = st.tuples(st.tuples(dims, dims, dims), st.integers(1, 10**4))
@@ -479,3 +486,49 @@ def test_numbers_at_huge_dimensions(command):
         assert_grid_numbers(shape, 7)
     else:
         assert_sweep_numbers(shape, 7, 8)
+
+
+@settings(deadline=None, max_examples=60)
+@given(dividing_runs(), st.integers(0, 2**32))
+def test_simulate_claims(run, seed):
+    shape, grid = run
+    (n1, n2, n3), (p1, p2, p3) = shape.dims, grid.dims
+    out = cli_outputs("simulate", shape.dims, grid.size, "--grid", *map(str, grid.dims),
+                      "--seed", str(seed))
+    doc, rows, human = out["json"], out["csv"], out["human"]
+    # (block words w, fiber size p) of the A, B and C phases
+    blocks = ((n1 * n2 // (p1 * p2), p3), (n2 * n3 // (p2 * p3), p1), (n1 * n3 // (p1 * p3), p2))
+    measured = []
+    phases = zip(doc["per_phase"], rows[:3], human[1:4], blocks, strict=True)
+    for ph, row, line, (w, p) in phases:
+        top = max(*ph["per_proc_sent"], *ph["per_proc_received"])
+        closed_form, ideal = w - w // p, (1 - Fraction(1, p)) * w
+        assert (ph["max_sent"], ph["closed_form"]) == (top, closed_form)
+        assert_exact(ph["ideal"], ideal)
+        assert ph["even_split"] == (ideal.denominator == 1)
+        split = "even" if ph["even_split"] else "uneven"
+        assert row == {"phase": ph["phase"], "measured_max": str(top),
+                       "closed_form": str(closed_form), "ideal": ph["ideal"]["decimal"],
+                       "even_split": str(ph["even_split"]).lower()}
+        assert line == (f"{ph['phase']:<17}: max {top} words   (closed form {closed_form}, "
+                        f"ideal {ph['ideal']['decimal']}, {split} split)")
+        measured.append((top, closed_form, ideal))
+    cost = sum(top for top, _, _ in measured)
+    bound = expected_bound(shape.dims, grid.size)["lower_bound"]
+    assert doc["critical_path_words"] == cost
+    assert_exact(doc["predicted_total"], sum(ideal for _, _, ideal in measured))
+    assert_exact(doc["lower_bound"], bound)
+    attained = isinstance(bound, Fraction) and cost == bound
+    assert doc["attained"] == attained
+    assert doc["comparison"] == {
+        "all_exact": all(top == ideal for top, _, ideal in measured),
+        "all_within_bound": all(top == closed_form for top, closed_form, _ in measured),
+    }
+    assert rows[3] == {"phase": "total", "measured_max": str(cost), "closed_form": "",
+                       "ideal": doc["predicted_total"]["decimal"], "even_split": ""}
+    labels = labelled(human)
+    assert labels["critical path"] == f"{cost} words"
+    assert_printed(labels["predicted total"], doc["predicted_total"], human=True)
+    printed_bound, attained_text = labels["lower bound"].split("   attained: ")
+    assert_printed(printed_bound, doc["lower_bound"], human=True)
+    assert attained_text == ("yes" if attained else "no")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import commbounds
 import commbounds.cli as cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -31,6 +32,12 @@ def test_quick_start_runs_and_prints_its_comments():
     with contextlib.redirect_stdout(buf):
         exec(compile(code, str(README), "exec"), {})
     assert buf.getvalue().splitlines() == documented
+
+
+def test_package_exports_the_quick_start_names():
+    code = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)[0]
+    names = re.search(r"from commbounds import \((.*?)\)", code, re.S)[1]
+    assert sorted(n.strip() for n in names.split(",") if n.strip()) == sorted(commbounds.__all__)
 
 
 def test_flag_table_matches_the_parser():

@@ -11,6 +11,7 @@ from commbounds.grids import ProcessorGrid
 from commbounds.simulate import (
     MESSAGE_CAP,
     WORD_CAP,
+    _ring_counts,
     check_work,
     ring_all_gather,
     ring_reduce_scatter,
@@ -117,12 +118,17 @@ class TestRingReduceScatter:
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.lists(st.integers(0, 20), min_size=1, max_size=16), st.integers(0, 200))
+@given(
+    st.integers(1, 64).flatmap(lambda p: st.lists(st.integers(0, 50), min_size=p, max_size=p)),
+    st.integers(0, 200),
+)
 def test_ring_counts_match_the_hop_reference(lens, w):
-    # uneven chunks for the all-gather, an uneven split of w for the
-    # reduce-scatter; on average a member moves (1 - 1/p) w words, and each
-    # exactly that when the split is even
+    # fibers of 1..64 members; uneven and empty chunks for the all-gather,
+    # an uneven split of w, empty shards when w < p, for the reduce-scatter;
+    # on average a member moves (1 - 1/p) w words, and each exactly that when
+    # the split is even; the schedule itself takes any pieces in either shift
     p = len(lens)
+    assert _ring_counts(lens, 0) == tally(reduce_scatter_hops(lens), p)
     chunks = [np.zeros(n, dtype=np.int64) for n in lens]
     _, sent, received = ring_all_gather(chunks)
     assert (sent, received) == tally(all_gather_hops(lens), p)
