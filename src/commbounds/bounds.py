@@ -19,7 +19,6 @@ form here, is computed exactly as an exact.Radical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
@@ -50,18 +49,6 @@ class ProblemShape:
         return (s[0], s[1], s[2])
 
     @property
-    def m(self) -> int:
-        return self.sorted_dims[0]
-
-    @property
-    def n(self) -> int:
-        return self.sorted_dims[1]
-
-    @property
-    def k(self) -> int:
-        return self.sorted_dims[2]
-
-    @property
     def axis_order(self) -> tuple[int, int, int]:
         """Axis indices so dims[axis_order[0]] = m, etc.; stable under ties."""
         order = sorted(range(3), key=lambda i: -self.dims[i])
@@ -76,22 +63,6 @@ class ProblemShape:
     def pair_sum(self) -> int:
         """n1n2 + n2n3 + n1n3 = mn + mk + nk, the total words of A, B, C."""
         return self.n1 * self.n2 + self.n2 * self.n3 + self.n1 * self.n3
-
-
-class RegimeTag(Enum):
-    ONE_D = "1d"
-    TWO_D = "2d"
-    THREE_D = "3d"
-
-    @property
-    def case(self) -> int:
-        return {"1d": 1, "2d": 2, "3d": 3}[self.value]
-
-
-@dataclass(frozen=True)
-class Regime:
-    tag: RegimeTag
-    on_boundary: bool
 
 
 def case_of(m: int, n: int, k: int, procs: int) -> tuple[int, bool]:
@@ -112,14 +83,6 @@ def _check_procs(procs) -> None:
         raise ValueError(f"processor count must be a positive integer, got {procs!r}")
 
 
-def classify_regime(shape: ProblemShape, procs: int) -> Regime:
-    _check_procs(procs)
-    m, n, k = shape.sorted_dims
-    case, boundary = case_of(m, n, k, procs)
-    tag = {1: RegimeTag.ONE_D, 2: RegimeTag.TWO_D, 3: RegimeTag.THREE_D}[case]
-    return Regime(tag, boundary)
-
-
 def case_field(case: int, m: int, n: int, k: int, procs) -> Radical:
     """The generator b of the field a case's closed forms live in: 1 in
     case 1, (mnk^2/P)^(1/2) in case 2 and ((mnk/P)^2)^(1/3) in case 3."""
@@ -127,9 +90,7 @@ def case_field(case: int, m: int, n: int, k: int, procs) -> Radical:
         return Radical.generator(1, 1)
     if case == 2:
         return Radical.generator(Fraction(m * n * k * k, procs), 2)
-    if case == 3:
-        return Radical.generator(Fraction(m * n * k, procs) ** 2, 3)
-    raise ValueError(f"case must be 1, 2, or 3, got {case}")
+    return Radical.generator(Fraction(m * n * k, procs) ** 2, 3)
 
 
 def d_case(case: int, m: int, n: int, k: int, procs) -> Radical:
@@ -147,18 +108,10 @@ def d_case(case: int, m: int, n: int, k: int, procs) -> Radical:
     return 3 * b
 
 
-def accessed_data(shape: ProblemShape, procs: int) -> Radical:
-    """D for the applicable regime."""
-    m, n, k = shape.sorted_dims
-    case, _ = case_of(m, n, k, procs)
-    return d_case(case, m, n, k, procs)
-
-
 @dataclass(frozen=True)
 class BoundReport:
-    shape: ProblemShape
-    procs: int
-    regime: Regime
+    case: int                  # 1, 2 or 3: the 1d, 2d or 3d regime, from case_of
+    on_boundary: bool          # P is also the first P of the next case
     accessed: Radical          # D, words of matrix data touched per processor
     owned: Fraction            # (mn + mk + nk)/P, words already resident
     bound: Radical             # D - owned >= 0, words communicated
@@ -203,9 +156,10 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
     which names memory_independent and keeps P, at most mn/k^2, out of the
     window.
     """
-    regime = classify_regime(shape, procs)
+    _check_procs(procs)
     m, n, k = shape.sorted_dims
-    accessed = d_case(regime.tag.case, m, n, k, procs)
+    case, on_boundary = case_of(m, n, k, procs)
+    accessed = d_case(case, m, n, k, procs)
     owned = Fraction(shape.pair_sum, procs)
 
     mem = mem_dep = binding = in_window = window_upper = None
@@ -231,9 +185,8 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
         in_window = key <= 0
 
     return BoundReport(
-        shape=shape,
-        procs=procs,
-        regime=regime,
+        case=case,
+        on_boundary=on_boundary,
         accessed=accessed,
         owned=owned,
         bound=accessed - owned,
@@ -247,31 +200,26 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
 
 
 # Leading-term constants of the square-case bound c * n^2 / P^e established by
-# prior work and here, per regime (e = 2/3, 1/2, 0 for 3d, 2d, 1d).  None
-# marks regimes a given work did not cover.
-_PRIOR_CONSTANTS = {
-    RegimeTag.THREE_D: {
-        "ACS90": Radical.generator(Fraction(1, 4), 3),  # (1/2)^(2/3)
+# prior work and here, per case (e = 2/3, 1/2, 0 in cases 3, 2, 1).  None
+# marks cases a given work did not cover.  The two roots are written as field
+# elements, b itself, so importing the module computes no root.
+PRIOR_CONSTANTS = {
+    3: {
+        "ACS90": Radical((0, 1, 0), 1, (1, 4, 3)),  # (1/4)^(1/3) = (1/2)^(2/3)
         "ITT04": Fraction(1, 2),
         "DE+13": Fraction(1),
         "this_work": Fraction(3),
     },
-    RegimeTag.TWO_D: {
+    2: {
         "ACS90": None,
         "ITT04": None,
-        "DE+13": Radical.generator(Fraction(2, 3), 2),
+        "DE+13": Radical((0, 1), 1, (2, 3, 2)),  # (2/3)^(1/2)
         "this_work": Fraction(2),
     },
-    RegimeTag.ONE_D: {
+    1: {
         "ACS90": None,
         "ITT04": None,
         "DE+13": Fraction(16, 25),
         "this_work": Fraction(1),
     },
 }
-
-
-def prior_constants(regime: Regime | RegimeTag) -> dict[str, Optional[Fraction | Radical]]:
-    """Leading-term constants table for one regime; None where absent."""
-    tag = regime.tag if isinstance(regime, Regime) else regime
-    return dict(_PRIOR_CONSTANTS[tag])

@@ -24,8 +24,9 @@ command's (header, rows) view, and human text through the command's template.
 tests/check_certificate.py checks without this package.
 
 Exit codes: 0 success, 2 bad configuration, a simulate run above its work
-caps, a sweep above its row cap or a printed value beyond float range, 3
-simulation correctness failure, 4 verification failure.
+caps, a sweep above its row cap, a planner scan above its triple cap or a
+printed value beyond float range, 3 simulation correctness failure, 4
+verification failure.
 """
 
 from __future__ import annotations
@@ -39,14 +40,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import (
-    ProblemShape,
-    RegimeTag,
-    case_of,
-    d_case,
-    lower_bound,
-    prior_constants,
-)
+from .bounds import PRIOR_CONSTANTS, ProblemShape, case_of, d_case, lower_bound
 from .exact import Radical, coefficient_rows, cut, decimal_str, human_str, value_to_json
 from .grids import ProcessorGrid, analytic_grid, comm_cost, exhaustive_grid
 from .kkt import CONDITIONS, OptProblem, analytic_solution, kkt_verify, objective
@@ -244,6 +238,11 @@ def _shape_str(dims) -> str:
     return " x ".join(str(d) for d in dims)
 
 
+def _regime(case: int) -> str:
+    """The regime's name for the bound's case: 1d, 2d or 3d."""
+    return f"{case}d"
+
+
 def _field_str(root) -> str:
     """The field Q(b) an exact.Radical.root names."""
     rn, rd, degree = root
@@ -261,8 +260,8 @@ def cmd_bound(cfg: RunConfig) -> tuple[dict, int]:
         "command": "bound",
         "shape": shape.dims,
         "procs": procs,
-        "regime": rep.regime.tag.value,
-        "on_boundary": rep.regime.on_boundary,
+        "regime": _regime(rep.case),
+        "on_boundary": rep.on_boundary,
         "oversubscribed": rep.oversubscribed,
         "accessed": rep.accessed,
         "owned": rep.owned,
@@ -452,8 +451,8 @@ def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
         rows.append(
             {
                 "procs": procs,
-                "regime": rep.regime.tag.value,
-                "on_boundary": rep.regime.on_boundary,
+                "regime": _regime(rep.case),
+                "on_boundary": rep.on_boundary,
                 "accessed": rep.accessed,
                 "owned": rep.owned,
                 "lower_bound": rep.bound,
@@ -476,14 +475,10 @@ def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _sweep_constants() -> dict:
-    leading = {"3d": "n^2/P^(2/3)", "2d": "n^2/P^(1/2)", "1d": "n^2"}
+    leading = {3: "n^2/P^(2/3)", 2: "n^2/P^(1/2)", 1: "n^2"}
     rows = [
-        {
-            "regime": tag.value,
-            "leading_term": leading[tag.value],
-            **prior_constants(tag),
-        }
-        for tag in (RegimeTag.THREE_D, RegimeTag.TWO_D, RegimeTag.ONE_D)
+        {"regime": _regime(case), "leading_term": term, **PRIOR_CONSTANTS[case]}
+        for case, term in leading.items()
     ]
     return {"command": "sweep", "table": "constants", "rows": rows}
 
@@ -645,12 +640,6 @@ _VIEWS = {
 }
 
 
-def _json_number(v):
-    if isinstance(v, (Fraction, Radical)):
-        return value_to_json(v)
-    raise TypeError(f"{type(v).__name__} is not JSON serializable")
-
-
 def _cell(v, number_str, empty: str) -> str:
     """One table cell, csv or human; only numbers and empty cells differ."""
     if v is None or v == "":
@@ -672,7 +661,7 @@ def _csv_value(v) -> str:
 def render(record: dict, fmt: str) -> str:
     """A command's record as json, csv or human text."""
     if fmt == "json":
-        return json.dumps(record, indent=2, default=_json_number) + "\n"
+        return json.dumps(record, indent=2, default=value_to_json) + "\n"
     table, human = _VIEWS[record.get("table", record["command"])]
     if fmt == "csv":
         header, rows = table(record)

@@ -21,31 +21,31 @@ Value = Union[Fraction, float]  # a number as printed
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:
-    """Floor of the k-th root of n >= 0, plus an exactness flag."""
-    if n < 0 or k < 1:
-        raise ValueError("iroot needs n >= 0 and k >= 1")
+    """Floor s of the k-th root of n >= 0, k >= 1, plus an exactness flag.
+
+    For k >= 3, integer Newton r -> ((k-1) r + n // r^(k-1)) // k starts at
+    2^ceil(bits(n)/k) > n^(1/k) and stops at exactly s.  The nested floors
+    equal one floor of t = ((k-1) r + n/r^(k-1))/k, and t >= n^(1/k) by AM-GM,
+    so every step lands at or above s.  While r > s, r^k > n makes t < r, so
+    the step is below r.  The iterates thus fall strictly, stay >= s, and can
+    stop (a step not below r) only at r = s.
+    """
     if n == 0 or k == 1:
         return n, True
     if k == 2:
         r = math.isqrt(n)
         return r, r * r == n
-    # Integer Newton from an upper bound; converges in O(log) steps and never
-    # touches floats, so arbitrary precision ints are fine.
     r = 1 << -(-n.bit_length() // k)
     while True:
         nr = ((k - 1) * r + n // r ** (k - 1)) // k
         if nr >= r:
             break
         r = nr
-    while r ** k > n:
-        r -= 1
     return r, r ** k == n
 
 
 def nth_root_exact(x: Fraction, k: int) -> Fraction | None:
     """Exact k-th root of a nonnegative rational, or None if irrational."""
-    if x < 0:
-        raise ValueError("nth_root_exact needs a nonnegative value")
     num, ok = iroot(x.numerator, k)
     if not ok:
         return None
@@ -76,10 +76,9 @@ class Radical:
 
     @classmethod
     def generator(cls, radicand, d: int) -> Radical:
-        """b = radicand^(1/d) itself, in Q when it is rational."""
+        """b = radicand^(1/d) itself, for a positive radicand and d in 1..3;
+        in Q when it is rational."""
         r = Fraction(radicand)
-        if r <= 0 or d not in (1, 2, 3):
-            raise ValueError(f"need a positive radicand and d in 1..3, got {r}, {d}")
         exact = nth_root_exact(r, d)
         if exact is not None:
             return cls((exact.numerator,), exact.denominator, RATIONAL)
@@ -161,14 +160,21 @@ class Radical:
 
     def __float__(self) -> float:
         """Display value, correctly rounded from a 128-bit approximation of b;
-        0.0 where it underflows, OverflowError where it is too large."""
+        0.0 where it underflows, and where it is too large an OverflowError
+        that gives its leading digits and decimal exponent."""
         rn, rd, d = self.root
         # b = q^(1/d) / rd, and B / U is b to within 2^-128, relative
         q = rn * rd ** (d - 1)
         s = max(0, 130 - q.bit_length() // d)
         B, U = iroot(q << (d * s), d)[0], rd << s
         num = sum(c * B ** i * U ** (d - 1 - i) for i, c in enumerate(self.coeffs))
-        return num / (self.den * U ** (d - 1))
+        den = self.den * U ** (d - 1)
+        try:
+            return num / den
+        except OverflowError:
+            digits = str(abs(num) // den)
+            about = f"{'-' if num < 0 else ''}{digits[0]}.{digits[1:4]}e{len(digits) - 1}"
+            raise OverflowError(f"a value of about {about} is beyond float range") from None
 
     def to_value(self) -> Value:
         """A Fraction for a rational element, else the display float."""
@@ -178,9 +184,6 @@ class Radical:
 
     def __str__(self) -> str:
         return str(self.to_value())
-
-    def __repr__(self) -> str:
-        return f"Radical({self.coeffs}, {self.den}, {self.root})"
 
 
 def coefficient_rows(values) -> tuple[int, list[list[int]]]:

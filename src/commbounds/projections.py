@@ -64,11 +64,6 @@ def subset_stats(dims) -> SubsetStats:
         return _STATS_CACHE[dims]
     n1, n2, n3 = dims
     n_total = n1 * n2 * n3
-    if n_total > EXHAUSTIVE_LIMIT:
-        raise ValueError(
-            f"exhaustive enumeration is limited to n1*n2*n3 <= {EXHAUSTIVE_LIMIT}, "
-            f"got {n_total}"
-        )
     min_sum = [3 * n_total] * (n_total + 1)
     min_phi = {key: [n_total] * (n_total + 1) for key in ("a", "b", "c")}
     lw_ok = True
@@ -104,11 +99,9 @@ class MinProjectionResult:
 def min_projection_sum(shape: ProblemShape, procs: int) -> MinProjectionResult:
     """Minimum of phi_A + phi_B + phi_C over all F with |F| >= n1n2n3/P.
 
-    Certified by exhaustive enumeration, so the cube volume is capped at 24
-    points.  The lower bound says the result is >= D.
+    Certified by exhaustive enumeration, so callers keep the cube volume at
+    most EXHAUSTIVE_LIMIT.  The lower bound says the result is >= D.
     """
-    if procs < 1:
-        raise ValueError(f"processor count must be positive, got {procs}")
     t = -(-shape.volume // procs)
     stats = subset_stats(shape.dims)
     return MinProjectionResult(minimum=stats.min_sum_from_size[t], threshold=t)

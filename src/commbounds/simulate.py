@@ -67,8 +67,6 @@ def ring_all_gather(chunks):
     """
     import numpy as np
 
-    if len(chunks) == 0:
-        raise ValueError("need at least one chunk")
     sent, received = _ring_counts([len(c) for c in chunks], 1)
     return np.concatenate(chunks), sent, received
 
@@ -86,12 +84,7 @@ def ring_reduce_scatter(addends):
     """
     import numpy as np
 
-    if len(addends) == 0:
-        raise ValueError("need at least one addend")
-    w = len(addends[0])
-    if any(len(a) != w for a in addends):
-        raise ValueError("all addends must have the same length")
-    sizes = split_sizes(w, len(addends))
+    sizes = split_sizes(len(addends[0]), len(addends))
     sent, received = _ring_counts(sizes, 0)
     shards = np.split(np.stack(addends).sum(axis=0), np.cumsum(sizes)[:-1])
     return shards, sent, received

@@ -1,4 +1,4 @@
-"""Regime classification and the memory-independent bound."""
+"""The bound's case, its regime boundaries and the memory-independent bound."""
 
 from fractions import Fraction
 
@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commbounds.bounds import (
-    ProblemShape,
-    RegimeTag,
-    accessed_data,
-    classify_regime,
-    d_case,
-    lower_bound,
-    prior_constants,
-)
+from commbounds.bounds import PRIOR_CONSTANTS, ProblemShape, d_case, lower_bound
 from commbounds.exact import RATIONAL, Radical
 
 RUNNING = ProblemShape(9600, 2400, 600)  # m/n = 4, mn/k^2 = 64
@@ -30,7 +22,6 @@ class TestShape:
     def test_sorted_dims(self):
         s = ProblemShape(600, 9600, 2400)
         assert s.sorted_dims == (9600, 2400, 600)
-        assert (s.m, s.n, s.k) == (9600, 2400, 600)
 
     def test_axis_order_stable_ties(self):
         assert ProblemShape(5, 5, 2).axis_order == (0, 1, 2)
@@ -50,28 +41,27 @@ class TestShape:
 
 class TestRegimes:
     def test_running_example_cases(self):
-        assert classify_regime(RUNNING, 3).tag is RegimeTag.ONE_D
-        assert classify_regime(RUNNING, 36).tag is RegimeTag.TWO_D
-        assert classify_regime(RUNNING, 512).tag is RegimeTag.THREE_D
+        assert lower_bound(RUNNING, 3).case == 1
+        assert lower_bound(RUNNING, 36).case == 2
+        assert lower_bound(RUNNING, 512).case == 3
 
     def test_boundaries_flagged(self):
-        r = classify_regime(RUNNING, 4)  # P = m/n
-        assert r.tag is RegimeTag.ONE_D and r.on_boundary
-        r = classify_regime(RUNNING, 64)  # P = mn/k^2
-        assert r.tag is RegimeTag.TWO_D and r.on_boundary
-        assert not classify_regime(RUNNING, 5).on_boundary
+        rep = lower_bound(RUNNING, 4)  # P = m/n
+        assert (rep.case, rep.on_boundary) == (1, True)
+        rep = lower_bound(RUNNING, 64)  # P = mn/k^2
+        assert (rep.case, rep.on_boundary) == (2, True)
+        assert not lower_bound(RUNNING, 5).on_boundary
 
     def test_square_shapes_collapse_to_case_3(self):
         # m/n = mn/k^2 = 1, so P = 1 sits on both boundaries and P >= 2 is 3d
-        assert classify_regime(ProblemShape(64, 64, 64), 2).tag is RegimeTag.THREE_D
-        r = classify_regime(ProblemShape(64, 64, 64), 1)
-        assert r.tag is RegimeTag.ONE_D and r.on_boundary
+        assert lower_bound(ProblemShape(64, 64, 64), 2).case == 3
+        rep = lower_bound(ProblemShape(64, 64, 64), 1)
+        assert (rep.case, rep.on_boundary) == (1, True)
 
     def test_rejects_bad_procs(self):
-        with pytest.raises(ValueError):
-            classify_regime(RUNNING, 0)
-        with pytest.raises(ValueError):
-            lower_bound(RUNNING, -3)
+        for procs in (0, -3, 2.0, True):
+            with pytest.raises(ValueError):
+                lower_bound(RUNNING, procs)
 
 
 class TestBoundValues:
@@ -129,7 +119,7 @@ class TestBoundValues:
                 rep = lower_bound(other, procs)
                 assert rep.bound == base.bound
                 assert rep.accessed == base.accessed
-                assert rep.regime == base.regime
+                assert (rep.case, rep.on_boundary) == (base.case, base.on_boundary)
 
 
 class TestContinuityMonotonicity:
@@ -158,7 +148,7 @@ class TestContinuityMonotonicity:
         for shape in random_shapes(30, seed=5, hi=200):
             prev = None
             for procs in range(1, 40):
-                d = accessed_data(shape, procs)
+                d = lower_bound(shape, procs).accessed
                 if prev is not None:
                     assert float(d) <= float(prev)
                 prev = d
@@ -168,7 +158,7 @@ class TestContinuityMonotonicity:
            st.integers(1, 10**6))
     def test_accessed_data_non_increasing_drawn(self, dims, procs):
         shape = ProblemShape(*dims)
-        d, after = accessed_data(shape, procs), accessed_data(shape, procs + 1)
+        d, after = lower_bound(shape, procs).accessed, lower_bound(shape, procs + 1).accessed
         assert float(after) <= float(d)
 
     @settings(deadline=None, max_examples=300)
@@ -249,24 +239,27 @@ class TestMemory:
 
 class TestConstants:
     def test_table_values(self):
-        c3 = prior_constants(RegimeTag.THREE_D)
+        c3 = PRIOR_CONSTANTS[3]
         acs90 = c3["ACS90"]  # (1/2)^(2/3), whose cube is 1/4
         assert acs90 * acs90 * acs90 == Fraction(1, 4) and acs90.root != RATIONAL
         assert c3["ITT04"] == Fraction(1, 2)
         assert c3["DE+13"] == 1
         assert c3["this_work"] == 3
-        c2 = prior_constants(RegimeTag.TWO_D)
+        c2 = PRIOR_CONSTANTS[2]
         assert c2["ACS90"] is None and c2["ITT04"] is None
         de13 = c2["DE+13"]  # (2/3)^(1/2)
         assert de13 * de13 == Fraction(2, 3) and de13.root != RATIONAL
         assert c2["this_work"] == 2
-        c1 = prior_constants(RegimeTag.ONE_D)
+        c1 = PRIOR_CONSTANTS[1]
         assert c1["DE+13"] == Fraction(16, 25)
         assert c1["this_work"] == 1
 
-    def test_accepts_regime_object(self):
-        reg = classify_regime(RUNNING, 512)
-        assert prior_constants(reg) == prior_constants(RegimeTag.THREE_D)
+    def test_roots_are_the_generators(self):
+        # written as field elements so that importing bounds computes no root
+        for value, (radicand, d) in ((PRIOR_CONSTANTS[3]["ACS90"], (Fraction(1, 4), 3)),
+                                     (PRIOR_CONSTANTS[2]["DE+13"], (Fraction(2, 3), 2))):
+            b = Radical.generator(radicand, d)
+            assert value.root == b.root and value == b
 
     def test_this_work_matches_square_bound_leading_term(self):
         # c * n^2 / P^(2/3) with c = 3 is exactly the accessed data for cubes

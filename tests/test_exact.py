@@ -42,11 +42,10 @@ def test_iroot_small_values():
     assert iroot(17, 2) == (4, False)
 
 
-def test_iroot_rejects_bad_args():
-    with pytest.raises(ValueError):
-        iroot(-1, 2)
-    with pytest.raises(ValueError):
-        iroot(4, 0)
+@given(st.integers(0, 2**400), st.sampled_from([2, 3, 5]))
+def test_iroot_is_the_floor_root(n, k):
+    r, exact = iroot(n, k)
+    assert r**k <= n < (r + 1) ** k and exact == (r**k == n)
 
 
 def test_iroot_random_sweep():
@@ -74,8 +73,6 @@ def test_nth_root_exact():
     assert nth_root_exact(Fraction(2), 2) is None
     assert nth_root_exact(Fraction(1, 4), 2) == Fraction(1, 2)
     assert nth_root_exact(Fraction(0), 3) == 0
-    with pytest.raises(ValueError):
-        nth_root_exact(Fraction(-8), 3)
 
 
 def test_decimal_str():
@@ -139,9 +136,6 @@ def test_generator_reduces_perfect_powers_to_q():
     assert Radical.generator(Fraction(2), 1).root == RATIONAL
     b = Radical.generator(Fraction(4, 2), 2)
     assert (b.coeffs, b.den, b.root) == ((0, 1), 1, (2, 1, 2))
-    for bad in ((0, 2), (-8, 3), (2, 4)):
-        with pytest.raises(ValueError):
-            Radical.generator(*bad)
 
 
 def test_the_generator_to_its_index_is_the_radicand():
@@ -175,8 +169,11 @@ def test_float_survives_where_the_radicand_underflows():
     assert b.root != RATIONAL
     assert float(b) == pytest.approx(4e-110, rel=1e-15)
     assert float(b * Fraction(10**165 + 1)) == pytest.approx(4e55, rel=1e-15)
-    with pytest.raises(OverflowError):
-        float(Radical.generator(2 * 10**700, 2))
+    big = Radical.generator(2 * 10**700, 2)  # 1.41421...e350
+    with pytest.raises(OverflowError, match=r"^a value of about 1\.414e350 is beyond float range$"):
+        float(big)
+    with pytest.raises(OverflowError, match=r"^a value of about -1\.414e350 "):
+        float(0 - big)
 
 
 def test_coefficient_rows_share_one_denominator_in_lowest_terms():

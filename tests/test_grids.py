@@ -15,6 +15,7 @@ import commbounds.cli as cli
 from commbounds.bounds import ProblemShape, lower_bound
 from commbounds.grids import (
     CostBreakdown,
+    TRIPLE_CAP,
     ProcessorGrid,
     analytic_grid,
     comm_cost,
@@ -53,7 +54,6 @@ def reference_cost(shape: ProblemShape, grid: ProcessorGrid) -> CostBreakdown:
         words_b=words_b,
         words_c=words_c,
         total=words_a + words_b + words_c,
-        owned=Fraction(shape.pair_sum, grid.size),
     )
 
 
@@ -63,9 +63,9 @@ def reference_grid(shape: ProblemShape, procs: int, require_divisibility: bool):
         rest = procs // d1
         for d2 in reference_divisors(rest):
             t = (d1, d2, rest // d2)
-            grid = ProcessorGrid(*t)
-            if require_divisibility and not grid.divides(shape):
+            if require_divisibility and any(d % p for d, p in zip(shape.dims, t)):
                 continue
+            grid = ProcessorGrid(*t)
             cb = reference_cost(shape, grid)
             if best is None or cb.total < best[1].total or (
                 cb.total == best[1].total and t > best[0].dims
@@ -86,11 +86,8 @@ def plan_or_error(plan, shape, procs, require_divisibility):
 
 
 class TestProcessorGrid:
-    def test_size_and_divides(self):
-        g = ProcessorGrid(12, 3, 1)
-        assert g.size == 36
-        assert g.divides(ProblemShape(96, 24, 6))
-        assert not g.divides(ProblemShape(96, 25, 6))
+    def test_size(self):
+        assert ProcessorGrid(12, 3, 1).size == 36
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -115,7 +112,6 @@ class TestCommCost:
         assert cb.words_c == Fraction(2, 3) * Fraction(96 * 6, 12)
         assert cb.words_c == 32
         assert cb.total == 76
-        assert cb.owned == Fraction(shape.pair_sum, 36)
 
     def test_single_processor_grid_free(self):
         cb = comm_cost(RUNNING, ProcessorGrid(1, 1, 1))
@@ -216,6 +212,15 @@ class TestFactorTriples:
         assert triples == sorted(set(triples))
         assert all(a * b * c == procs for a, b, c in triples)
 
+    def test_cap_is_decided_by_counting(self):
+        # C(2896, 2) = 4,191,960 triples are at most TRIPLE_CAP = 2^22, and
+        # C(2897, 2) = 4,194,856 are above it; no triple is made for either
+        assert math.comb(2896, 2) <= TRIPLE_CAP < math.comb(2897, 2)
+        factor_triples(2**2894)
+        with pytest.raises(ValueError, match=r"^P = 3032\d{36}\.\.\. \(872 characters\) "
+                                             r"has 4194856 factor triples, above the cap of 4194304$"):
+            factor_triples(2**2895)
+
     def test_matches_reference_order(self):
         for procs in range(1, 1001):
             expect = [
@@ -249,7 +254,7 @@ class TestExhaustiveGrid:
 
     def test_divisibility_filter(self):
         grid, _ = exhaustive_grid(ProblemShape(96, 24, 6), 36, require_divisibility=True)
-        assert grid.divides(ProblemShape(96, 24, 6))
+        assert all(d % p == 0 for d, p in zip((96, 24, 6), grid.dims))
         with pytest.raises(ValueError):
             exhaustive_grid(ProblemShape(5, 5, 5), 7, require_divisibility=True)
 
@@ -269,7 +274,7 @@ class TestExhaustiveGrid:
             assert res.grid is not None, (shape, procs)
             cb = comm_cost(shape, res.grid)
             rep = lower_bound(shape, procs)
-            assert cb.total + cb.owned == rep.accessed
+            assert cb.total + rep.owned == rep.accessed
             assert cb.total == rep.bound
 
     def test_constructed_integral_family(self):
@@ -368,3 +373,19 @@ def test_grid_at_highly_composite_procs_finishes():
     ex = json.loads(out.getvalue())["exhaustive"]
     assert ex["grid"] == [39330, 9945, 2464]
     assert Fraction(ex["cost"]["num"], ex["cost"]["den"]) == Fraction(11851300, 66927861)
+
+
+@pytest.mark.parametrize("argv", [
+    "grid --shape 9600 2400 600 --procs 897612484786617600 --format csv",
+    "grid --shape 9600 2400 600 --procs " + str(2**200 * 3**50),
+    "sweep --shape 9600 2400 600 --procs 897612484786617600:897612484786617600",
+    "simulate --shape 96 24 6 --procs 897612484786617600",
+], ids=["grid", "grid-2^200*3^50", "sweep", "simulate"])
+def test_triple_cap_refuses_at_once(argv, capsys):
+    # 897612484786617600 has 159,432,300 factor triples and 2^200 3^50 has
+    # 26,919,126; each command counts them before it scans any
+    with time_box(1):
+        assert cli.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.endswith(" factor triples, above the cap of 4194304\n")

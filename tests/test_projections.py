@@ -274,10 +274,6 @@ class TestSubsetEngine:
         for s in range(8):
             assert stats.min_sum_from_size[s] == min(stats.min_sum_by_size[s:])
 
-    def test_guard_above_limit(self):
-        with pytest.raises(ValueError):
-            subset_stats((5, 5, 1))
-
     def test_cache_returns_same_object(self):
         assert subset_stats((2, 2, 2)) is subset_stats((2, 2, 2))
 
