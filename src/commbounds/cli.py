@@ -424,7 +424,10 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
 
 
 # A row of 9600x2400x600 plans its grid in about 0.25 ms on a 2-core VM with
-# Python 3.11, so 2^14 rows take about 4 s.
+# Python 3.11 when P is small, so 2^14 such rows take about 4 s.  Each row
+# factors its P alone, though: 200 rows near 10^12 took 3.7 s, so the 2^14
+# rows the cap admits there take minutes (ROADMAP item 3, factoring the
+# whole range once, is the fix).
 SWEEP_ROW_CAP = 2**14
 
 

@@ -14,7 +14,9 @@ a projection -- the compression step behind discrete Loomis-Whitney (Bollobas
 & Thomason, 1995) -- and compressing along each axis in turn ends at a
 down-set.  So per-size projection minima are attained on down-sets, and a
 subset violating Loomis-Whitney compresses to a down-set that violates it.
-Results are cached per shape, so a sweep over P enumerates once.
+Results are cached per shape, so repeated verify --tiny requests on one
+shape in one process (perfbench's certify stream sends such repeats)
+enumerate once.  sweep never calls this engine.
 """
 
 from __future__ import annotations

@@ -1,20 +1,20 @@
 """Word-exact run of the 3D algorithm on seeded integer matrices.
 
-run_algorithm executes the phases fiber by fiber on plain numpy blocks: the A
-and B all-gathers, the local multiply of the gathered blocks and the C
-reduce-scatter of the products.  Each fiber is one ring collective call.  Both
-collectives count through one ring schedule (_ring_counts), the reduce-scatter
-being the all-gather's schedule with each piece shifted by one member (Chan,
-Heimlich, Purkayastha and van de Geijn, 2007): it sums, hop by hop, the words
-each member sends and receives, and the run sums the counts per rank.
-Matrices carry small random integers, so the check C = A @ B is exact
+run_algorithm counts the three phases fiber by fiber, the A and B
+all-gathers and the C reduce-scatter, through one ring schedule
+(_ring_counts), the reduce-scatter being the all-gather's schedule with each
+piece shifted by one member (Chan, Heimlich, Purkayastha and van de Geijn,
+2007): it sums, hop by hop, the words each member sends and receives, and the
+run sums the counts per rank.  The numeric payload is what the collectives
+deliver: block (i, l) of C is the sum over j of A(i, j) @ B(j, l), checked
+against A @ B.  Matrices carry small random integers, so the check is exact
 regardless of reduction order.  The cost metric is logical-time: the
 per-phase maximum over processors, summed across the phases, the
 critical-path convention the bound is stated in.  For a phase with block
 words w and fiber size p that maximum is w - floor(w/p)
 (PhaseStats.closed_form), which the tests check the hop counts against.  The
 run counts its work in integers (work) before it allocates anything, and
-check_work refuses a run above WORD_CAP int64 words or MESSAGE_CAP messages.
+check_work refuses a run above WORD_CAP 8-byte words or MESSAGE_CAP messages.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from fractions import Fraction
 from .bounds import ProblemShape
 from .grids import CostBreakdown, ProcessorGrid, comm_cost
 
-# 2^26 int64 words are 512 MiB.  2^18 messages bound the hops the ring
+# 2^26 8-byte words are 512 MiB.  2^18 messages bound the hops the ring
 # schedule counts, one loop iteration each; a 16x16x16 grid sends 184,320.
 WORD_CAP = 2**26
 MESSAGE_CAP = 2**18
@@ -52,42 +52,6 @@ def _ring_counts(sizes, shift):
             sent[i % p] += words
             received[(i + 1) % p] += words
     return sent, received
-
-
-def ring_all_gather(chunks):
-    """One ring all-gather over an ordered fiber of p = len(chunks) members.
-
-    Member i starts with chunks[i] (a 1-D array); after p-1 steps every
-    member holds the concatenation in member order.  Each member receives
-    every chunk but its own and forwards every chunk but its successor's, so
-    received_i = total - |chunk_i| and sent_i = total - |chunk_{i+1}|, both
-    (1 - 1/p) w for even splits.
-
-    Returns (gathered, sent, received).
-    """
-    import numpy as np
-
-    sent, received = _ring_counts([len(c) for c in chunks], 1)
-    return np.concatenate(chunks), sent, received
-
-
-def ring_reduce_scatter(addends):
-    """One ring reduce-scatter over an ordered fiber of p = len(addends) members.
-
-    Every member contributes an equal-length 1-D addend; member j ends with
-    shard j of the elementwise sum, shards being the contiguous near-even
-    split.  Shard j travels j+1 -> j+2 -> ... -> j, each hop adding the local
-    contribution, so sent_i = total - |shard_i| and additions = words
-    received; both are (1 - 1/p) w for even shards.
-
-    Returns (shards, sent, received).
-    """
-    import numpy as np
-
-    sizes = split_sizes(len(addends[0]), len(addends))
-    sent, received = _ring_counts(sizes, 0)
-    shards = np.split(np.stack(addends).sum(axis=0), np.cumsum(sizes)[:-1])
-    return shards, sent, received
 
 
 @dataclass(frozen=True)
@@ -127,11 +91,13 @@ class SimReport:
 
 
 def work(shape: ProblemShape, grid: ProcessorGrid) -> tuple[int, int]:
-    """(int64 words, messages) of one run, counted in integers.
+    """(8-byte words, messages) of one run, counted in integers.
 
-    Words: A, B, the gathered blocks of each, the P local products (p2 n1n3
-    in all) and the assembled and reference C.  Messages: a fiber of p
-    members sends p(p - 1), and each phase's fibers cover the P ranks once.
+    Words: an upper bound on what the run's arrays hold at once: A and B,
+    each with its int64 draw while it is cast to float64, the assembled and
+    reference C, and the blocks of the local multiplies.  Messages: a fiber
+    of p members sends p(p - 1), and each phase's fibers cover the P ranks
+    once.
     """
     n1, n2, n3 = shape.dims
     p1, p2, p3 = grid.dims
@@ -142,23 +108,21 @@ def work(shape: ProblemShape, grid: ProcessorGrid) -> tuple[int, int]:
 def check_work(words: int, messages: int) -> None:
     """Raise ValueError when a run's work, as counted by work, exceeds a cap."""
     if words > WORD_CAP:
-        raise ValueError(f"simulate needs {words} int64 words, above the cap of {WORD_CAP}")
+        raise ValueError(f"simulate needs {words} 8-byte words, above the cap of {WORD_CAP}")
     if messages > MESSAGE_CAP:
         raise ValueError(f"simulate sends {messages} messages, above the cap of {MESSAGE_CAP}")
 
 
-def _phase(name, collective, fibers, data, size, w, ideal):
-    """Run the collective on each fiber with its inputs from data; return the
-    phase's stats, counts summed per rank, and the fibers' results in order."""
-    sent, received, results = [0] * size, [0] * size, []
-    for members, inputs in zip(fibers, data):
-        out, s, r = collective(inputs)
+def _phase(name, fibers, shift, size, w, ideal):
+    """Count the ring schedule with this shift over each fiber's split of w
+    words; return the phase's stats, counts summed per rank."""
+    sent, received = [0] * size, [0] * size
+    for members in fibers:
+        s, r = _ring_counts(split_sizes(w, len(members)), shift)
         for rank, si, ri in zip(members, s, r):
             sent[rank] += si
             received[rank] += ri
-        results.append(out)
-    stats = PhaseStats(name, len(fibers[0]), w, ideal, tuple(sent), tuple(received))
-    return stats, results
+    return PhaseStats(name, len(fibers[0]), w, ideal, tuple(sent), tuple(received))
 
 
 def run_algorithm(shape: ProblemShape, grid: ProcessorGrid, seed: int = 0) -> SimReport:
@@ -176,55 +140,32 @@ def run_algorithm(shape: ProblemShape, grid: ProcessorGrid, seed: int = 0) -> Si
 
     p1, p2, p3 = grid.dims
     r1, r2, r3 = shape.n1 // p1, shape.n2 // p2, shape.n3 // p3
+    ranks = np.arange(grid.size).reshape(grid.dims)
+    predicted = comm_cost(shape, grid)
+    phases = [
+        _phase("A_all_gather", [ranks[i, j, :].tolist() for i in range(p1) for j in range(p2)],
+               1, grid.size, r1 * r2, predicted.words_a),
+        _phase("B_all_gather", [ranks[:, j, l].tolist() for j in range(p2) for l in range(p3)],
+               1, grid.size, r2 * r3, predicted.words_b),
+        _phase("C_reduce_scatter", [ranks[i, :, l].tolist() for i in range(p1) for l in range(p3)],
+               0, grid.size, r1 * r3, predicted.words_c),
+    ]
+
+    # Entries lie in [-8, 8], so every product and partial sum is an integer
+    # of magnitude at most 64 n2.  WORD_CAP forces n1 n2 <= 2^26, so
+    # 64 n2 < 2^53 and float64 holds each one exactly, in any order.
     rng = np.random.default_rng(seed)
-    a = rng.integers(-8, 9, size=(shape.n1, shape.n2), dtype=np.int64)
-    b = rng.integers(-8, 9, size=(shape.n2, shape.n3), dtype=np.int64)
-    c = np.zeros((shape.n1, shape.n3), dtype=np.int64)
+    a = rng.integers(-8, 9, size=(shape.n1, shape.n2), dtype=np.int64).astype(np.float64)
+    b = rng.integers(-8, 9, size=(shape.n2, shape.n3), dtype=np.int64).astype(np.float64)
+    c = np.zeros((shape.n1, shape.n3), dtype=np.float64)
     # block (i, j) of a is a_blocks[i, :, j, :], and likewise for b and c
     a_blocks, b_blocks = a.reshape(p1, r1, p2, r2), b.reshape(p2, r2, p3, r3)
     c_blocks = c.reshape(p1, r1, p3, r3)
-    ranks = np.arange(grid.size).reshape(grid.dims)
-    predicted = comm_cost(shape, grid)
+    for i in range(p1):
+        for l in range(p3):
+            c_blocks[i, :, l, :] = sum(
+                a_blocks[i, :, j, :] @ b_blocks[j, :, l, :] for j in range(p2))
 
-    def chunks(block, p):
-        """The block's column-major words in split_sizes pieces."""
-        flat = block.flatten(order="F")
-        return np.split(flat, np.cumsum(split_sizes(flat.size, p))[:-1])
-
-    ij = [(i, j) for i in range(p1) for j in range(p2)]
-    a_stats, gathered = _phase(
-        "A_all_gather", ring_all_gather,
-        [ranks[i, j, :].tolist() for i, j in ij],
-        (chunks(a_blocks[i, :, j, :], p3) for i, j in ij),
-        grid.size, r1 * r2, predicted.words_a,
-    )
-    a_gathered = {f: g.reshape((r1, r2), order="F") for f, g in zip(ij, gathered)}
-
-    jl = [(j, l) for j in range(p2) for l in range(p3)]
-    b_stats, gathered = _phase(
-        "B_all_gather", ring_all_gather,
-        [ranks[:, j, l].tolist() for j, l in jl],
-        (chunks(b_blocks[j, :, l, :], p1) for j, l in jl),
-        grid.size, r2 * r3, predicted.words_b,
-    )
-    b_gathered = {f: g.reshape((r2, r3), order="F") for f, g in zip(jl, gathered)}
-
-    # rank (i, j, l) multiplies its gathered blocks just before its fiber
-    # (i, :, l) reduces the products
-    il = [(i, l) for i in range(p1) for l in range(p3)]
-    c_stats, shards = _phase(
-        "C_reduce_scatter", ring_reduce_scatter,
-        [ranks[i, :, l].tolist() for i, l in il],
-        (
-            [(a_gathered[i, j] @ b_gathered[j, l]).flatten(order="F") for j in range(p2)]
-            for i, l in il
-        ),
-        grid.size, r1 * r3, predicted.words_c,
-    )
-    for (i, l), fiber_shards in zip(il, shards):
-        c_blocks[i, :, l, :] = np.concatenate(fiber_shards).reshape((r1, r3), order="F")
-
-    phases = [a_stats, b_stats, c_stats]
     return SimReport(
         shape=shape.dims,
         grid=grid.dims,
