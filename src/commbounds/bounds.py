@@ -93,14 +93,16 @@ def case_field(case: int, m: int, n: int, k: int, procs) -> Radical:
     return Radical.generator(Fraction(m * n * k, procs) ** 2, 3)
 
 
-def d_case(case: int, m: int, n: int, k: int, procs) -> Radical:
+def d_case(case: int, m: int, n: int, k: int, procs, b=None) -> Radical:
     """Accessed-data optimum of one case, at a possibly rational P, in the
-    case's field.
+    field of b, the case's generator (case_field's, computed here unless the
+    caller has it).
 
     Rational P is allowed so boundary continuity can be checked at P = m/n
     and P = mn/k^2 even when those are not integers.
     """
-    b = case_field(case, m, n, k, procs)
+    if b is None:
+        b = case_field(case, m, n, k, procs)
     if case == 1:
         return b * Fraction(m * n + m * k, procs) + n * k
     if case == 2:

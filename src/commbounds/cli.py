@@ -40,10 +40,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import PRIOR_CONSTANTS, ProblemShape, case_of, d_case, lower_bound
+from .bounds import PRIOR_CONSTANTS, ProblemShape, case_field, case_of, d_case, lower_bound
 from .exact import Radical, coefficient_rows, cut, decimal_str, human_str, value_to_json
 from .grids import ProcessorGrid, analytic_grid, comm_cost, exhaustive_grid
-from .kkt import CONDITIONS, OptProblem, analytic_solution, kkt_verify, objective
+from .kkt import CONDITIONS, OptProblem, analytic_solution_for_case, kkt_verify
 from .projections import EXHAUSTIVE_LIMIT, min_projection_sum, subset_stats
 from .simulate import run_algorithm
 
@@ -364,10 +364,14 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
         )
     m, n, k = shape.sorted_dims
     prob = OptProblem(m, n, k, procs)
-    sol = analytic_solution(prob)
-    krep = kkt_verify(prob, sol)
-    d = d_case(case_of(m, n, k, procs)[0], m, n, k, procs)
-    rn, rd, root = d.root
+    case = case_of(m, n, k, procs)[0]
+    b = case_field(case, m, n, k, procs)
+    krep = kkt_verify(prob, analytic_solution_for_case(prob, case, b))
+    d = d_case(case, m, n, k, procs, b)
+    # x1 + x2 + x3 = D, as one identity of integer rows: sum(x rows) dd =
+    # (d row) dx, with dx and dd the two denominators
+    (dx, x), (dd, (d_row,)) = krep.x, coefficient_rows([d])
+    rn, rd, root = krep.root
 
     checks = [
         (
@@ -378,14 +382,17 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
         ),
         (
             "certificate",
-            objective(sol.x) == d,
+            d.root == krep.root and [sum(c) * dd for c in zip(*x)] == [c * dx for c in d_row],
             f"x1 + x2 + x3 = D = {human_str(d)}, exact in {_field_str(d.root)}",
         ),
     ]
-    certificate = {"radicand": {"num": rn, "den": rd}, "root": root}
-    for name, values in (("x", sol.x), ("mu", sol.mu), ("d", [d])):
-        den, rows = coefficient_rows([d.lift(v) for v in values])
-        certificate[name] = {"den": den, "coefficients": rows}
+    certificate = {
+        "radicand": {"num": rn, "den": rd},
+        "root": root,
+        "x": {"den": dx, "coefficients": x},
+        "mu": {"den": krep.mu[0], "coefficients": krep.mu[1]},
+        "d": {"den": dd, "coefficients": [d_row]},
+    }
 
     if cfg.tiny:
         mp = min_projection_sum(shape, procs)
@@ -412,7 +419,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
         "command": "verify",
         "shape": shape.dims,
         "procs": procs,
-        "case": sol.case_tag,
+        "case": case,
         "checks": [
             {"name": name, "passed": ok, "detail": detail}
             for name, ok, detail in checks

@@ -114,20 +114,8 @@ class Radical:
 
     def __mul__(self, other) -> Radical:
         o = self.lift(other)
-        rn, rd, d = self.root
-        a, b = self.coeffs, o.coeffs
-        den = self.den * o.den
-        if not any(b[1:]):  # a rational factor scales the coefficients
-            return Radical(tuple(x * b[0] for x in a), den, self.root)
-        if d == 2:  # b^2 = r
-            c = (a[0] * b[0] * rd + a[1] * b[1] * rn, (a[0] * b[1] + a[1] * b[0]) * rd)
-        else:  # b^3 = r, b^4 = r b
-            a0, a1, a2 = a
-            b0, b1, b2 = b
-            c = (a0 * b0 * rd + (a1 * b2 + a2 * b1) * rn,
-                 (a0 * b1 + a1 * b0) * rd + a2 * b2 * rn,
-                 (a0 * b2 + a1 * b1 + a2 * b0) * rd)
-        return Radical(c, den * rd, self.root)
+        return Radical(tuple(times(self.coeffs, o.coeffs, self.root)),
+                       self.den * o.den * self.root[1], self.root)
 
     __rmul__ = __mul__
 
@@ -138,25 +126,9 @@ class Radical:
             return NotImplemented
         return all(a * o.den == b * self.den for a, b in zip(self.coeffs, o.coeffs))
 
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
     def sign(self) -> int:
-        """-1, 0 or 1, in integers.  d = 2: a + b sqrt(r) has the sign of a
-        and b where they agree, else that of (a^2 - b^2 r) a.  d = 3: the norm
-        a^3 + b^3 r + c^3 r^2 - 3abc r is the element times |its complex
-        conjugate|^2, so it has the element's sign.
-        """
-        rn, rd, d = self.root
-        if d == 1:
-            s = self.coeffs[0]
-        elif d == 2:
-            a, b = self.coeffs
-            s = a or b if a * b >= 0 else (a * a * rd - b * b * rn) * a
-        else:
-            a, b, c = self.coeffs
-            s = a ** 3 * rd * rd + b ** 3 * rn * rd + c ** 3 * rn * rn - 3 * a * b * c * rn * rd
-        return (s > 0) - (s < 0)
+        """-1, 0 or 1, in integers (coefficient_sign; den > 0)."""
+        return coefficient_sign(self.coeffs, self.root)
 
     def __float__(self) -> float:
         """Display value, correctly rounded from a 128-bit approximation of b;
@@ -184,6 +156,43 @@ class Radical:
 
     def __str__(self) -> str:
         return str(self.to_value())
+
+
+def times(a, b, root: tuple[int, int, int]) -> list[int]:
+    """rd a b, for integer coefficient rows a and b of the field Q(b) that
+    root names, b^d = rn/rd: a term in b^(d+j) folds back to rn/rd times
+    b^j, so the factor rd keeps every coefficient an integer."""
+    rn, rd, d = root
+    if d == 1:
+        return [rd * a[0] * b[0]]
+    if d == 2:
+        a0, a1 = a
+        b0, b1 = b
+        return [rd * a0 * b0 + rn * a1 * b1, rd * (a0 * b1 + a1 * b0)]
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [rd * a0 * b0 + rn * (a1 * b2 + a2 * b1),
+            rd * (a0 * b1 + a1 * b0) + rn * a2 * b2,
+            rd * (a0 * b2 + a1 * b1 + a2 * b0)]
+
+
+def coefficient_sign(coeffs, root: tuple[int, int, int]) -> int:
+    """-1, 0 or 1: the sign of c0 + c1 b + c2 b^2 in the field Q(b) that
+    root names, in integers.  d = 2: a + b sqrt(r) has the sign of a and b
+    where they agree, else that of (a^2 - b^2 r) a.  d = 3: the norm
+    a^3 + b^3 r + c^3 r^2 - 3abc r is the element times |its complex
+    conjugate|^2, so it has the element's sign.
+    """
+    rn, rd, d = root
+    if d == 1:
+        s = coeffs[0]
+    elif d == 2:
+        a, b = coeffs
+        s = a or b if a * b >= 0 else (a * a * rd - b * b * rn) * a
+    else:
+        a, b, c = coeffs
+        s = a ** 3 * rd * rd + b ** 3 * rn * rd + c ** 3 * rn * rn - 3 * a * b * c * rn * rd
+    return (s > 0) - (s < 0)
 
 
 def coefficient_rows(values) -> tuple[int, list[list[int]]]:

@@ -9,11 +9,20 @@ The bound's D term is the optimum of
 for m >= n >= k >= 1 and P >= 1, where x_i counts the elements of A, B, C a
 processor accesses.  analytic_solution returns the closed-form minimizer and
 dual vector for each of the three cases, exactly, as elements of one field
-Q(b) (exact.Radical, from bounds.case_field): b = 1 in case 1, b = sqrt(mnk^2/P) in case 2 and
-b = ((mnk/P)^2)^(1/3) in case 3.  kkt_verify decides primal and dual
-feasibility, stationarity, and complementary slackness at any proposed
-solution by exact signs in that field, with no tolerance; for instance every
-case 3 stationarity residual is 1 - b^3/(mnk/P)^2 = 0.
+Q(b) (exact.Radical, from bounds.case_field): b = 1 in case 1,
+b = sqrt(mnk^2/P) in case 2 and b = ((mnk/P)^2)^(1/3) in case 3.
+
+kkt_verify decides primal and dual feasibility, stationarity, and
+complementary slackness at any proposed solution exactly, with no
+tolerance, and in integers.  It writes x and mu once as integer coefficient
+rows over 1, b, b^2 (exact.coefficient_rows), the rows `verify` prints.
+Each condition, multiplied by a positive integer that clears its
+denominators, is an integer row of Z[b] with b^d = rn/rd: a product of two
+rows is taken as rd times it (exact.times), which keeps it integral, and a
+sign comes from the closed forms of exact.coefficient_sign.  For instance
+every case 3 stationarity residual is 1 - b^3/(mnk/P)^2 = 0.  A product
+mu_i g_i is zero exactly when mu_i or g_i is, because a field has no zero
+divisors: if mu_i != 0, multiplying mu_i g_i = 0 by 1/mu_i gives g_i = 0.
 
 Why a KKT point is the global minimum (the geometric-programming argument,
 Boyd & Vandenberghe, Convex Optimization, 2004, section 4.5).  Put
@@ -43,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import case_field, case_of
-from .exact import RATIONAL, Radical
+from .exact import RATIONAL, Radical, coefficient_rows, coefficient_sign, times
 
 
 @dataclass(frozen=True)
@@ -61,31 +70,6 @@ class OptProblem:
         if self.P < 1:
             raise ValueError(f"need P >= 1, got {self.P}")
 
-    @property
-    def product_bound(self) -> Fraction:
-        """(mnk/P)^2, the Loomis-Whitney floor on x1 x2 x3."""
-        return Fraction(self.m * self.n * self.k, self.P) ** 2
-
-    @property
-    def lower_corners(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Per-variable floors (nk/P, mk/P, mn/P)."""
-        return (
-            Fraction(self.n * self.k, self.P),
-            Fraction(self.m * self.k, self.P),
-            Fraction(self.m * self.n, self.P),
-        )
-
-    def g(self, x) -> tuple:
-        """Constraint values, feasible iff every component <= 0."""
-        x1, x2, x3 = x
-        lo = self.lower_corners
-        return (
-            self.product_bound - x1 * x2 * x3,
-            lo[0] - x1,
-            lo[1] - x2,
-            lo[2] - x3,
-        )
-
 
 @dataclass(frozen=True)
 class OptSolution:
@@ -94,19 +78,18 @@ class OptSolution:
     case_tag: int
 
 
-def objective(x):
-    return x[0] + x[1] + x[2]
-
-
-def analytic_solution_for_case(prob: OptProblem, case: int) -> OptSolution:
-    """Closed-form (x*, mu*) of one case, whether or not P is in its range.
+def analytic_solution_for_case(prob: OptProblem, case: int, b=None) -> OptSolution:
+    """Closed-form (x*, mu*) of one case, whether or not P is in its range,
+    in the field of b, the case's generator (case_field's, computed here
+    unless the caller has it).
 
     Evaluating a case outside its range is deliberate: dual feasibility or
     primal feasibility is exactly what fails there, and tests rely on seeing
     it fail.
     """
     m, n, k, P = prob.m, prob.n, prob.k, prob.P
-    b = case_field(case, m, n, k, P)
+    if b is None:
+        b = case_field(case, m, n, k, P)
     zero = b.lift(0)
     if case == 1:
         x = tuple(map(b.lift, (n * k, Fraction(m * k, P), Fraction(m * n, P))))
@@ -141,6 +124,8 @@ class KKTReport:
     stationary: bool
     complementary: bool
     root: tuple              # the field the signs were decided in, as Radical.root
+    x: tuple = ()            # (den, coefficient rows) of x, the rows decided on
+    mu: tuple = ()           # (den, coefficient rows) of mu
 
     @property
     def failed(self) -> list[str]:
@@ -154,23 +139,50 @@ class KKTReport:
         return not self.failed
 
 
+def _minus(row: list, c: int) -> list:
+    """row - c, c an integer."""
+    return [row[0] - c, *row[1:]]
+
+
 def kkt_verify(prob: OptProblem, sol: OptSolution) -> KKTReport:
     """Decide the four KKT conditions at sol by exact signs, with sol lifted
     into the field of its Radical components (Q if none): g_i <= 0,
     mu_i >= 0, 1 - mu1 x1x2x3/x_j - mu_{j+1} = 0 (x1x2x3/x_j taken as the
     product of the other two), and mu_i g_i = 0: CONDITIONS in all.
+
+    Each condition is decided on the integer coefficient rows of x (over
+    one denominator dx) and of mu (over dm), multiplied by a positive
+    integer that clears every denominator: a power of dx, dm and rd, with
+    b^d = rn/rd, and P.  The scaled value is then an integer row of Z[b]
+    whose sign exact.coefficient_sign decides.  mu_i g_i = 0 is decided as
+    mu_i = 0 or g_i = 0: Q(b) is a field, so it has no zero divisors and a
+    product is zero exactly when a factor is.
     """
     field = next((v for v in (*sol.x, *sol.mu) if isinstance(v, Radical)),
                  Radical((1,), 1, RATIONAL))
-    x = tuple(map(field.lift, sol.x))
-    mu = tuple(map(field.lift, sol.mu))
-    gvals = prob.g(x)
-    stat = [1 - mu[0] * (x[(j + 1) % 3] * x[(j + 2) % 3]) - mu[j + 1] for j in range(3)]
-    comp = [mv * gv for mv, gv in zip(mu, gvals)]
+    root = field.root
+    dx, x = coefficient_rows([field.lift(v) for v in sol.x])
+    dm, mu = coefficient_rows([field.lift(v) for v in sol.mu])
+    rd = root[1]
+    m, n, k, P = prob.m, prob.n, prob.k, prob.P
+    # others[j] = rd x_{j+1} x_{j+2} dx^2, the product of the other two
+    others = [times(x[(j + 1) % 3], x[(j + 2) % 3], root) for j in range(3)]
+    # -g_i times P^2 rd^2 dx^3 (the product constraint) or P dx (the floors)
+    slack = [_minus([P * P * c for c in times(others[2], x[2], root)],
+                    (m * n * k * rd) ** 2 * dx ** 3)]
+    slack += [_minus([P * c for c in row], floor * dx)
+              for row, floor in zip(x, (n * k, m * k, m * n))]
+    # 1 - mu1 x_{j+1} x_{j+2} - mu_{j+1}, times rd^2 dx^2 dm
+    scale = rd * rd * dx * dx
+    stat = [_minus([-(u + v * scale) for u, v in zip(times(mu[0], others[j], root), mu[j + 1])],
+                   -scale * dm)
+            for j in range(3)]
     return KKTReport(
-        primal_feasible=max(gv.sign() for gv in gvals) <= 0,
-        dual_feasible=min(mv.sign() for mv in mu) >= 0,
-        stationary=not any(stat),
-        complementary=not any(comp),
-        root=field.root,
+        primal_feasible=all(coefficient_sign(row, root) >= 0 for row in slack),
+        dual_feasible=all(coefficient_sign(row, root) >= 0 for row in mu),
+        stationary=not any(map(any, stat)),
+        complementary=all(not any(mv) or not any(gv) for mv, gv in zip(mu, slack)),
+        root=root,
+        x=(dx, x),
+        mu=(dm, mu),
     )

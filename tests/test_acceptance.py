@@ -25,7 +25,6 @@ from commbounds.kkt import (
     analytic_solution,
     analytic_solution_for_case,
     kkt_verify,
-    objective,
 )
 from commbounds.projections import min_projection_sum, subset_stats
 from commbounds.simulate import _ring_counts, run_algorithm, split_sizes
@@ -133,7 +132,7 @@ def test_c4_kkt_and_oracle_sweep():
             rep = kkt_verify(prob, sol)
             assert rep.passed, (m, n, k, P, rep)
             d = d_case(sol.case_tag, m, n, k, P)
-            assert objective(sol.x) == d, (m, n, k, P)
+            assert sum(sol.x) == d, (m, n, k, P)
             # every case's closed form fails exactly outside its P range
             for case in (1, 2, 3):
                 other = kkt_verify(prob, analytic_solution_for_case(prob, case))

@@ -319,13 +319,13 @@ class TestVerify:
 
     def test_tiny_cap_is_checked_before_any_work(self, capsys, monkeypatch):
         calls = []
-        real = cli.analytic_solution
+        real = cli.analytic_solution_for_case
 
         def recording(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "analytic_solution", recording)
+        monkeypatch.setattr(cli, "analytic_solution_for_case", recording)
         code, out, err = run_cli(
             capsys, "verify", "--shape", "96", "24", "6", "--procs", "4", "--tiny"
         )
@@ -371,11 +371,10 @@ class TestVerify:
     def test_verification_failure_exits_4(self, capsys, monkeypatch):
         import commbounds.kkt as kkt
 
-        def bad_solution(prob):
-            sol = kkt.analytic_solution_for_case(prob, 1)
-            return sol
+        def bad_solution(prob, case, b):
+            return kkt.analytic_solution_for_case(prob, 1)
 
-        monkeypatch.setattr(cli, "analytic_solution", bad_solution)
+        monkeypatch.setattr(cli, "analytic_solution_for_case", bad_solution)
         code, out, _ = run_cli(
             capsys, "verify", "--shape", "9600", "2400", "600", "--procs", "512"
         )

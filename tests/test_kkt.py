@@ -16,7 +16,6 @@ from commbounds.kkt import (
     analytic_solution,
     analytic_solution_for_case,
     kkt_verify,
-    objective,
 )
 
 RUNNING = (9600, 2400, 600)
@@ -29,13 +28,35 @@ def random_problems(count, seed, hi=2000, phi=4000):
         yield OptProblem(m, n, k, int(rng.integers(1, phi)))
 
 
+def floors(prob):
+    """(nk/P, mk/P, mn/P), the per-variable floors of x."""
+    m, n, k, P = prob.m, prob.n, prob.k, prob.P
+    return Fraction(n * k, P), Fraction(m * k, P), Fraction(m * n, P)
+
+
 class TestProblem:
+    # 4 x 4 x 4 on P = 2: x1 x2 x3 >= (mnk/P)^2 = 1024 and every x_i >= 8
+    PROB = OptProblem(4, 4, 4, 2)
+
+    def report(self, x, mu=(1, 0, 1, 1)):
+        return kkt_verify(self.PROB, OptSolution(tuple(map(Fraction, x)), mu, 3))
+
     def test_constraint_values(self):
-        prob = OptProblem(4, 4, 4, 2)
-        assert prob.product_bound == Fraction(1024)
-        assert prob.lower_corners == (Fraction(8), Fraction(8), Fraction(8))
-        g = prob.g((Fraction(16), Fraction(8), Fraction(8)))
-        assert g == (0, -8, 0, 0)
+        # at (16, 8, 8) g = (1024 - x1x2x3, 8 - x1, 8 - x2, 8 - x3) = (0, -8, 0, 0)
+        assert self.report((16, 8, 8)).primal_feasible
+        assert self.report((16, 8, 8)).complementary
+        # a multiplier on the one slack constraint, or none where g_i = 0 is
+        # needed, decides the same way
+        assert not self.report((16, 8, 8), (1, 1, 0, 0)).complementary
+        assert self.report((16, 8, 8), (0, 0, 0, 0)).complementary
+
+    @pytest.mark.parametrize("x", [(8, 8, 15), (Fraction(15, 2), 64, 64),
+                                   (64, Fraction(15, 2), 64), (64, 64, Fraction(15, 2))],
+                             ids=["product", "x1-floor", "x2-floor", "x3-floor"])
+    def test_each_constraint_alone_decides_primal(self, x):
+        # one g_i is positive and the other three are not
+        rep = self.report(x)
+        assert (rep.primal_feasible, rep.dual_feasible) == (False, True)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
@@ -51,8 +72,7 @@ class TestAnalyticSolutions:
         assert sol.case_tag == 1
         assert sol.x == (Fraction(1440000), Fraction(1920000), Fraction(7680000))
         # x1 is at nk, the other two at their lower corners
-        assert sol.x[1] == prob.lower_corners[1]
-        assert sol.x[2] == prob.lower_corners[2]
+        assert sol.x[1:] == floors(prob)[1:]
 
     def test_case_2_values(self):
         prob = OptProblem(*RUNNING, 36)
@@ -75,7 +95,7 @@ class TestAnalyticSolutions:
         for prob in random_problems(300, seed=9):
             sol = analytic_solution(prob)
             d = d_case(sol.case_tag, prob.m, prob.n, prob.k, prob.P)
-            assert objective(sol.x) == d
+            assert sum(sol.x) == d
 
     def test_multiplier_nonnegativity_in_range(self):
         for prob in random_problems(300, seed=10):
@@ -127,7 +147,7 @@ class TestKKTVerify:
         prob = OptProblem(*RUNNING, 36)
         sol = analytic_solution(prob)
         bad = sol.__class__(
-            x=(prob.lower_corners[0] / 2, sol.x[1], sol.x[2]),
+            x=(floors(prob)[0] / 2, sol.x[1], sol.x[2]),
             mu=sol.mu,
             case_tag=sol.case_tag,
         )
@@ -218,10 +238,10 @@ def full_scan_oracle(prob, budget):
     the rest to three zoom refinements around the incumbent.  A float
     cross-check of the exact certificate, kept only in the tests.
     """
-    lo1, lo2, lo3 = (float(v) for v in prob.lower_corners)
+    lo1, lo2, lo3 = (float(v) for v in floors(prob))
     hi1 = float(prob.n * prob.k)
     hi2 = float(prob.m * prob.k)
-    floor_prod = float(prob.product_bound)
+    floor_prod = float(Fraction(prob.m * prob.n * prob.k, prob.P) ** 2)
 
     def grid_best(a1, b1, a2, b2, side):
         x1 = np.geomspace(a1, b1, side)
@@ -248,7 +268,7 @@ class TestOracle:
 
     def test_never_below_analytic(self):
         for prob in random_problems(60, seed=12, hi=300, phi=600):
-            opt = float(objective(analytic_solution(prob).x))
+            opt = float(sum(analytic_solution(prob).x))
             val = full_scan_oracle(prob, budget=20_000)
             assert val >= opt * (1 - 1e-9)
 
@@ -269,7 +289,7 @@ class TestOracle:
     def test_case_1_corner_on_grid(self):
         prob = OptProblem(*RUNNING, 3)
         val = full_scan_oracle(prob, budget=50_000)
-        opt = float(objective(analytic_solution(prob).x))
+        opt = float(sum(analytic_solution(prob).x))
         assert val == pytest.approx(opt, rel=1e-12)
 
 
