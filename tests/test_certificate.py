@@ -57,6 +57,28 @@ def test_altered_certificate_fails(procs, part, row):
     assert check(doc) != []
 
 
+@pytest.mark.parametrize("procs, degree", [(3, 1), (37, 2), (9999, 3)])
+def test_moving_one_coefficient_fails_verify_itself(monkeypatch, procs, degree):
+    # every coefficient of every printed x and mu row, moved by +1 and by -1
+    from test_kkt import moved
+
+    real = cli.analytic_solution_for_case
+    argv = ["verify", "--shape", "9600", "2400", "600", "--procs", str(procs), "--format", "json"]
+    for part, values in (("x", 3), ("mu", 4)):
+        for i in range(values):
+            for j in range(degree):
+                for step in (1, -1):
+                    monkeypatch.setattr(cli, "analytic_solution_for_case",
+                                        lambda *a: moved(real(*a), part, i, j, step))
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = cli.main(argv)
+                    doc = json.loads(out.getvalue())
+                    assert doc["certificate"]["root"] == degree
+                    assert (code, doc["passed"]) == (4, False), (part, i, j, step)
+                    assert check(doc) != [], (part, i, j, step)
+
+
 @pytest.mark.parametrize("num, den, root", [(0, 1, 2), (2, 4, 2), (36, 1, 2), (8, 27, 3), (2, 1, 4)])
 def test_a_field_that_is_not_one_fails(num, den, root):
     # a zero or unreduced radicand, a perfect power or a root index above 3

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from check_certificate import check
+
 from commbounds.bounds import d_case
-from commbounds.exact import RATIONAL
+from commbounds.exact import RATIONAL, Radical
 from commbounds.kkt import (
     OptProblem,
     OptSolution,
@@ -226,6 +228,60 @@ def test_every_case_passes_exactly_inside_its_range(dims, procs, near, offset):
     for case in (1, 2, 3):
         sol = analytic_solution_for_case(prob, case)
         assert kkt_verify(prob, sol).passed == in_range(prob, case), case
+
+
+def oracle_failed(prob, sol) -> list[str]:
+    """The failed groups of the 15 conditions at sol, from the stdlib
+    checker's Fraction arithmetic: sol as a certificate, with D taken as
+    x1 + x2 + x3 so only the KKT groups can fail."""
+    field = next((v for v in (*sol.x, *sol.mu) if isinstance(v, Radical)),
+                 Radical((1,), 1, RATIONAL))
+    rn, rd, d = field.root
+
+    def rows(values):
+        values = [field.lift(v) for v in values]
+        den = math.lcm(*(v.den for v in values))
+        return {"den": den, "coefficients": [[c * (den // v.den) for c in v.coeffs]
+                                             for v in values]}
+
+    doc = {"shape": [prob.m, prob.n, prob.k], "procs": prob.P,
+           "certificate": {"radicand": {"num": rn, "den": rd}, "root": d,
+                           "x": rows(sol.x), "mu": rows(sol.mu), "d": rows([sum(sol.x)])}}
+    return check(doc)
+
+
+def moved(sol, part: str, i: int, j: int, step: int) -> OptSolution:
+    """sol with coefficient j of the i-th x or mu value moved by step over
+    that group's common denominator, the printed row's."""
+    values = list(getattr(sol, part))
+    field = next(v for v in values if isinstance(v, Radical))
+    den = math.lcm(*(field.lift(v).den for v in values))
+    root = field.root
+    unit = Radical(tuple(step if t == j else 0 for t in range(root[2])), den, root)
+    values[i] = field.lift(values[i]) + unit
+    x, mu = (tuple(values), sol.mu) if part == "x" else (sol.x, tuple(values))
+    return OptSolution(x, mu, sol.case_tag)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.tuples(st.integers(1, 3000), st.integers(1, 3000), st.integers(1, 3000)),
+       st.integers(1, 10**7), st.sampled_from(["any", "m/n", "mn/k^2"]), st.integers(-1, 1),
+       st.one_of(st.none(), st.tuples(st.sampled_from(["x", "mu"]), st.integers(0, 3),
+                                      st.integers(0, 2), st.sampled_from([-1, 1]))))
+def test_integer_decisions_match_a_fraction_oracle(dims, procs, near, offset, move):
+    # every case's solution, in its range or not, and with one printed
+    # coefficient moved by one, so that every group fails somewhere
+    m, n, k = sorted(dims, reverse=True)
+    if near != "any":
+        procs = max(1, (m // n if near == "m/n" else m * n // (k * k)) + offset)
+    prob = OptProblem(m, n, k, procs)
+    for case in (1, 2, 3):
+        sol = analytic_solution_for_case(prob, case)
+        if move is not None:
+            part, i, j, step = move
+            root = sol.x[0].root
+            sol = moved(sol, part, i % (3 if part == "x" else 4), j % root[2], step)
+        assert kkt_verify(prob, sol).failed == oracle_failed(prob, sol), (case, move)
 
 
 def full_scan_oracle(prob, budget):
