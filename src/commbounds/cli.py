@@ -37,6 +37,7 @@ import functools
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -668,10 +669,40 @@ def _csv_value(v) -> str:
     return _cell(v, decimal_str, "")
 
 
+def to_json(v, indent: str = "\n") -> str:
+    """json.dumps(v, indent=2, default=value_to_json), byte for byte, for
+    dicts with str keys, lists, tuples, str, int, bool, None, finite floats
+    and exact values; indent is the newline and indentation that v's own
+    line starts with.  A str or int in a container is written in place,
+    without a call."""
+    if isinstance(v, (dict, list, tuple)):
+        if not v:
+            return "{}" if isinstance(v, dict) else "[]"
+        inner = indent + "  "
+        items = [encode_basestring_ascii(x) if type(x) is str else
+                 int.__repr__(x) if type(x) is int else to_json(x, inner)
+                 for x in (v.values() if isinstance(v, dict) else v)]
+        if isinstance(v, dict):
+            items = [encode_basestring_ascii(key) + ": " + x for key, x in zip(v, items)]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True or v is False:
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return json.dumps(v)
+    return to_json(value_to_json(v), indent)
+
+
 def render(record: dict, fmt: str) -> str:
     """A command's record as json, csv or human text."""
     if fmt == "json":
-        return json.dumps(record, indent=2, default=value_to_json) + "\n"
+        return to_json(record) + "\n"
     table, human = _VIEWS[record.get("table", record["command"])]
     if fmt == "csv":
         header, rows = table(record)

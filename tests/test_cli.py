@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output formats, config files, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,8 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import commbounds.cli as cli
+from commbounds.bounds import ProblemShape, lower_bound
+from commbounds.exact import value_to_json
 from commbounds.simulate import MESSAGE_CAP, WORD_CAP
 from test_exact import json_to_value
 
@@ -673,6 +677,29 @@ class TestParserReuse:
         assert shared[3][1].startswith("usage: commbounds")
         assert shared[5][3] is not None and shared[5][1] == ""
         assert shared == fresh
+
+
+dims = st.integers(1, 10**6)
+json_scalars = st.one_of(
+    st.text(), st.integers(), st.integers(2**64, 2**200), st.integers(-(2**200), -(2**64)),
+    st.booleans(), st.none(), st.floats(allow_nan=False, allow_infinity=False),
+    st.just(-0.0), st.just(5e-324), st.fractions(),
+    st.builds(lambda shape, procs, part: getattr(lower_bound(ProblemShape(*shape), procs), part),
+              st.tuples(dims, dims, dims), st.integers(1, 10**12),
+              st.sampled_from(["accessed", "bound"])),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(json_values)
+def test_json_emitter_is_json_dumps(v):
+    assert cli.to_json(v) == json.dumps(v, indent=2, default=value_to_json)
 
 
 @pytest.mark.parametrize(
