@@ -173,9 +173,10 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every call.
+    """The argument parser, built on first use and shared by every call;
+    its `commands` maps each command to its subparser.
 
-    Parsing keeps nothing on the parser: each parse_args call returns a new
+    Parsing keeps nothing on the parser: each parse returns a new
     Namespace, and resolve_config turns it into a new RunConfig.
     """
     parser = _Parser(
@@ -183,13 +184,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="communication lower bounds for parallel matrix multiplication",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
     for command in _ALL:
-        p = sub.add_parser(command)
+        p = parser.commands[command] = sub.add_parser(command)
         p.add_argument("--config", metavar="PATH", help="JSON config; flags win")
         for key, (spec, commands, _) in _KEYS.items():
             if command in commands:
                 p.add_argument(f"--{key}", **spec)
     return parser
+
+
+def parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv): the same Namespace, output and exit.
+
+    When argv starts with a command, that command's subparser reads the
+    rest, as the full parser would hand it over, and leftover words are
+    refused with the full parser's message; this skips the full parser's
+    own scan of argv.  Any other argv (help, an unknown command, none) goes
+    through the full parser.
+    """
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -725,7 +747,7 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_OK
     try:

@@ -702,6 +702,43 @@ def test_json_emitter_is_json_dumps(v):
     assert cli.to_json(v) == json.dumps(v, indent=2, default=value_to_json)
 
 
+ARGV_WORDS = st.sampled_from([
+    *cli._ALL, *(f"--{key}" for key in cli._KEYS), "--config",
+    "--sh", "--s", "--form", "--ti", "--procs=8", "-h", "--help", "--",
+])
+argv_word = st.one_of(ARGV_WORDS, ARGV_WORDS, st.integers(-99, 10**4).map(str),
+                      st.text("ab-=:/.1", max_size=5))
+argvs = st.one_of(
+    st.lists(argv_word, max_size=8),
+    st.builds(lambda command, rest: [command, *rest], st.sampled_from(cli._ALL),
+              st.lists(argv_word, max_size=8)),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(argvs)
+def test_command_subparser_parses_as_the_full_parser(argv):
+    # main's exit code, stdout, stderr and RunConfig, parsed by cli.parse
+    # and by the full parser's parse_args
+    def run(parse):
+        configs = []
+
+        def record(cfg):
+            configs.append(cfg)
+            raise cli.ConfigError("recorded")
+
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("COLUMNS", "80")
+            mp.setattr(cli, "parse", parse)
+            mp.setattr(cli, "_DISPATCH", dict.fromkeys(cli._ALL, record))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        return code, out.getvalue(), err.getvalue(), configs
+
+    assert run(cli.parse) == run(lambda a: cli.build_parser().parse_args(a))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
