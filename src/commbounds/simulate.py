@@ -93,15 +93,19 @@ class SimReport:
 def work(shape: ProblemShape, grid: ProcessorGrid) -> tuple[int, int]:
     """(8-byte words, messages) of one run, counted in integers.
 
-    Words: an upper bound on what the run's arrays hold at once: A and B,
-    each with its int64 draw while it is cast to float64, the assembled and
-    reference C, and the blocks of the local multiplies.  Messages: a fiber
-    of p members sends p(p - 1), and each phase's fibers cover the P ranks
-    once.
+    Words: an upper bound on what the run's arrays hold at once.  A and B
+    are drawn as int64 and cast to float64, so each is held twice while it
+    is cast: 2(n1n2 + n2n3).  C and the reference a @ b hold n1n3 each, and
+    their comparison a bool array of n1n3 bytes, ceil(n1n3/8) words.  A block
+    of C is a running sum over j of r1 x r3 products: the sum so far, the
+    next product and their new sum, so at most three r1r3 blocks at once.
+    Messages: a fiber of p members sends p(p - 1), and each phase's fibers
+    cover the P ranks once.
     """
     n1, n2, n3 = shape.dims
     p1, p2, p3 = grid.dims
-    words = 2 * (n1 * n2 + n2 * n3) + (p2 + 2) * n1 * n3
+    words = (2 * (n1 * n2 + n2 * n3) + 2 * n1 * n3 + -(-n1 * n3 // 8)
+             + 3 * (n1 // p1) * (n3 // p3))
     return words, grid.size * (p1 + p2 + p3 - 3)
 
 

@@ -253,7 +253,7 @@ class TestSimulate:
         "argv, line",
         [
             ("--shape 100000 100000 100000 --procs 8",
-             f"simulate needs 80000000000 8-byte words, above the cap of {WORD_CAP}"),
+             f"simulate needs 68750000000 8-byte words, above the cap of {WORD_CAP}"),
             ("--shape 1 1 600 --grid 1 1 600",
              f"simulate sends 359400 messages, above the cap of {MESSAGE_CAP}"),
         ],

@@ -1,6 +1,7 @@
 """The ring schedule's counts and the word-exact 3D algorithm simulator."""
 
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -272,16 +273,35 @@ class TestWorkCaps:
 
     def test_largest_documented_runs_fit(self):
         # 1024^3 on 16x16x16 (ROADMAP), 64^3 on 4096 ranks and 384^3 on 8
-        # (perfbench), 96^3 on 2x2x2 (tests and README)
+        # (perfbench), 96^3 on 2x2x2 (tests and README), and 2048 x 16 x 2048
+        # on 1x16x1, which the old count of p2 + 2 copies of C refused; an
+        # n^3 run on a p^3 grid counts 6 n^2 + n^2/8 + 3 (n/p)^2 words
         for sides, dims, want in (
-            ((1024,) * 3, (16, 16, 16), (22 * 2**20, 184_320)),
-            ((64,) * 3, (16, 16, 16), (22 * 2**12, 184_320)),
-            ((384,) * 3, (2, 2, 2), (8 * 384**2, 24)),
-            ((96,) * 3, (2, 2, 2), (8 * 96**2, 24)),
+            ((1024,) * 3, (16, 16, 16), (6 * 2**20 + 2**17 + 3 * 2**12, 184_320)),
+            ((64,) * 3, (16, 16, 16), (6 * 2**12 + 2**9 + 3 * 2**4, 184_320)),
+            ((384,) * 3, (2, 2, 2), (6 * 384**2 + 384**2 // 8 + 3 * 192**2, 24)),
+            ((96,) * 3, (2, 2, 2), (6 * 96**2 + 96**2 // 8 + 3 * 48**2, 24)),
+            ((2048, 16, 2048), (1, 16, 1), (4 * 16 * 2048 + 2 * 2048**2 + 2048**2 // 8
+                                            + 3 * 2048**2, 240)),
         ):
             words, messages = work(ProblemShape(*sides), ProcessorGrid(*dims))
             assert (words, messages) == want
             assert words <= WORD_CAP and messages <= MESSAGE_CAP
+
+    @pytest.mark.parametrize("sides, dims", [((256, 16, 256), (1, 16, 1)),
+                                             ((96, 96, 96), (2, 2, 2))])
+    def test_work_bounds_the_traced_peak(self, sides, dims):
+        # numpy reports its buffers to tracemalloc, so the traced peak covers
+        # every array the run holds, and Python's own objects besides
+        shape, grid = ProblemShape(*sides), ProcessorGrid(*dims)
+        run_algorithm(shape, grid)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            assert run_algorithm(shape, grid).correctness
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * work(shape, grid)[0]
 
     def test_words_above_the_cap_are_refused_before_allocating(self):
         shape, grid = ProblemShape(100000, 100000, 100000), ProcessorGrid(2, 2, 2)
@@ -307,8 +327,9 @@ class TestWorkCaps:
                 check_work(words, messages)
 
     def test_messages_above_the_cap_are_refused(self):
-        # 600 ranks on one ring: 600 * 599 messages, 3002 words
+        # 600 ranks on one ring: 600 * 599 messages, 2(1 + 600) + 2 * 600 +
+        # 600/8 + 3 = 2480 words
         shape, grid = ProblemShape(1, 1, 600), ProcessorGrid(1, 1, 600)
-        assert work(shape, grid) == (3002, 600 * 599)
+        assert work(shape, grid) == (2480, 600 * 599)
         with pytest.raises(ValueError, match=f"above the cap of {MESSAGE_CAP}$"):
             run_algorithm(shape, grid)
