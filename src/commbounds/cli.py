@@ -692,11 +692,11 @@ def _csv_value(v) -> str:
 
 
 def to_json(v, indent: str = "\n") -> str:
-    """json.dumps(v, indent=2, default=value_to_json), byte for byte, for
-    dicts with str keys, lists, tuples, str, int, bool, None, finite floats
-    and exact values; indent is the newline and indentation that v's own
-    line starts with.  A str or int in a container is written in place,
-    without a call."""
+    """json.dumps(v, indent=2, default=value_to_json), byte for byte, for a
+    dict, list or tuple that holds dicts with str keys, lists, tuples, str,
+    int, bool, None, finite floats and exact values; indent is the newline
+    and indentation that v's own line starts with.  A str or int is written
+    in place in its container, anything else by a call of its own."""
     if isinstance(v, (dict, list, tuple)):
         if not v:
             return "{}" if isinstance(v, dict) else "[]"
@@ -708,14 +708,10 @@ def to_json(v, indent: str = "\n") -> str:
             items = [encode_basestring_ascii(key) + ": " + x for key, x in zip(v, items)]
             return "{" + inner + ("," + inner).join(items) + indent + "}"
         return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
     if v is None:
         return "null"
     if v is True or v is False:
         return "true" if v else "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
     if isinstance(v, float):
         return json.dumps(v)
     return to_json(value_to_json(v), indent)

@@ -697,7 +697,8 @@ json_values = st.recursive(
 
 
 @settings(deadline=None, max_examples=400)
-@given(json_values)
+@given(st.one_of(st.lists(json_values, max_size=4), st.lists(json_values, max_size=4).map(tuple),
+                 st.dictionaries(st.text(), json_values, max_size=4)))
 def test_json_emitter_is_json_dumps(v):
     assert cli.to_json(v) == json.dumps(v, indent=2, default=value_to_json)
 
