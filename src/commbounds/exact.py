@@ -6,8 +6,9 @@ combination of 1, b and b^2 for one square or cube root b.  Radical holds the
 values of one such field Q(b), b = r^(1/d), with integer coefficients; every
 decision is an exact sign or equality in it.  A value becomes a float only to
 be printed: Radical.to_value gives a Fraction for a rational element and a
-float for an irrational one, and decimal_str, human_str and value_to_json
-print through it.
+float for an irrational one, and decimal_str and value_to_json print through
+it.  human_str prints an irrational element's 12 significant digits rounded
+from the element itself (rounded12), not from its float.
 """
 
 from __future__ import annotations
@@ -130,17 +131,32 @@ class Radical:
         """-1, 0 or 1, in integers (coefficient_sign; den > 0)."""
         return coefficient_sign(self.coeffs, self.root)
 
-    def __float__(self) -> float:
-        """Display value, correctly rounded from a 128-bit approximation of b;
-        0.0 where it underflows, and where it is too large an OverflowError
-        that gives its leading digits and decimal exponent."""
+    def approximation(self) -> tuple[int, int, int]:
+        """(num, den, err): self lies within err/den of num/den, and err is 0
+        or below 2^-64 |num|.  num/den is self's value at B/U, where
+        B/U <= b < (B + 1)/U, b to within 2^-p relative: p = 128, doubled
+        while cancellation among the coefficients leaves err too large."""
         rn, rd, d = self.root
-        # b = q^(1/d) / rd, and B / U is b to within 2^-128, relative
+        # b = q^(1/d) / rd
         q = rn * rd ** (d - 1)
-        s = max(0, 130 - q.bit_length() // d)
-        B, U = iroot(q << (d * s), d)[0], rd << s
-        num = sum(c * B ** i * U ** (d - 1 - i) for i, c in enumerate(self.coeffs))
-        den = self.den * U ** (d - 1)
+        p = 64
+        while True:
+            p *= 2
+            s = max(0, p + 2 - q.bit_length() // d)
+            B, U = iroot(q << (d * s), d)[0], rd << s
+            # (bU)^i lies in [B^i, (B + 1)^i)
+            num = err = 0
+            for i, c in enumerate(self.coeffs):
+                num += c * B ** i * U ** (d - 1 - i)
+                err += abs(c) * ((B + 1) ** i - B ** i) * U ** (d - 1 - i)
+            if err << 64 < abs(num) or not err:
+                return num, self.den * U ** (d - 1), err
+
+    def __float__(self) -> float:
+        """Display value: approximation() correctly rounded; 0.0 where it
+        underflows, and where it is too large an OverflowError that gives its
+        leading digits and decimal exponent."""
+        num, den, _ = self.approximation()
         try:
             return num / den
         except OverflowError:
@@ -229,20 +245,74 @@ def decimal_str(v, digits: int = 28) -> str:
     return repr(float(v))
 
 
-def human_str(v) -> str:
-    """Compact rendering for terminal output.
+def _decade(e: int) -> tuple[int, int]:
+    """10^e as (numerator, denominator)."""
+    return (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
 
-    A float is shown to 12 significant digits unless that drops both the point
-    and the exponent (1803989696.9957 rounds to 1803989697); then it is shown
-    in full, so a number printed without a decimal point is exact.
+
+def rounded12(v: Radical) -> str:
+    """'%.12g' % v for an irrational v, with its 12 digits rounded from v
+    itself, not from the double nearest it; beyond float range the
+    OverflowError of float(v).
+
+    Each comparison of |v| with a rational t is decided on the interval
+    v.approximation() gives, and by the exact sign of |v| - t where t lies
+    inside it; an irrational v is never t.  The interval is narrower than
+    2^-64 |v|, far below the 10^-12 |v| that the digits resolve.
     """
-    v = _display(v)
-    if isinstance(v, Fraction):
+    float(v)  # refuses a value beyond float range, as every format does
+    num, den, err = v.approximation()
+    s, n = v.sign(), abs(num)
+
+    def above(tn: int, td: int) -> bool:
+        """|v| > tn/td."""
+        if (n - err) * td >= tn * den:
+            return True
+        if (n + err) * td <= tn * den:
+            return False
+        return (v * (s * td) - tn).sign() > 0
+
+    def least(e: int) -> tuple[int, int]:
+        """(10^11 - 1/2) 10^(e - 11), the least |v| whose 12 digits have
+        exponent e."""
+        dn, dd = _decade(e - 11)
+        return (2 * 10 ** 11 - 1) * dn, 2 * dd
+
+    # the exponent e of the rounded value, from a guess within a few decades
+    e = (n.bit_length() - den.bit_length()) * 3 // 10
+    while not above(*least(e)):
+        e -= 1
+    while above(*least(e + 1)):
+        e += 1
+    # c = |v| 10^(11 - e) rounded to the nearest integer, 12 digits: the
+    # interval's lower end rounds to c or to c - 1, and to c - 1 only when
+    # |v| lies above the midpoint between them
+    sn, sd = _decade(11 - e)
+    c = (2 * (n - err) * sn + den * sd) // (2 * den * sd)
+    c += above((2 * c + 1) * sd, 2 * sn)
+    digits = str(c)
+    if -4 <= e < 12:  # as %g: fixed point, trailing zeros dropped
+        whole, frac = (digits[:e + 1], digits[e + 1:]) if e >= 0 else ("0", "0" * (-e - 1) + digits)
+        frac = frac.rstrip("0")
+        text = whole + "." + frac if frac else whole
+    else:
+        text = (digits[0] + "." + digits[1:]).rstrip("0").rstrip(".") + f"e{e:+03d}"
+    return "-" + text if s < 0 else text
+
+
+def human_str(v) -> str:
+    """Compact rendering of an exact value for terminal output.
+
+    A rational is shown as decimal_str shows it.  An irrational is shown to
+    12 significant digits rounded from its exact value (rounded12), unless
+    that drops both the point and the exponent (1803989696.9957 rounds to
+    1803989697); then it is shown as the repr of its float, so a number
+    printed without a decimal point is exact.
+    """
+    if type(v) is not Radical or not any(v.coeffs[1:]):
         return decimal_str(v)
-    text = "%.12g" % float(v)
-    if "." in text or "e" in text:
-        return text
-    return repr(float(v))
+    text = rounded12(v)
+    return text if "." in text or "e" in text else repr(float(v))
 
 
 QUOTE_CAP = 40

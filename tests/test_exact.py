@@ -2,13 +2,14 @@
 serialization."""
 
 import math
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from commbounds.bounds import ProblemShape, lower_bound
 from commbounds.exact import (
     RATIONAL,
     Radical,
@@ -17,6 +18,7 @@ from commbounds.exact import (
     human_str,
     iroot,
     nth_root_exact,
+    rounded12,
     value_to_json,
 )
 
@@ -98,9 +100,10 @@ def test_decimal_str_rounds_only_fractional_digits():
 
 def test_human_str():
     assert human_str(Fraction(76)) == "76"
-    assert human_str(3 * 32 ** (2.0 / 3.0)) == "30.2381051975"
+    assert human_str(Radical.generator(32 ** 2, 3) * 3) == "30.2381051975"
     # 12 significant digits would print 1803989697, an integer it is not
-    assert human_str(1803989696.995737) == "1803989696.995737"
+    bound = lower_bound(ProblemShape(63868, 63868, 63868), 3).bound
+    assert human_str(bound) == repr(float(bound)) == "1803989696.9957438"
 
 
 def test_json_round_trip():
@@ -215,3 +218,65 @@ def test_arithmetic_sign_and_float_match_80_digit_decimals(r, d, ca, cb, da, db,
             assert v.sign() == (expect > 0) - (expect < 0) and v != 0
             assert abs(float(v) - float(expect)) <= math.ulp(float(expect))
         assert x - x == 0 and (x - x).sign() == 0
+
+
+TWELVE = Context(prec=12)  # rounds half to even
+
+
+def twelve_digits(v: Radical) -> str:
+    """'%.12g' of v's 80-digit decimal rounded once to 12 digits; the double
+    nearest a 12-digit decimal prints as those digits."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        return "%.12g" % float(TWELVE.plus(_decimal(v)))
+
+
+def test_digits_are_rounded_from_the_exact_value():
+    # D of 4096^3 at P = 18963 is 70778.787840149999739...; its double is
+    # above the midpoint, so "%.12g" of the double printed ...8402
+    d = lower_bound(ProblemShape(4096, 4096, 4096), 18963).accessed
+    assert "%.12g" % float(d) == "70778.7878402"
+    assert rounded12(d) == human_str(d) == twelve_digits(d) == "70778.7878401"
+
+
+@pytest.mark.parametrize("radicand, degree", [(2, 2), (3, 3), (Fraction(5, 7), 3)])
+@pytest.mark.parametrize("step", [1, -1])
+def test_a_midpoint_inside_the_approximation_is_decided_exactly(radicand, degree, step):
+    # v = M + step (b - beta), with M = 70778.78784015, a midpoint between
+    # 12-digit decimals, and beta a 60-digit decimal next to b: v is within
+    # 10^-59 of M, far inside the approximation's error, on the side of M
+    # that the sign of step (b - beta) gives
+    b = Radical.generator(radicand, degree)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        beta = Fraction(_decimal(b))
+    v = (b - beta) * step + Fraction(7077878784015, 10**8)
+    num, den, err = v.approximation()
+    assert abs(Fraction(num, den) - Fraction(7077878784015, 10**8)) < Fraction(err, den)
+    up = (b - beta).sign() * step > 0
+    assert human_str(v) == twelve_digits(v) == ("70778.7878402" if up else "70778.7878401")
+
+
+@given(radicands, st.sampled_from([2, 3]), st.tuples(coefficient, coefficient, coefficient),
+       st.integers(1, 10**6), st.integers(-40, 40))
+def test_rounded12_matches_80_digit_decimals(r, d, c, den, scale):
+    b = Radical.generator(r, d)
+    assume(b.root != RATIONAL and any(c[1:d]))
+    v = Radical(c[:d], den, b.root) * Fraction(10) ** scale
+    with localcontext() as ctx:
+        ctx.prec = 80
+        size = sum(abs(Decimal(x)) for x in c) * Decimal(10) ** scale / den
+        # too close to 0 for the decimals to carry 12 digits
+        assume(abs(_decimal(v)) > size * Decimal(10) ** -50)
+    assert rounded12(v) == twelve_digits(v)
+
+
+def test_cancelling_coefficients_refine_the_approximation():
+    # 10^60 sqrt(2) - floor(10^60 sqrt(2)) = 0.73799...: a 128-bit b leaves
+    # an error near 10^21, so the approximation doubles its bits
+    b = Radical.generator(2, 2)
+    v = Radical((-math.isqrt(2 * 10**120), 10**60), 1, b.root)
+    num, den, err = v.approximation()
+    assert err << 64 < abs(num)
+    assert float(v) == 0.7379907324784621
+    assert human_str(v) == twelve_digits(v) == "0.737990732478"

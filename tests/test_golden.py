@@ -7,7 +7,10 @@ the edges where `binding` and `in_window` switch, on the exact tie of 64^3 at
 P = 512 with M = 256/9, where both terms are 192, where M is the decimal as
 typed, and as a decimal and the equal p/q, 500.5 and 1001/2, which print the
 same report) and with a float bound whose 12 significant digits form an
-integer; `grid` with integral and non-integral analytic grids; `simulate`
+integer, at 4096^3 on P = 18963, whose D the double nearest it would round
+to the wrong 12th digit (with `verify` there too), and with a memory term
+within 10^-60 of a 12-digit rounding midpoint, on each side of it; `grid` with integral
+and non-integral analytic grids; `simulate`
 with even and uneven splits; `verify` plain, `--tiny`, with irrational optima
 and at huge dimensions and P; `bound`, `grid` and `sweep` at dimensions
 10^110, whose products are beyond float range; `sweep` across both boundaries

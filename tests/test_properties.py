@@ -371,14 +371,21 @@ def assert_exact(j, e):
         assert isinstance(j, float) and j == float(e)
 
 
-def assert_printed(text, j, human=False):
-    """A csv or human number against its JSON value: a rational as the same
-    decimal; a float as its repr, which round-trips, or in human text also
-    rounded to 12 significant digits, but always with its point."""
+TWELVE = Context(prec=12)  # rounds half to even, as correct rounding does
+
+
+def assert_printed(text, j, exact=None):
+    """A csv number, or with its exact value a human one, against its JSON
+    value: a rational as the same decimal; an irrational in csv as the repr
+    of its float, which round-trips, and in human text as its exact value
+    rounded once to 12 significant digits, in %.12g's form (the double
+    nearest a 12-digit decimal prints as those digits), or as the repr where
+    that form has neither a point nor an exponent."""
     if isinstance(j, dict):
         assert text == j["decimal"]
-    elif human:
-        assert ("." in text or "e" in text) and float(text) in (j, float("%.12g" % j))
+    elif exact is not None:
+        twelve = "%.12g" % float(TWELVE.plus(exact))
+        assert text == (twelve if "." in twelve or "e" in twelve else repr(j))
     else:
         assert text == repr(j) and float(text) == j
 
@@ -397,7 +404,8 @@ def assert_bound_numbers(shape, procs, memory=None):
     flags = () if memory is None else ("--memory", memory_text(memory))
     out = cli_outputs("bound", shape, procs, *flags)
     doc, row, human = out["json"], out["csv"][0], labelled(out["human"])
-    for key, e in expected_bound(shape, procs, memory).items():
+    expected = expected_bound(shape, procs, memory)
+    for key, e in expected.items():
         j = doc["dominance"][key] if key == "window_upper" else doc[key]
         assert_exact(j, e)
         if key not in ("memory", "window_upper"):
@@ -406,7 +414,7 @@ def assert_bound_numbers(shape, procs, memory=None):
         assert row["memory_dependent"] == ""
     for label, key in BOUND_LABELS.items():
         if key in doc:
-            assert_printed(human[label].split()[0], doc[key], human=True)
+            assert_printed(human[label].split()[0], doc[key], expected[key])
 
 
 def assert_grid_numbers(shape, procs):
@@ -415,21 +423,24 @@ def assert_grid_numbers(shape, procs):
     an, ex = doc["analytic"], doc["exhaustive"]
     for j, e in zip(an["factors"], expected_factors(shape, procs)):
         assert_exact(j, e)
-    assert_exact(doc["lower_bound"], expected_bound(shape, procs)["lower_bound"])
-    for key, e in zip(("words_a", "words_b", "words_c", "cost"), grid_cost(shape, ex["grid"])):
+    bound = expected_bound(shape, procs)["lower_bound"]
+    assert_exact(doc["lower_bound"], bound)
+    costs = grid_cost(shape, ex["grid"])
+    for key, e in zip(("words_a", "words_b", "words_c", "cost"), costs):
         assert_exact(ex[key], e)
     assert_printed(row["exhaustive_cost"], ex["cost"])
     assert_printed(row["lower_bound"], doc["lower_bound"])
-    assert_printed(human["exhaustive grid"].split()[-1], ex["cost"], human=True)
-    assert_printed(human["lower bound"].split()[0], doc["lower_bound"], human=True)
+    assert_printed(human["exhaustive grid"].split()[-1], ex["cost"], costs[3])
+    assert_printed(human["lower bound"].split()[0], doc["lower_bound"], bound)
     analytic = human["analytic grid"]
     if an["integral"]:
-        assert_exact(an["cost"], grid_cost(shape, an["grid"])[3])
-        assert_printed(analytic.split()[-1], an["cost"], human=True)
+        cost = grid_cost(shape, an["grid"])[3]
+        assert_exact(an["cost"], cost)
+        assert_printed(analytic.split()[-1], an["cost"], cost)
     else:
         texts = analytic[analytic.index("(") + 1:analytic.index(")")].split(" x ")
-        for text, j in zip(texts, an["factors"], strict=True):
-            assert_printed(text, j, human=True)
+        for text, j, e in zip(texts, an["factors"], expected_factors(shape, procs), strict=True):
+            assert_printed(text, j, e)
 
 
 def assert_sweep_numbers(shape, lo, hi):
@@ -447,7 +458,7 @@ def assert_sweep_numbers(shape, lo, hi):
         for key in ("accessed", "owned", "lower_bound", "exhaustive_cost"):
             assert_exact(row[key], e[key])
             assert_printed(row_csv[key], row[key])
-            assert_printed(row_human[key], row[key], human=True)
+            assert_printed(row_human[key], row[key], e[key])
 
 
 @settings(deadline=None, max_examples=100)
@@ -516,7 +527,8 @@ def test_simulate_claims(run, seed):
     cost = sum(top for top, _, _ in measured)
     bound = expected_bound(shape.dims, grid.size)["lower_bound"]
     assert doc["critical_path_words"] == cost
-    assert_exact(doc["predicted_total"], sum(ideal for _, _, ideal in measured))
+    predicted = sum(ideal for _, _, ideal in measured)
+    assert_exact(doc["predicted_total"], predicted)
     assert_exact(doc["lower_bound"], bound)
     attained = isinstance(bound, Fraction) and cost == bound
     assert doc["attained"] == attained
@@ -528,7 +540,7 @@ def test_simulate_claims(run, seed):
                        "ideal": doc["predicted_total"]["decimal"], "even_split": ""}
     labels = labelled(human)
     assert labels["critical path"] == f"{cost} words"
-    assert_printed(labels["predicted total"], doc["predicted_total"], human=True)
+    assert_printed(labels["predicted total"], doc["predicted_total"], predicted)
     printed_bound, attained_text = labels["lower bound"].split("   attained: ")
-    assert_printed(printed_bound, doc["lower_bound"], human=True)
+    assert_printed(printed_bound, doc["lower_bound"], bound)
     assert attained_text == ("yes" if attained else "no")
