@@ -133,7 +133,8 @@ def _triple(v) -> tuple[int, ...]:
 def _procs(v) -> range:
     """P or LO:HI, with 1 <= LO <= HI, as the range of processor counts."""
     lo, colon, hi = v.partition(":") if isinstance(v, str) else (v, "", v)
-    lo, hi = _integer(lo), _integer(hi if colon else lo)
+    lo = _integer(lo)
+    hi = _integer(hi) if colon else lo
     _expect(lo <= hi, v, "LO <= HI")
     return range(lo, hi + 1)
 
@@ -396,17 +397,19 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     (dx, x), (dd, (d_row,)) = krep.x, coefficient_rows([d])
     rn, rd, root = krep.root
 
+    failed, field = krep.failed, _field_str(krep.root)
     checks = [
         (
             "kkt",
-            krep.passed,
-            f"{CONDITIONS} conditions by exact sign in {_field_str(krep.root)}"
-            + ("" if krep.passed else f"; failed: {', '.join(krep.failed)}"),
+            not failed,
+            f"{CONDITIONS} conditions by exact sign in {field}"
+            + (f"; failed: {', '.join(failed)}" if failed else ""),
         ),
         (
             "certificate",
             d.root == krep.root and [sum(c) * dd for c in zip(*x)] == [c * dx for c in d_row],
-            f"x1 + x2 + x3 = D = {human_str(d)}, exact in {_field_str(d.root)}",
+            f"x1 + x2 + x3 = D = {human_str(d)}, exact in "
+            + (field if d.root == krep.root else _field_str(d.root)),
         ),
     ]
     certificate = {
@@ -701,12 +704,14 @@ def to_json(v, indent: str = "\n") -> str:
         if not v:
             return "{}" if isinstance(v, dict) else "[]"
         inner = indent + "  "
-        items = [encode_basestring_ascii(x) if type(x) is str else
-                 int.__repr__(x) if type(x) is int else to_json(x, inner)
-                 for x in (v.values() if isinstance(v, dict) else v)]
         if isinstance(v, dict):
-            items = [encode_basestring_ascii(key) + ": " + x for key, x in zip(v, items)]
+            items = [encode_basestring_ascii(key) + ": " + (
+                encode_basestring_ascii(x) if type(x) is str else
+                int.__repr__(x) if type(x) is int else to_json(x, inner))
+                for key, x in v.items()]
             return "{" + inner + ("," + inner).join(items) + indent + "}"
+        items = [encode_basestring_ascii(x) if type(x) is str else
+                 int.__repr__(x) if type(x) is int else to_json(x, inner) for x in v]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if v is None:
         return "null"

@@ -153,16 +153,8 @@ class Radical:
                 return num, self.den * U ** (d - 1), err
 
     def __float__(self) -> float:
-        """Display value: approximation() correctly rounded; 0.0 where it
-        underflows, and where it is too large an OverflowError that gives its
-        leading digits and decimal exponent."""
-        num, den, _ = self.approximation()
-        try:
-            return num / den
-        except OverflowError:
-            digits = str(abs(num) // den)
-            about = f"{'-' if num < 0 else ''}{digits[0]}.{digits[1:4]}e{len(digits) - 1}"
-            raise OverflowError(f"a value of about {about} is beyond float range") from None
+        """Display value: approximation() correctly rounded (_quotient)."""
+        return _quotient(*self.approximation()[:2])
 
     def to_value(self) -> Value:
         """A Fraction for a rational element, else the display float."""
@@ -194,29 +186,41 @@ def times(a, b, root: tuple[int, int, int]) -> list[int]:
 
 def coefficient_sign(coeffs, root: tuple[int, int, int]) -> int:
     """-1, 0 or 1: the sign of c0 + c1 b + c2 b^2 in the field Q(b) that
-    root names, in integers.  d = 2: a + b sqrt(r) has the sign of a and b
-    where they agree, else that of (a^2 - b^2 r) a.  d = 3: the norm
-    a^3 + b^3 r + c^3 r^2 - 3abc r is the element times |its complex
+    root names, in integers.  b > 0, so coefficients of one sign give it.
+    Else, d = 2: a + b sqrt(r) has the sign of (a^2 - b^2 r) a.  d = 3: the
+    norm a^3 + b^3 r + c^3 r^2 - 3abc r is the element times |its complex
     conjugate|^2, so it has the element's sign.
     """
     rn, rd, d = root
-    if d == 1:
-        s = coeffs[0]
+    if min(coeffs) >= 0 or max(coeffs) <= 0:
+        s = sum(coeffs)
     elif d == 2:
         a, b = coeffs
-        s = a or b if a * b >= 0 else (a * a * rd - b * b * rn) * a
+        s = (a * a * rd - b * b * rn) * a
     else:
         a, b, c = coeffs
         s = a ** 3 * rd * rd + b ** 3 * rn * rd + c ** 3 * rn * rn - 3 * a * b * c * rn * rd
     return (s > 0) - (s < 0)
 
 
+def _quotient(num: int, den: int) -> float:
+    """num/den correctly rounded; 0.0 where it underflows, and where it is
+    too large an OverflowError that gives its leading digits and decimal
+    exponent."""
+    try:
+        return num / den
+    except OverflowError:
+        digits = str(abs(num) // den)
+        about = f"{'-' if num < 0 else ''}{digits[0]}.{digits[1:4]}e{len(digits) - 1}"
+        raise OverflowError(f"a value of about {about} is beyond float range") from None
+
+
 def coefficient_rows(values) -> tuple[int, list[list[int]]]:
     """Same-field elements as integer coefficient lists over one positive
     denominator, in lowest terms."""
-    den = math.lcm(*(v.den for v in values))
+    den = math.lcm(*[v.den for v in values])
     rows = [[a * (den // v.den) for a in v.coeffs] for v in values]
-    g = math.gcd(den, *(a for row in rows for a in row))
+    g = math.gcd(den, *[a for row in rows for a in row])
     return den // g, [[a // g for a in row] for row in rows]
 
 
@@ -260,9 +264,10 @@ def rounded12(v: Radical) -> str:
     inside it; an irrational v is never t.  The interval is narrower than
     2^-64 |v|, far below the 10^-12 |v| that the digits resolve.
     """
-    float(v)  # refuses a value beyond float range, as every format does
     num, den, err = v.approximation()
-    s, n = v.sign(), abs(num)
+    _quotient(num, den)  # refuses a value beyond float range, as every format does
+    # err < |num|, so num has v's sign
+    s, n = (1 if num > 0 else -1), abs(num)
 
     def above(tn: int, td: int) -> bool:
         """|v| > tn/td."""

@@ -49,7 +49,6 @@ positive octant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bounds import case_field, case_of
 from .exact import RATIONAL, Radical, coefficient_rows, coefficient_sign, times
@@ -90,20 +89,24 @@ def analytic_solution_for_case(prob: OptProblem, case: int, b=None) -> OptSoluti
     m, n, k, P = prob.m, prob.n, prob.k, prob.P
     if b is None:
         b = case_field(case, m, n, k, P)
-    zero = b.lift(0)
+
+    def q(num: int, den: int = 1) -> Radical:
+        """The rational num/den, den > 0, in b's field, unreduced."""
+        return Radical((num, 0, 0)[:len(b.coeffs)], den, b.root)
+
+    zero = q(0)
     if case == 1:
-        x = tuple(map(b.lift, (n * k, Fraction(m * k, P), Fraction(m * n, P))))
-        mu = tuple(map(b.lift, (Fraction(P * P, m * m * n * k), 0,
-                                Fraction(m - P * n, m), Fraction(m - P * k, m))))
+        x = (q(n * k), q(m * k, P), q(m * n, P))
+        mu = (q(P * P, m * m * n * k), zero, q(m - P * n, m), q(m - P * k, m))
     elif case == 2:
         # x1 = x2 = b; mu1 = (P^3/((mn)^3 k^2))^(1/2) = b P^2/(mnk)^2 and
         # (Pk^2/(mn))^(1/2) = b P/(mn)
-        x = (b, b, b.lift(Fraction(m * n, P)))
-        mu = (b * Fraction(P * P, (m * n * k) ** 2), zero, zero, 1 - b * Fraction(P, m * n))
+        x = (b, b, q(m * n, P))
+        mu = (b * q(P * P, (m * n * k) ** 2), zero, zero, 1 - b * q(P, m * n))
     else:
         # x = (b, b, b); mu1 = (P/(mnk))^(4/3) = b / b^3
         x = (b, b, b)
-        mu = (b * Fraction(P * P, (m * n * k) ** 2), zero, zero, zero)
+        mu = (b * q(P * P, (m * n * k) ** 2), zero, zero, zero)
     return OptSolution(x=x, mu=mu, case_tag=case)
 
 
@@ -139,9 +142,9 @@ class KKTReport:
         return not self.failed
 
 
-def _minus(row: list, c: int) -> list:
-    """row - c, c an integer."""
-    return [row[0] - c, *row[1:]]
+def _affine(a: int, row: list, c: int) -> list:
+    """a row - c, for integers a and c."""
+    return [a * row[0] - c, *[a * v for v in row[1:]]]
 
 
 def kkt_verify(prob: OptProblem, sol: OptSolution) -> KKTReport:
@@ -165,22 +168,20 @@ def kkt_verify(prob: OptProblem, sol: OptSolution) -> KKTReport:
     dm, mu = coefficient_rows([field.lift(v) for v in sol.mu])
     rd = root[1]
     m, n, k, P = prob.m, prob.n, prob.k, prob.P
+    x1, x2, x3 = x
     # others[j] = rd x_{j+1} x_{j+2} dx^2, the product of the other two
-    others = [times(x[(j + 1) % 3], x[(j + 2) % 3], root) for j in range(3)]
+    others = (times(x2, x3, root), times(x3, x1, root), times(x1, x2, root))
     # -g_i times P^2 rd^2 dx^3 (the product constraint) or P dx (the floors)
-    slack = [_minus([P * P * c for c in times(others[2], x[2], root)],
-                    (m * n * k * rd) ** 2 * dx ** 3)]
-    slack += [_minus([P * c for c in row], floor * dx)
-              for row, floor in zip(x, (n * k, m * k, m * n))]
-    # 1 - mu1 x_{j+1} x_{j+2} - mu_{j+1}, times rd^2 dx^2 dm
+    slack = [_affine(P * P, times(others[2], x3, root), (m * n * k * rd) ** 2 * dx ** 3),
+             _affine(P, x1, n * k * dx), _affine(P, x2, m * k * dx), _affine(P, x3, m * n * dx)]
+    # mu1 x_{j+1} x_{j+2} + mu_{j+1} = 1, times rd^2 dx^2 dm
     scale = rd * rd * dx * dx
-    stat = [_minus([-(u + v * scale) for u, v in zip(times(mu[0], others[j], root), mu[j + 1])],
-                   -scale * dm)
-            for j in range(3)]
+    one = _affine(0, x1, -scale * dm)
     return KKTReport(
         primal_feasible=all(coefficient_sign(row, root) >= 0 for row in slack),
         dual_feasible=all(coefficient_sign(row, root) >= 0 for row in mu),
-        stationary=not any(map(any, stat)),
+        stationary=all([u + scale * v for u, v in zip(times(mu[0], o, root), mu[j + 1])] == one
+                       for j, o in enumerate(others)),
         complementary=all(not any(mv) or not any(gv) for mv, gv in zip(mu, slack)),
         root=root,
         x=(dx, x),
