@@ -11,17 +11,25 @@ Subcommands:
     sweep     bound/grid/attainment table over a P range, or the prior-work
               constants table
 
-A config file is a JSON object keyed by flag name (flags win); it may hold any
-key, checked whichever command reads the file.  _KEYS reads every key.
+argparse reads the command line.  When argv starts with a command, parse()
+hands the rest to that command's subparser directly, as the full parser
+would, and refuses leftover words with the full parser's message; anything
+else (help, an unknown command, no argv) goes through the full parser.  So
+every help text and error message is argparse's.  A config file is a JSON
+object keyed by flag name (flags win); it may hold any key, checked
+whichever command reads the file.  _KEYS reads every key.
 
 Each cmd_* function computes its answer once, as a record: the JSON document
 with its values still typed (exact Radicals and Fractions, tuples), plus an
 exit code.  render() is the only place that knows the output formats: JSON
-through one encoder hook for exact values, CSV through one writer over the
-command's (header, rows) view, and human text through the command's template.
+through to_json, which writes what json.dumps(indent=2) with value_to_json
+as its hook would, byte for byte, without the standard library's
+pure-Python indenting encoder; CSV through one writer over the command's
+(header, rows) view; and human text through the command's template.
 
-`verify --format json` also prints its certificate, which
-tests/check_certificate.py checks without this package.
+`verify --format json` also prints its certificate: the integer rows that
+kkt_verify decided the KKT signs on, which tests/check_certificate.py
+checks without this package.
 
 Exit codes: 0 success, 2 bad configuration, a simulate run above its work
 caps, a sweep above its row cap, a planner scan above its triple cap or a
@@ -270,7 +278,9 @@ def _regime(case: int) -> str:
 def _field_str(root) -> str:
     """The field Q(b) an exact.Radical.root names."""
     rn, rd, degree = root
-    return "Q" if degree == 1 else f"Q(b), b^{degree} = {Fraction(rn, rd)}"
+    if degree == 1:
+        return "Q"
+    return f"Q(b), b^{degree} = {rn}" + (f"/{rd}" if rd != 1 else "")
 
 
 # ---------------------------------------------------------------- commands
