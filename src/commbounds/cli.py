@@ -407,19 +407,18 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     (dx, x), (dd, (d_row,)) = krep.x, coefficient_rows([d])
     rn, rd, root = krep.root
 
-    failed, field = krep.failed, _field_str(krep.root)
+    failed = krep.failed
     checks = [
         (
             "kkt",
             not failed,
-            f"{CONDITIONS} conditions by exact sign in {field}"
+            f"{CONDITIONS} conditions by exact sign in {_field_str(krep.root)}"
             + (f"; failed: {', '.join(failed)}" if failed else ""),
         ),
         (
             "certificate",
             d.root == krep.root and [sum(c) * dd for c in zip(*x)] == [c * dx for c in d_row],
-            f"x1 + x2 + x3 = D = {human_str(d)}, exact in "
-            + (field if d.root == krep.root else _field_str(d.root)),
+            f"x1 + x2 + x3 = D = {human_str(d)}, exact in {_field_str(d.root)}",
         ),
     ]
     certificate = {

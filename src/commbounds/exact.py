@@ -141,7 +141,7 @@ class Radical:
         q = rn * rd ** (d - 1)
         p = 64
         while True:
-            p *= 2
+            p *= 2  # 128 bits first
             s = max(0, p + 2 - q.bit_length() // d)
             B, U = iroot(q << (d * s), d)[0], rd << s
             # (bU)^i lies in [B^i, (B + 1)^i)

@@ -127,8 +127,8 @@ class KKTReport:
     stationary: bool
     complementary: bool
     root: tuple              # the field the signs were decided in, as Radical.root
-    x: tuple = ()            # (den, coefficient rows) of x, the rows decided on
-    mu: tuple = ()           # (den, coefficient rows) of mu
+    x: tuple                 # (den, coefficient rows) of x, the rows decided on
+    mu: tuple                # (den, coefficient rows) of mu
 
     @property
     def failed(self) -> list[str]:
@@ -176,7 +176,7 @@ def kkt_verify(prob: OptProblem, sol: OptSolution) -> KKTReport:
              _affine(P, x1, n * k * dx), _affine(P, x2, m * k * dx), _affine(P, x3, m * n * dx)]
     # mu1 x_{j+1} x_{j+2} + mu_{j+1} = 1, times rd^2 dx^2 dm
     scale = rd * rd * dx * dx
-    one = _affine(0, x1, -scale * dm)
+    one = [scale * dm] + [0] * (len(x1) - 1)
     return KKTReport(
         primal_feasible=all(coefficient_sign(row, root) >= 0 for row in slack),
         dual_feasible=all(coefficient_sign(row, root) >= 0 for row in mu),

@@ -271,6 +271,21 @@ def test_rounded12_matches_80_digit_decimals(r, d, c, den, scale):
     assert rounded12(v) == twelve_digits(v)
 
 
+@pytest.mark.parametrize("scale", [-5, -4, 11, 12])
+def test_rounded12_switches_to_an_exponent_where_g_does(scale):
+    # %g writes the exponents -4 to 11 in fixed point and the rest with e
+    v = Radical.generator(2, 2) * Fraction(10) ** scale
+    assert rounded12(v) == twelve_digits(v) == "%.12g" % (2 ** 0.5 * 10.0 ** scale)
+
+
+@pytest.mark.parametrize("below, text", [(10**12, "1e+12"), (10**-4, "0.0001")])
+def test_rounded12_carries_into_the_next_decade(below, text):
+    # 10^e less sqrt(2) 10^(e - 13) rounds up to 10^e, one decade above it
+    b = Radical.generator(2, 2)
+    v = b * (-Fraction(below) / 10**13) + below
+    assert rounded12(v) == twelve_digits(v) == text
+
+
 def test_cancelling_coefficients_refine_the_approximation():
     # 10^60 sqrt(2) - floor(10^60 sqrt(2)) = 0.73799...: a 128-bit b leaves
     # an error near 10^21, so the approximation doubles its bits
