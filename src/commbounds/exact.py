@@ -219,9 +219,10 @@ def coefficient_rows(values) -> tuple[int, list[list[int]]]:
     """Same-field elements as integer coefficient lists over one positive
     denominator, in lowest terms."""
     den = math.lcm(*[v.den for v in values])
-    rows = [[a * (den // v.den) for a in v.coeffs] for v in values]
-    g = math.gcd(den, *[a for row in rows for a in row])
-    return den // g, [[a // g for a in row] for row in rows]
+    scales = [den // v.den for v in values]
+    # the gcd of den and every scaled coefficient
+    g = math.gcd(den, *[s * math.gcd(*v.coeffs) for s, v in zip(scales, values)])
+    return den // g, [[a * s // g for a in v.coeffs] for s, v in zip(scales, values)]
 
 
 def _display(v) -> Value:
