@@ -4,6 +4,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,11 @@ def test_altered_certificate_fails(procs, part, row):
     assert check(doc) != []
 
 
+def as_fractions(rows: dict) -> list:
+    """A certificate's coefficient rows as Fractions over their den."""
+    return [[Fraction(c, rows["den"]) for c in row] for row in rows["coefficients"]]
+
+
 @pytest.mark.parametrize("procs, degree", [(3, 1), (37, 2), (9999, 3)])
 def test_moving_one_coefficient_fails_verify_itself(monkeypatch, procs, degree):
     # every coefficient of every printed x and mu row, moved by +1 and by -1
@@ -64,8 +70,9 @@ def test_moving_one_coefficient_fails_verify_itself(monkeypatch, procs, degree):
 
     real = cli.analytic_solution_for_case
     argv = ["verify", "--shape", "9600", "2400", "600", "--procs", str(procs), "--format", "json"]
-    for part, values in (("x", 3), ("mu", 4)):
-        for i in range(values):
+    printed = verify_json((9600, 2400, 600), procs)["certificate"]
+    for part, count in (("x", 3), ("mu", 4)):
+        for i in range(count):
             for j in range(degree):
                 for step in (1, -1):
                     monkeypatch.setattr(cli, "analytic_solution_for_case",
@@ -74,6 +81,10 @@ def test_moving_one_coefficient_fails_verify_itself(monkeypatch, procs, degree):
                     with contextlib.redirect_stdout(out):
                         code = cli.main(argv)
                     doc = json.loads(out.getvalue())
+                    # the printed value moved by step over the printed den
+                    want = as_fractions(printed[part])
+                    want[i][j] += Fraction(step, printed[part]["den"])
+                    assert as_fractions(doc["certificate"][part]) == want
                     assert doc["certificate"]["root"] == degree
                     assert (code, doc["passed"]) == (4, False), (part, i, j, step)
                     assert check(doc) != [], (part, i, j, step)

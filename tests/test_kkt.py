@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from check_certificate import check
 
 from commbounds.bounds import d_case
-from commbounds.exact import RATIONAL, Radical
+from commbounds.exact import RATIONAL, Radical, coefficient_rows
 from commbounds.kkt import (
     OptProblem,
     OptSolution,
@@ -47,8 +47,8 @@ class TestProblem:
         # at (16, 8, 8) g = (1024 - x1x2x3, 8 - x1, 8 - x2, 8 - x3) = (0, -8, 0, 0)
         assert self.report((16, 8, 8)).primal_feasible
         assert self.report((16, 8, 8)).complementary
-        # a multiplier on the one slack constraint, or none where g_i = 0 is
-        # needed, decides the same way
+        # a multiplier on the slack floor, g_1 = -8, breaks complementary
+        # slackness; no multipliers at all keep it
         assert not self.report((16, 8, 8), (1, 1, 0, 0)).complementary
         assert self.report((16, 8, 8), (0, 0, 0, 0)).complementary
 
@@ -252,10 +252,11 @@ def oracle_failed(prob, sol) -> list[str]:
 
 def moved(sol, part: str, i: int, j: int, step: int) -> OptSolution:
     """sol with coefficient j of the i-th x or mu value moved by step over
-    that group's common denominator, the printed row's."""
+    that group's denominator in the certificate: its printed coefficient
+    moves by step."""
     values = list(getattr(sol, part))
     field = next(v for v in values if isinstance(v, Radical))
-    den = math.lcm(*(field.lift(v).den for v in values))
+    den, _ = coefficient_rows([field.lift(v) for v in values])
     root = field.root
     unit = Radical(tuple(step if t == j else 0 for t in range(root[2])), den, root)
     values[i] = field.lift(values[i]) + unit
