@@ -263,7 +263,10 @@ def rounded12(v: Radical) -> str:
     Each comparison of |v| with a rational t is decided on the interval
     v.approximation() gives, and by the exact sign of |v| - t where t lies
     inside it; an irrational v is never t.  The interval is narrower than
-    2^-64 |v|, far below the 10^-12 |v| that the digits resolve.
+    2^-64 |v|, far below the 10^-12 |v| that the digits resolve.  Once the
+    digits c and the exponent e are decided, '%.12g' lays them out: the
+    double nearest a 12-digit decimal prints as those digits (a normal
+    double carries 15).
     """
     num, den, err = v.approximation()
     _quotient(num, den)  # refuses a value beyond float range, as every format does
@@ -278,17 +281,12 @@ def rounded12(v: Radical) -> str:
             return False
         return (v * (s * td) - tn).sign() > 0
 
-    def least(e: int) -> tuple[int, int]:
-        """(10^11 - 1/2) 10^(e - 11), the least |v| whose 12 digits have
-        exponent e."""
-        dn, dd = _decade(e - 11)
-        return (2 * 10 ** 11 - 1) * dn, 2 * dd
-
-    # the exponent e of the rounded value, from a guess within a few decades
+    # the decade of |v|, 10^e < |v| < 10^(e + 1), from a guess within a few
+    # decades
     e = (n.bit_length() - den.bit_length()) * 3 // 10
-    while not above(*least(e)):
+    while not above(*_decade(e)):
         e -= 1
-    while above(*least(e + 1)):
+    while above(*_decade(e + 1)):
         e += 1
     # c = |v| 10^(11 - e) rounded to the nearest integer, 12 digits: the
     # interval's lower end rounds to c or to c - 1, and to c - 1 only when
@@ -296,14 +294,9 @@ def rounded12(v: Radical) -> str:
     sn, sd = _decade(11 - e)
     c = (2 * (n - err) * sn + den * sd) // (2 * den * sd)
     c += above((2 * c + 1) * sd, 2 * sn)
-    digits = str(c)
-    if -4 <= e < 12:  # as %g: fixed point, trailing zeros dropped
-        whole, frac = (digits[:e + 1], digits[e + 1:]) if e >= 0 else ("0", "0" * (-e - 1) + digits)
-        frac = frac.rstrip("0")
-        text = whole + "." + frac if frac else whole
-    else:
-        text = (digits[0] + "." + digits[1:]).rstrip("0").rstrip(".") + f"e{e:+03d}"
-    return "-" + text if s < 0 else text
+    if c == 10 ** 12:  # rounded up into the next decade
+        c, e = 10 ** 11, e + 1
+    return "%.12g" % float(f"{'-' if s < 0 else ''}{c}e{e - 11}")
 
 
 def human_str(v) -> str:

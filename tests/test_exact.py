@@ -278,11 +278,16 @@ def test_rounded12_switches_to_an_exponent_where_g_does(scale):
     assert rounded12(v) == twelve_digits(v) == "%.12g" % (2 ** 0.5 * 10.0 ** scale)
 
 
-@pytest.mark.parametrize("below, text", [(10**12, "1e+12"), (10**-4, "0.0001")])
-def test_rounded12_carries_into_the_next_decade(below, text):
-    # 10^e less sqrt(2) 10^(e - 13) rounds up to 10^e, one decade above it
+@pytest.mark.parametrize("below, offset, text", [
+    (10**12, Fraction(1, 10**13), "1e+12"), (Fraction(1, 10**4), Fraction(1, 10**13), "0.0001"),
+    (10**12, Fraction(2, 10**12), "999999999997"),
+    (Fraction(1, 10**4), Fraction(2, 10**12), "9.99999999997e-05")])
+def test_rounded12_carries_into_the_next_decade(below, offset, text):
+    # 10^e less sqrt(2) 10^(e - 13) rounds up to 10^e, one decade above it;
+    # 10^e less 2 sqrt(2) 10^(e - 12) keeps exponent e - 1, as its last
+    # digit is worth 10^(e - 12)
     b = Radical.generator(2, 2)
-    v = b * (-Fraction(below) / 10**13) + below
+    v = b * (-below * offset) + below
     assert rounded12(v) == twelve_digits(v) == text
 
 
