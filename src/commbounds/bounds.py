@@ -93,16 +93,13 @@ def case_field(case: int, m: int, n: int, k: int, procs) -> Radical:
     return Radical.generator(Fraction(m * n * k, procs) ** 2, 3)
 
 
-def d_case(case: int, m: int, n: int, k: int, procs, b=None) -> Radical:
+def d_case(case: int, m: int, n: int, k: int, procs, b: Radical) -> Radical:
     """Accessed-data optimum of one case, at a possibly rational P, in the
-    field of b, the case's generator (case_field's, computed here unless the
-    caller has it).
+    field of b = case_field(case, m, n, k, procs), the case's generator.
 
     Rational P is allowed so boundary continuity can be checked at P = m/n
     and P = mn/k^2 even when those are not integers.
     """
-    if b is None:
-        b = case_field(case, m, n, k, procs)
     if case == 1:
         return b * Fraction(m * n + m * k, procs) + n * k
     if case == 2:
@@ -161,7 +158,7 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
     _check_procs(procs)
     m, n, k = shape.sorted_dims
     case, on_boundary = case_of(m, n, k, procs)
-    accessed = d_case(case, m, n, k, procs)
+    accessed = d_case(case, m, n, k, procs, case_field(case, m, n, k, procs))
     owned = Fraction(shape.pair_sum, procs)
 
     mem = mem_dep = binding = in_window = window_upper = None

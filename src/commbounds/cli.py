@@ -193,13 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="communication lower bounds for parallel matrix multiplication",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = {}
     for command in _ALL:
-        p = parser.commands[command] = sub.add_parser(command)
+        p = sub.add_parser(command)
         p.add_argument("--config", metavar="PATH", help="JSON config; flags win")
         for key, (spec, commands, _) in _KEYS.items():
             if command in commands:
                 p.add_argument(f"--{key}", **spec)
+    parser.commands = sub.choices
     return parser
 
 

@@ -77,18 +77,15 @@ class OptSolution:
     case_tag: int
 
 
-def analytic_solution_for_case(prob: OptProblem, case: int, b=None) -> OptSolution:
+def analytic_solution_for_case(prob: OptProblem, case: int, b: Radical) -> OptSolution:
     """Closed-form (x*, mu*) of one case, whether or not P is in its range,
-    in the field of b, the case's generator (case_field's, computed here
-    unless the caller has it).
+    in the field of b = case_field(case, m, n, k, P), the case's generator.
 
     Evaluating a case outside its range is deliberate: dual feasibility or
     primal feasibility is exactly what fails there, and tests rely on seeing
     it fail.
     """
     m, n, k, P = prob.m, prob.n, prob.k, prob.P
-    if b is None:
-        b = case_field(case, m, n, k, P)
 
     def q(num: int, den: int = 1) -> Radical:
         """The rational num/den, den > 0, in b's field, unreduced."""
@@ -112,7 +109,7 @@ def analytic_solution_for_case(prob: OptProblem, case: int, b=None) -> OptSoluti
 
 def analytic_solution(prob: OptProblem) -> OptSolution:
     case, _ = case_of(prob.m, prob.n, prob.k, prob.P)
-    return analytic_solution_for_case(prob, case)
+    return analytic_solution_for_case(prob, case, case_field(case, prob.m, prob.n, prob.k, prob.P))
 
 
 # the signs kkt_verify decides: 4 primal, 4 dual, 3 stationarity and 4

@@ -16,6 +16,7 @@ import pytest
 import commbounds.cli as cli
 from commbounds.bounds import (
     ProblemShape,
+    case_field,
     d_case,
     lower_bound,
 )
@@ -31,6 +32,16 @@ from commbounds.simulate import _ring_counts, run_algorithm, split_sizes
 from ring_reference import all_gather_hops, reduce_scatter_hops, tally
 
 RUNNING = ProblemShape(9600, 2400, 600)
+
+
+def accessed(case, m, n, k, procs):
+    """d_case in the case's own field."""
+    return d_case(case, m, n, k, procs, case_field(case, m, n, k, procs))
+
+
+def solution_for(prob, case):
+    """analytic_solution_for_case in the case's own field."""
+    return analytic_solution_for_case(prob, case, case_field(case, prob.m, prob.n, prob.k, prob.P))
 
 
 @contextmanager
@@ -131,19 +142,19 @@ def test_c4_kkt_and_oracle_sweep():
             sol = analytic_solution(prob)
             rep = kkt_verify(prob, sol)
             assert rep.passed, (m, n, k, P, rep)
-            d = d_case(sol.case_tag, m, n, k, P)
+            d = accessed(sol.case_tag, m, n, k, P)
             assert sum(sol.x) == d, (m, n, k, P)
             # every case's closed form fails exactly outside its P range
             for case in (1, 2, 3):
-                other = kkt_verify(prob, analytic_solution_for_case(prob, case))
+                other = kkt_verify(prob, solution_for(prob, case))
                 assert other.passed == in_range(prob, case), (m, n, k, P, case)
             val = full_scan_oracle(prob, budget=100_000)
             assert val >= float(d) * (1 - 1e-9), (m, n, k, P, val, float(d))
             # boundary tuples: both adjacent closed forms coincide exactly
             if P * n == m or P * k * k == m * n:
                 ca, cb = (1, 2) if P * n == m else (2, 3)
-                sa = analytic_solution_for_case(prob, ca)
-                sb = analytic_solution_for_case(prob, cb)
+                sa = solution_for(prob, ca)
+                sb = solution_for(prob, cb)
                 assert sa.x + sa.mu == sb.x + sb.mu, (m, n, k, P)
         assert time.time() - t0 < 120.0
 
@@ -258,9 +269,9 @@ def test_c8_continuity_and_dominance():
             )
             # both sides lie in Q at P = m/n and P = mn/k^2
             p12 = Fraction(m, n)
-            assert d_case(1, m, n, k, p12) == d_case(2, m, n, k, p12)
+            assert accessed(1, m, n, k, p12) == accessed(2, m, n, k, p12)
             p23 = Fraction(m * n, k * k)
-            assert d_case(2, m, n, k, p23) == d_case(3, m, n, k, p23)
+            assert accessed(2, m, n, k, p23) == accessed(3, m, n, k, p23)
             # any P up to mn/k^2 with any feasible M: the memory-independent
             # term is the binding one
             pmax = (m * n) // (k * k)

@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commbounds.bounds import PRIOR_CONSTANTS, ProblemShape, d_case, lower_bound
+from commbounds.bounds import PRIOR_CONSTANTS, ProblemShape, case_field, d_case, lower_bound
 from commbounds.exact import RATIONAL, Radical
 
 RUNNING = ProblemShape(9600, 2400, 600)  # m/n = 4, mn/k^2 = 64
+
+
+def accessed(case, m, n, k, procs):
+    """d_case in the case's own field."""
+    return d_case(case, m, n, k, procs, case_field(case, m, n, k, procs))
 
 
 def random_shapes(count, seed, hi=2000):
@@ -126,8 +131,8 @@ class TestContinuityMonotonicity:
     def test_exact_agreement_at_boundaries(self):
         # P = m/n: case 1 and 2 give n^2 + 2nk; P = mn/k^2: case 2 and 3 give 3k^2
         m, n, k = 9600, 2400, 600
-        assert d_case(1, m, n, k, 4) == d_case(2, m, n, k, 4) == n * n + 2 * n * k
-        assert d_case(2, m, n, k, 64) == d_case(3, m, n, k, 64) == 3 * k * k
+        assert accessed(1, m, n, k, 4) == accessed(2, m, n, k, 4) == n * n + 2 * n * k
+        assert accessed(2, m, n, k, 64) == accessed(3, m, n, k, 64) == 3 * k * k
 
     def test_rational_boundary_agreement(self):
         # boundaries need not be integers; evaluate both sides at rational P
@@ -138,9 +143,9 @@ class TestContinuityMonotonicity:
             )
             # both sides lie in Q there, so they agree exactly
             p12 = Fraction(m, n)
-            assert d_case(1, m, n, k, p12) == d_case(2, m, n, k, p12)
+            assert accessed(1, m, n, k, p12) == accessed(2, m, n, k, p12)
             p23 = Fraction(m * n, k * k)
-            assert d_case(2, m, n, k, p23) == d_case(3, m, n, k, p23)
+            assert accessed(2, m, n, k, p23) == accessed(3, m, n, k, p23)
 
     def test_accessed_data_non_increasing(self):
         # D decreases in P (the communicated part need not), exactly, and

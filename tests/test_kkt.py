@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from check_certificate import check
 
-from commbounds.bounds import d_case
+from commbounds.bounds import case_field, d_case
 from commbounds.exact import RATIONAL, Radical, coefficient_rows
 from commbounds.kkt import (
     OptProblem,
@@ -21,6 +21,16 @@ from commbounds.kkt import (
 )
 
 RUNNING = (9600, 2400, 600)
+
+
+def accessed(case, m, n, k, procs):
+    """d_case in the case's own field."""
+    return d_case(case, m, n, k, procs, case_field(case, m, n, k, procs))
+
+
+def solution_for(prob, case):
+    """analytic_solution_for_case in the case's own field."""
+    return analytic_solution_for_case(prob, case, case_field(case, prob.m, prob.n, prob.k, prob.P))
 
 
 def random_problems(count, seed, hi=2000, phi=4000):
@@ -96,7 +106,7 @@ class TestAnalyticSolutions:
         # same field (values of two fields never compare equal)
         for prob in random_problems(300, seed=9):
             sol = analytic_solution(prob)
-            d = d_case(sol.case_tag, prob.m, prob.n, prob.k, prob.P)
+            d = accessed(sol.case_tag, prob.m, prob.n, prob.k, prob.P)
             assert sum(sol.x) == d
 
     def test_multiplier_nonnegativity_in_range(self):
@@ -128,8 +138,8 @@ class TestKKTVerify:
         for m, n, k, procs, (ca, cb) in cases:
             assert procs * n == m or procs * k * k == m * n
             prob = OptProblem(m, n, k, procs)
-            sa = analytic_solution_for_case(prob, ca)
-            sb = analytic_solution_for_case(prob, cb)
+            sa = solution_for(prob, ca)
+            sb = solution_for(prob, cb)
             assert sa.x == sb.x, (m, n, k, procs, sa.x, sb.x)
             assert sa.mu == sb.mu, (m, n, k, procs, sa.mu, sb.mu)
             assert kkt_verify(prob, sa).passed
@@ -159,7 +169,7 @@ class TestKKTVerify:
     def test_out_of_range_case_fails_dual(self):
         # the case 1 multipliers go negative once P > m/n
         prob = OptProblem(*RUNNING, 36)
-        sol = analytic_solution_for_case(prob, 1)
+        sol = solution_for(prob, 1)
         rep = kkt_verify(prob, sol)
         assert not rep.passed
         assert not rep.dual_feasible
@@ -226,7 +236,7 @@ def test_every_case_passes_exactly_inside_its_range(dims, procs, near, offset):
         procs = max(1, (m // n if near == "m/n" else m * n // (k * k)) + offset)
     prob = OptProblem(m, n, k, procs)
     for case in (1, 2, 3):
-        sol = analytic_solution_for_case(prob, case)
+        sol = solution_for(prob, case)
         assert kkt_verify(prob, sol).passed == in_range(prob, case), case
 
 
@@ -277,7 +287,7 @@ def test_integer_decisions_match_a_fraction_oracle(dims, procs, near, offset, mo
         procs = max(1, (m // n if near == "m/n" else m * n // (k * k)) + offset)
     prob = OptProblem(m, n, k, procs)
     for case in (1, 2, 3):
-        sol = analytic_solution_for_case(prob, case)
+        sol = solution_for(prob, case)
         if move is not None:
             part, i, j, step = move
             root = sol.x[0].root
