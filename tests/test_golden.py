@@ -9,7 +9,9 @@ typed, and as a decimal and the equal p/q, 500.5 and 1001/2, which print the
 same report) and with a float bound whose 12 significant digits form an
 integer, at 4096^3 on P = 18963, whose D the double nearest it would round
 to the wrong 12th digit (with `verify` there too), and with a memory term
-within 10^-60 of a 12-digit rounding midpoint, on each side of it; `grid` with integral
+within 10^-60 of a 12-digit rounding midpoint, on each side of it, and
+just below 100: by 10^-60, where its digits carry into the next decade,
+and by 2.8 10^-10, where they keep the exponent of 99; `grid` with integral
 and non-integral analytic grids; `simulate`
 with even and uneven splits; `verify` plain, `--tiny`, with irrational optima
 and at huge dimensions and P; `bound`, `grid` and `sweep` at dimensions
