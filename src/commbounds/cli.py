@@ -706,27 +706,34 @@ def _csv_value(v) -> str:
 def to_json(v, indent: str = "\n") -> str:
     """json.dumps(v, indent=2, default=value_to_json), byte for byte, for a
     dict, list or tuple that holds dicts with str keys, lists, tuples, str,
-    int, bool, None, finite floats and exact values; indent is the newline
-    and indentation that v's own line starts with.  A str or int is written
-    in place in its container, anything else by a call of its own."""
-    if isinstance(v, (dict, list, tuple)):
+    int, bool, None, finite floats and exact values, none of them of a
+    subclass; indent is the newline and indentation that v's own line
+    starts with.  A str or int is written in place in its container,
+    anything else by a call of its own.  Loops gather the items: in Python
+    3.11 a comprehension is a call of its own too."""
+    t = type(v)
+    if t is dict or t is list or t is tuple:
         if not v:
-            return "{}" if isinstance(v, dict) else "[]"
+            return "{}" if t is dict else "[]"
         inner = indent + "  "
-        if isinstance(v, dict):
-            items = [encode_basestring_ascii(key) + ": " + (
-                encode_basestring_ascii(x) if type(x) is str else
-                int.__repr__(x) if type(x) is int else to_json(x, inner))
-                for key, x in v.items()]
+        items = []
+        if t is dict:
+            for key, x in v.items():
+                tx = type(x)
+                items.append(encode_basestring_ascii(key) + ": " + (
+                    encode_basestring_ascii(x) if tx is str else
+                    int.__repr__(x) if tx is int else to_json(x, inner)))
             return "{" + inner + ("," + inner).join(items) + indent + "}"
-        items = [encode_basestring_ascii(x) if type(x) is str else
-                 int.__repr__(x) if type(x) is int else to_json(x, inner) for x in v]
+        for x in v:
+            tx = type(x)
+            items.append(encode_basestring_ascii(x) if tx is str else
+                         int.__repr__(x) if tx is int else to_json(x, inner))
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if v is None:
         return "null"
     if v is True or v is False:
         return "true" if v else "false"
-    if isinstance(v, float):
+    if t is float:
         return json.dumps(v)
     return to_json(value_to_json(v), indent)
 
