@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import Radical, cut, decimal_str
+from .exact import RATIONAL, Radical, cut, decimal_str
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def case_field(case: int, m: int, n: int, k: int, procs) -> Radical:
     """The generator b of the field a case's closed forms live in: 1 in
     case 1, (mnk^2/P)^(1/2) in case 2 and ((mnk/P)^2)^(1/3) in case 3."""
     if case == 1:
-        return Radical.generator(1, 1)
+        return Radical((1,), 1, RATIONAL)
     if case == 2:
         return Radical.generator(Fraction(m * n * k * k, procs), 2)
     return Radical.generator(Fraction(m * n * k, procs) ** 2, 3)
@@ -100,10 +100,14 @@ def d_case(case: int, m: int, n: int, k: int, procs, b: Radical) -> Radical:
     Rational P is allowed so boundary continuity can be checked at P = m/n
     and P = mn/k^2 even when those are not integers.
     """
+    def per_proc(num: int) -> Radical:
+        """num/P in b's field, unreduced."""
+        return Radical((num * procs.denominator, 0, 0)[:len(b.coeffs)], procs.numerator, b.root)
+
     if case == 1:
-        return b * Fraction(m * n + m * k, procs) + n * k
+        return b * per_proc(m * n + m * k) + n * k
     if case == 2:
-        return 2 * b + Fraction(m * n, procs)
+        return 2 * b + per_proc(m * n)
     return 3 * b
 
 

@@ -24,14 +24,15 @@ Value = Union[Fraction, float]  # a number as printed
 def iroot(n: int, k: int) -> tuple[int, bool]:
     """Floor s of the k-th root of n >= 0, k >= 1, plus an exactness flag.
 
-    For k >= 3, integer Newton r -> ((k-1) r + n // r^(k-1)) // k starts at
-    2^ceil(bits(n)/k) > n^(1/k) and stops at exactly s.  The nested floors
-    equal one floor of t = ((k-1) r + n/r^(k-1))/k, and t >= n^(1/k) by AM-GM,
-    so every step lands at or above s.  While r > s, r^k > n makes t < r, so
-    the step is below r.  The iterates thus fall strictly, stay >= s, and can
-    stop (a step not below r) only at r = s.
+    0 and 1 are their own roots.  For n >= 2 and k != 2, integer Newton
+    r -> ((k-1) r + n // r^(k-1)) // k starts at 2^ceil(bits(n)/k) > n^(1/k)
+    and stops at exactly s.  The nested floors equal one floor of
+    t = ((k-1) r + n/r^(k-1))/k, and t >= n^(1/k) by AM-GM, so every step
+    lands at or above s.  While r > s, r^k > n makes t < r, so
+    the step is below r.  The iterates thus fall strictly, stay >= s >= 1,
+    and can stop (a step not below r) only at r = s.
     """
-    if n == 0 or k == 1:
+    if n < 2:
         return n, True
     if k == 2:
         r = math.isqrt(n)
