@@ -376,7 +376,8 @@ class TestVerify:
         import commbounds.kkt as kkt
 
         def bad_solution(prob, case, b):
-            return kkt.analytic_solution_for_case(prob, 1, kkt.case_field(1, prob.m, prob.n, prob.k, prob.P))
+            b = kkt.case_field(1, prob.m, prob.n, prob.k, prob.P)
+            return kkt.analytic_solution_for_case(prob, 1, b)
 
         monkeypatch.setattr(cli, "analytic_solution_for_case", bad_solution)
         code, out, _ = run_cli(
