@@ -266,8 +266,9 @@ def rounded12(v: Radical) -> str:
     inside it; an irrational v is never t.  The interval is narrower than
     2^-64 |v|, far below the 10^-12 |v| that the digits resolve.  Once the
     digits c and the exponent e are decided, '%.12g' lays them out: the
-    double nearest a 12-digit decimal prints as those digits (a normal
-    double carries 15).
+    double nearest a 12-digit decimal prints as those digits, as a normal
+    double carries 15.  Below 10^-307, where a double is subnormal or 0,
+    '%.12g' lays out c 10^-11 and the exponent is appended.
     """
     num, den, err = v.approximation()
     _quotient(num, den)  # refuses a value beyond float range, as every format does
@@ -297,7 +298,10 @@ def rounded12(v: Radical) -> str:
     c += above((2 * c + 1) * sd, 2 * sn)
     if c == 10 ** 12:  # rounded up into the next decade
         c, e = 10 ** 11, e + 1
-    return "%.12g" % float(f"{'-' if s < 0 else ''}{c}e{e - 11}")
+    sign = "-" if s < 0 else ""
+    if e < -307:
+        return f"{sign}{'%.12g' % float(f'{c}e-11')}e{e:+03d}"
+    return "%.12g" % float(f"{sign}{c}e{e - 11}")
 
 
 def human_str(v) -> str:

@@ -291,6 +291,19 @@ def test_rounded12_carries_into_the_next_decade(below, offset, text):
     assert rounded12(v) == twelve_digits(v) == text
 
 
+@pytest.mark.parametrize("scale, text", [
+    (-320, "4.24264068712e-320"), (-308, "4.24264068712e-308"), (-400, "4.24264068712e-400")])
+def test_rounded12_keeps_its_digits_below_the_normal_doubles(scale, text):
+    # the double nearest 3 sqrt(2) 10^-320 is subnormal and prints as
+    # 4.24254170084e-320; 10^-400 is below every double
+    v = Radical.generator(2, 2) * 3 * Fraction(10) ** scale
+    with localcontext() as ctx:
+        ctx.prec = 80
+        assert Decimal(text) == TWELVE.plus(_decimal(v))
+    assert rounded12(v) == human_str(v) == text
+    assert rounded12(0 - v) == "-" + text
+
+
 def test_cancelling_coefficients_refine_the_approximation():
     # 10^60 sqrt(2) - floor(10^60 sqrt(2)) = 0.73799...: a 128-bit b leaves
     # an error near 10^21, so the approximation doubles its bits

@@ -11,7 +11,9 @@ integer, at 4096^3 on P = 18963, whose D the double nearest it would round
 to the wrong 12th digit (with `verify` there too), and with a memory term
 within 10^-60 of a 12-digit rounding midpoint, on each side of it, and
 just below 100: by 10^-60, where its digits carry into the next decade,
-and by 2.8 10^-10, where they keep the exponent of 99; `grid` with integral
+and by 2.8 10^-10, where they keep the exponent of 99, and at
+4.24 10^-320, whose double is subnormal and carries fewer than 12 digits;
+`grid` with integral
 and non-integral analytic grids; `simulate`
 with even and uneven splits; `verify` plain, `--tiny`, with irrational optima
 and at huge dimensions and P; `bound`, `grid` and `sweep` at dimensions
