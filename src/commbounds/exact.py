@@ -28,9 +28,9 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
     r -> ((k-1) r + n // r^(k-1)) // k starts at 2^ceil(bits(n)/k) > n^(1/k)
     and stops at exactly s.  The nested floors equal one floor of
     t = ((k-1) r + n/r^(k-1))/k, and t >= n^(1/k) by AM-GM, so every step
-    lands at or above s.  While r > s, r^k > n makes t < r, so
-    the step is below r.  The iterates thus fall strictly, stay >= s >= 1,
-    and can stop (a step not below r) only at r = s.
+    lands at or above s.  While r > s, r^k > n makes t < r, so the step is
+    below r.  The iterates thus fall strictly, stay >= s >= 1, and can stop
+    (a step not below r) only at r = s.
     """
     if n < 2:
         return n, True
