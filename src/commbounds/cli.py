@@ -11,13 +11,13 @@ Subcommands:
     sweep     bound/grid/attainment table over a P range, or the prior-work
               constants table
 
-argparse reads the command line.  When argv starts with a command, parse()
-hands the rest to that command's subparser directly, as the full parser
-would, and refuses leftover words with the full parser's message; anything
-else (help, an unknown command, no argv) goes through the full parser.  So
-every help text and error message is argparse's.  A config file is a JSON
-object keyed by flag name (flags win); it may hold any key, checked
-whichever command reads the file.  _KEYS reads every key.
+parse() reads a well-formed argv itself, in one pass over a table built
+from _KEYS: a command, then its flags spelled in full, each with all its
+values and none led by a dash.  Any other argv goes to argparse, imported
+and built only then, so every help text, error message and abbreviation is
+argparse's.  A config file is a JSON object keyed by flag name (flags win);
+it may hold any key, checked whichever command reads the file.  _KEYS reads
+every key.
 
 Each cmd_* function computes its answer once, as a record: the JSON document
 with its values still typed (exact Radicals and Fractions, tuples), plus an
@@ -39,7 +39,6 @@ verification failure.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import io
@@ -48,6 +47,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .bounds import PRIOR_CONSTANTS, ProblemShape, case_field, case_of, d_case, lower_bound
 from .exact import Radical, coefficient_rows, cut, decimal_str, human_str, value_to_json
@@ -172,22 +172,27 @@ _KEYS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error on one line, without the usage text before it;
-    subparsers are built from the same class."""
-
-    def error(self, message):
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+# Each command's flags spelled in full: flag -> (key, number of values).
+_FLAGS = {c: {"--config": ("config", 1), **{
+    f"--{key}": (key, 0 if "action" in spec else spec.get("nargs", 1))
+    for key, (spec, commands, _) in _KEYS.items() if c in commands}} for c in _ALL}
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every call;
-    its `commands` maps each command to its subparser.
+def build_parser():
+    """The argparse parser, built on first use and shared by every call.
 
     Parsing keeps nothing on the parser: each parse returns a new
     Namespace, and resolve_config turns it into a new RunConfig.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """One-line usage errors, without the usage text; subparsers too."""
+
+        def error(self, message):
+            self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="commbounds",
         description="communication lower bounds for parallel matrix multiplication",
@@ -199,31 +204,34 @@ def build_parser() -> argparse.ArgumentParser:
         for key, (spec, commands, _) in _KEYS.items():
             if command in commands:
                 p.add_argument(f"--{key}", **spec)
-    parser.commands = sub.choices
     return parser
 
 
-def parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv): the same Namespace, output and exit.
+def parse(argv: list[str]):
+    """build_parser().parse_args(argv): the same namespace, output and exit.
 
-    When argv starts with a command, that command's subparser reads the
-    rest, as the full parser would hand it over, and leftover words are
-    refused with the full parser's message; this skips the full parser's
-    own scan of argv.  Any other argv (help, an unknown command, none) goes
-    through the full parser.
+    A command's own flags, spelled in full, each with all its values and
+    none led by a dash, are read here: every key of the command, None where
+    unset, plus `command`.  At any other word (`--sh`, `--procs=8`, `-h`,
+    `--`, a stray or missing value) the whole argv goes to argparse.
     """
-    parser = build_parser()
-    sub = parser.commands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extra = sub.parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    args.command = argv[0]
-    return args
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is not None:
+        args = {key: None for key, _ in flags.values()}
+        i = 1
+        while i < len(argv):
+            key, count = flags.get(argv[i], (None, -1))  # unknown: no slice fits
+            values = argv[i + 1:i + 1 + count]
+            if len(values) != count or any(v[:1] == "-" for v in values):
+                break
+            args[key] = True if count == 0 else values[0] if count == 1 else list(values)
+            i += 1 + count
+        else:
+            return SimpleNamespace(command=argv[0], **args)
+    return build_parser().parse_args(argv)
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def resolve_config(args) -> RunConfig:
     """Each key from its flag, else from the config file, through the key's
     converter; JSON null leaves a key unset."""
     file_cfg = {}

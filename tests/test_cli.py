@@ -717,44 +717,79 @@ argvs = st.one_of(
 )
 
 
+def parsed_run(parse, argv):
+    """main's exit code, stdout, stderr and RunConfig with argv read by parse."""
+    configs = []
+
+    def record(cfg):
+        configs.append(cfg)
+        raise cli.ConfigError("recorded")
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        mp.setattr(cli, "parse", parse)
+        mp.setattr(cli, "_DISPATCH", dict.fromkeys(cli._ALL, record))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), configs
+
+
+def full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
 @settings(deadline=None, max_examples=400)
 @given(argvs)
-def test_command_subparser_parses_as_the_full_parser(argv):
-    # main's exit code, stdout, stderr and RunConfig, parsed by cli.parse
-    # and by the full parser's parse_args
-    def run(parse):
-        configs = []
+def test_parse_reads_any_words_as_the_full_parser(argv):
+    assert parsed_run(cli.parse, argv) == parsed_run(full_parse, argv)
 
-        def record(cfg):
-            configs.append(cfg)
-            raise cli.ConfigError("recorded")
 
-        out, err = io.StringIO(), io.StringIO()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("COLUMNS", "80")
-            mp.setattr(cli, "parse", parse)
-            mp.setattr(cli, "_DISPATCH", dict.fromkeys(cli._ALL, record))
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
-        return code, out.getvalue(), err.getvalue(), configs
+FLAG_VALUES = st.sampled_from(["", "-5", "8:4", "1e3", "0", "7", "96", "json", "constants"])
 
-    assert run(cli.parse) == run(lambda a: cli.build_parser().parse_args(a))
+
+@st.composite
+def well_formed_argvs(draw):
+    """A command, then its own flags spelled in full, in any order and
+    possibly repeated, each with as many values as it takes."""
+    command = draw(st.sampled_from(cli._ALL))
+    own = {"--config": 1, **{f"--{key}": spec.get("nargs", 0 if "action" in spec else 1)
+                              for key, (spec, commands, _) in cli._KEYS.items()
+                              if command in commands}}
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(own)), max_size=8)):
+        argv += [flag, *draw(st.lists(FLAG_VALUES, min_size=own[flag], max_size=own[flag]))]
+    return argv
+
+
+@settings(deadline=None, max_examples=400)
+@given(well_formed_argvs())
+def test_parse_reads_well_formed_argv_as_the_full_parser_without_it(argv):
+    # argparse runs only for a dash-led value, here "-5", which it reads as
+    # a negative number
+    parser, built = cli.build_parser(), []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "build_parser", lambda: built.append(1) or parser)
+        got = parsed_run(cli.parse, argv)
+    assert got == parsed_run(full_parse, argv)
+    assert bool(built) == ("-5" in argv)
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, argparse_imported",
     [
-        "bound --shape 96 96 96 --procs 512 --memory 54",
-        "grid --shape 9600 2400 600 --procs 36",
-        "sweep --shape 96 24 6 --procs 1:70",
-        "sweep --table constants",
-        "verify --shape 9600 2400 600 --procs 36",
-        "verify --shape 4 3 2 --procs 4 --tiny",
+        ("bound --shape 96 96 96 --procs 512 --memory 54", False),
+        ("grid --shape 9600 2400 600 --procs 36", False),
+        ("sweep --shape 96 24 6 --procs 1:70", False),
+        ("sweep --table constants", False),
+        ("verify --shape 9600 2400 600 --procs 36", False),
+        ("verify --shape 4 3 2 --procs 4 --tiny", False),
+        ("verify --shape 9600 2400 600 --procs=37", True),
     ],
 )
-def test_command_does_not_import_numpy(argv):
+def test_command_does_not_import_numpy(argv, argparse_imported):
     # numpy is imported only by the functions that compute with it, which
-    # only simulate calls
+    # only simulate calls; argparse only when parse hands argv over to it
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -762,10 +797,11 @@ def test_command_does_not_import_numpy(argv):
         "import sys\n"
         "from commbounds.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        "print(code, 'numpy' in sys.modules, 'argparse' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv.split()],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr
+    want = f"0 False {argparse_imported}"
+    assert proc.stdout.splitlines()[-1] == want, proc.stdout + proc.stderr

@@ -19,7 +19,9 @@ with even and uneven splits; `verify` plain, `--tiny`, with irrational optima
 and at huge dimensions and P; `bound`, `grid` and `sweep` at dimensions
 10^110, whose products are beyond float range; `sweep` across both boundaries
 and the constants table; each in the human, json and csv formats; and the
-error paths. A change to any output shows here as a failing case.
+error paths, among them a flag short of its values and a dash-led value,
+which cli.parse hands to argparse. A change to any output shows here as a
+failing case.
 """
 
 import contextlib
