@@ -25,9 +25,12 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
     """Floor s of the k-th root of n >= 0, k >= 1, plus an exactness flag.
 
     0 and 1 are their own roots.  For n >= 2 and k != 2, integer Newton
-    r -> ((k-1) r + n // r^(k-1)) // k starts at 2^ceil(bits(n)/k) > n^(1/k)
-    and stops at exactly s.  The nested floors equal one floor of
-    t = ((k-1) r + n/r^(k-1))/k, and t >= n^(1/k) by AM-GM, so every step
+    r -> ((k-1) r + n // r^(k-1)) // k starts above n^(1/k) and stops at
+    exactly s.  The start is 2^ceil(bits(n)/k), or, when bits(n) < 1000 k,
+    int(y (1 + 2^-30)) + 1 for the float y = exp(log(n)/k): log and exp are
+    good to a few ulps and log(n)/k < 694, so y is within a relative 2^-40
+    of n^(1/k).  Any start >= s will do: the nested floors equal one floor
+    of t = ((k-1) r + n/r^(k-1))/k, and t >= n^(1/k) by AM-GM, so every step
     lands at or above s.  While r > s, r^k > n makes t < r, so the step is
     below r.  The iterates thus fall strictly, stay >= s >= 1, and can stop
     (a step not below r) only at r = s.
@@ -37,7 +40,11 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
     if k == 2:
         r = math.isqrt(n)
         return r, r * r == n
-    r = 1 << -(-n.bit_length() // k)
+    bits = n.bit_length()
+    if bits < 1000 * k:
+        r = int(math.exp(math.log(n) / k) * (1 + 2**-30)) + 1
+    else:
+        r = 1 << -(-bits // k)
     while True:
         nr = ((k - 1) * r + n // r ** (k - 1)) // k
         if nr >= r:

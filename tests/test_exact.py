@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from commbounds.bounds import ProblemShape, lower_bound
 from commbounds.exact import (
@@ -62,6 +62,35 @@ def test_iroot_random_sweep():
             assert r == base - 1 and not ok
         r, ok = iroot(n + 1, k)
         assert r == base and not ok
+
+
+def power_of_two_start_iroot(n, k):
+    """iroot's Newton descent from its former start, 2^ceil(bits(n)/k)."""
+    if n < 2:
+        return n, True
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        nr = ((k - 1) * r + n // r ** (k - 1)) // k
+        if nr >= r:
+            return r, r**k == n
+        r = nr
+
+
+@settings(max_examples=600)
+@given(
+    st.one_of(
+        st.integers(0, 2**3000),
+        st.builds(lambda bits, seed: seed % 2**bits, st.integers(1, 3000), st.integers(0, 2**3000)),
+        st.builds(lambda base, k, shift: (base**k + shift, k),
+                  st.integers(1, 2**600), st.integers(1, 5), st.sampled_from([-1, 0, 1])),
+    ),
+    st.integers(1, 6),
+)
+def test_iroot_float_start_matches_the_power_of_two_start(n, k):
+    # a perfect power and its neighbours bring their own k
+    if isinstance(n, tuple):
+        n, k = n
+    assert iroot(n, k) == power_of_two_start_iroot(n, k)
 
 
 def test_iroot_huge_exact():
