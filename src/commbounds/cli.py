@@ -51,7 +51,7 @@ from types import SimpleNamespace
 
 from .bounds import PRIOR_CONSTANTS, ProblemShape, case_field, case_of, d_case, lower_bound
 from .exact import Radical, coefficient_rows, cut, decimal_str, human_str, value_to_json
-from .grids import ProcessorGrid, analytic_grid, comm_cost, exhaustive_grid
+from .grids import ProcessorGrid, comm_cost, plan
 from .kkt import CONDITIONS, OptProblem, analytic_solution_for_case, kkt_verify
 from .projections import EXHAUSTIVE_LIMIT, min_projection_sum, subset_stats
 from .simulate import run_algorithm
@@ -323,9 +323,7 @@ def cmd_bound(cfg: RunConfig) -> tuple[dict, int]:
 def cmd_grid(cfg: RunConfig) -> tuple[dict, int]:
     shape = _require_shape(cfg)
     procs = _single_procs(cfg)
-    res = analytic_grid(shape, procs)
-    ex_grid, ex_cb = exhaustive_grid(shape, procs)
-    rep = lower_bound(shape, procs)
+    res, ex_grid, ex_cb, rep, attained = plan(shape, procs)
     analytic_cost = comm_cost(shape, res.grid).total if res.grid is not None else None
     record = {
         "command": "grid",
@@ -348,7 +346,7 @@ def cmd_grid(cfg: RunConfig) -> tuple[dict, int]:
         },
         "agreement": analytic_cost is not None and analytic_cost == ex_cb.total,
         "lower_bound": rep.bound,
-        "attained": rep.bound == ex_cb.total,
+        "attained": attained,
     }
     return record, EXIT_OK
 
@@ -359,11 +357,10 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
         grid = ProcessorGrid(*cfg.grid)
         if cfg.procs is not None and _single_procs(cfg) != grid.size:
             raise ConfigError(f"--grid product {grid.size} does not match --procs")
+        rep = lower_bound(shape, grid.size)
     else:
-        procs = _single_procs(cfg)
-        grid, _ = exhaustive_grid(shape, procs, require_divisibility=True)
+        _, grid, _, rep, _ = plan(shape, _single_procs(cfg), require_divisibility=True)
     report = run_algorithm(shape, grid, cfg.seed)
-    rep = lower_bound(shape, grid.size)
     record = {
         "shape": report.shape,
         "grid": report.grid,
@@ -498,9 +495,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
 
     rows = []
     for procs in cfg.procs:
-        rep = lower_bound(shape, procs)
-        ag = analytic_grid(shape, procs)
-        ex_grid, ex_cb = exhaustive_grid(shape, procs)
+        ag, ex_grid, ex_cb, rep, attained = plan(shape, procs)
         rows.append(
             {
                 "procs": procs,
@@ -512,7 +507,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
                 "analytic_grid": _grid_str(ag.grid.dims) if ag.grid else "",
                 "exhaustive_grid": _grid_str(ex_grid.dims),
                 "exhaustive_cost": ex_cb.total,
-                "attained": rep.bound == ex_cb.total,
+                "attained": attained,
             }
         )
     record = {

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .bounds import ProblemShape, _check_procs, case_field, case_of
+from .bounds import BoundReport, ProblemShape, _check_procs, case_field, case_of, lower_bound
 from .exact import Radical, cut
 
 # A planner scan above this many factor triples is refused before it starts.
-# exhaustive_grid ranks the 1,837,080 of 963761198400 in about 1.6 s on a
-# 2-core VM with Python 3.11, so a scan at the cap takes about 4 s.
+# plan ranks the 1,837,080 of 963761198400 in about 1.0 s on a 2-core VM
+# with Python 3.11.7, so a scan at the cap takes about 2.5 s.
 TRIPLE_CAP = 2**22
 
 
@@ -183,29 +183,33 @@ def factor_triples(procs: int) -> Iterator[tuple[int, int, int]]:
     )
 
 
-def exhaustive_grid(
+def plan(
     shape: ProblemShape, procs: int, require_divisibility: bool = False
-) -> tuple[ProcessorGrid, CostBreakdown]:
-    """Brute-force cost minimum over all factor triples of P, compared by the
-    integer P * cost + (n1n2 + n2n3 + n1n3) of the module docstring.
+) -> tuple[AnalyticGridResult, ProcessorGrid, CostBreakdown, BoundReport, bool]:
+    """The planner's record for shape on P processors: analytic_grid, the
+    cheapest factor triple, its comm_cost, lower_bound, and whether that
+    cost attains the bound.
 
-    Ties break to the lexicographically largest triple, which keeps the big
-    factors on the big dimensions (for shape (n,n,n) and prime P the three
-    axis-aligned grids tie and (P,1,1) wins).
+    Triples compare by the integer P * cost + (n1n2 + n2n3 + n1n3) of the
+    module docstring.  Ties break to the lexicographically largest triple,
+    which keeps the big factors on the big dimensions (for shape (n,n,n) and
+    prime P the three axis-aligned grids tie and (P,1,1) wins).  With
+    require_divisibility, as the simulator needs, only triples whose factors
+    divide their dimensions compete.
     """
+    analytic = analytic_grid(shape, procs)
     n1, n2, n3 = shape.dims
     n23, n13, n12 = n2 * n3, n1 * n3, n1 * n2
     triples = factor_triples(procs)
     if require_divisibility:
         triples = (t for t in triples if n1 % t[0] == n2 % t[1] == n3 % t[2] == 0)
-    best = max(
-        triples,
-        key=lambda t: (-(t[0] * n23 + t[1] * n13 + t[2] * n12), t),
-        default=None,
-    )
+    best = max(triples, key=lambda t: (-(t[0] * n23 + t[1] * n13 + t[2] * n12), t),
+               default=None)
     if best is None:
         raise ValueError(
             f"no factor triple of P={cut(str(procs))} divides shape {cut(str(shape.dims))}"
         )
     grid = ProcessorGrid(*best)
-    return grid, comm_cost(shape, grid)
+    cost = comm_cost(shape, grid)
+    bound = lower_bound(shape, procs)
+    return analytic, grid, cost, bound, bound.bound == cost.total

@@ -20,7 +20,7 @@ from commbounds.bounds import (
     d_case,
     lower_bound,
 )
-from commbounds.grids import ProcessorGrid, analytic_grid, exhaustive_grid
+from commbounds.grids import ProcessorGrid, analytic_grid, plan
 from commbounds.kkt import (
     OptProblem,
     analytic_solution,
@@ -62,7 +62,7 @@ def test_c1_running_example_grids():
         for procs, dims in expect.items():
             res = analytic_grid(RUNNING, procs)
             assert res.grid is not None and res.grid.dims == dims
-            grid, cb = exhaustive_grid(RUNNING, procs)
+            _, grid, cb, _, _ = plan(RUNNING, procs)
             assert grid.dims == dims
             assert cb.total == lower_bound(RUNNING, procs).bound
         assert time.time() - t0 < 1.0

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import signal
@@ -19,8 +20,8 @@ from commbounds.grids import (
     ProcessorGrid,
     analytic_grid,
     comm_cost,
-    exhaustive_grid,
     factor_triples,
+    plan,
 )
 
 RUNNING = ProblemShape(9600, 2400, 600)
@@ -78,9 +79,14 @@ def reference_grid(shape: ProblemShape, procs: int, require_divisibility: bool):
     return best
 
 
-def plan_or_error(plan, shape, procs, require_divisibility):
+def planned_grid(shape: ProblemShape, procs: int, require_divisibility: bool):
+    """plan's triple and its cost, as reference_grid returns them."""
+    return plan(shape, procs, require_divisibility)[1:3]
+
+
+def plan_or_error(planner, shape, procs, require_divisibility):
     try:
-        return plan(shape, procs, require_divisibility)
+        return planner(shape, procs, require_divisibility)
     except ValueError as e:
         return str(e)
 
@@ -234,13 +240,13 @@ class TestFactorTriples:
 class TestExhaustiveGrid:
     def test_matches_analytic_on_examples(self):
         for procs, dims in ((3, (3, 1, 1)), (36, (12, 3, 1)), (512, (32, 8, 2))):
-            grid, cb = exhaustive_grid(RUNNING, procs)
+            _, grid, cb, _, _ = plan(RUNNING, procs)
             assert grid.dims == dims
             assert cb.total == comm_cost(RUNNING, grid).total
 
     def test_tie_break_prefers_big_factor_first(self):
         # all three axis grids tie on a cube with prime P
-        grid, _ = exhaustive_grid(ProblemShape(7, 7, 7), 7)
+        _, grid, _, _, _ = plan(ProblemShape(7, 7, 7), 7)
         assert grid.dims == (7, 1, 1)
 
     def test_beats_or_ties_every_triple(self):
@@ -248,15 +254,15 @@ class TestExhaustiveGrid:
         for _ in range(60):
             shape = ProblemShape(*(int(v) for v in rng.integers(1, 50, size=3)))
             procs = int(rng.integers(1, 120))
-            _, best = exhaustive_grid(shape, procs)
+            _, _, best, _, _ = plan(shape, procs)
             for t in factor_triples(procs):
                 assert best.total <= comm_cost(shape, ProcessorGrid(*t)).total
 
     def test_divisibility_filter(self):
-        grid, _ = exhaustive_grid(ProblemShape(96, 24, 6), 36, require_divisibility=True)
+        _, grid, _, _, _ = plan(ProblemShape(96, 24, 6), 36, require_divisibility=True)
         assert all(d % p == 0 for d, p in zip((96, 24, 6), grid.dims))
         with pytest.raises(ValueError):
-            exhaustive_grid(ProblemShape(5, 5, 5), 7, require_divisibility=True)
+            plan(ProblemShape(5, 5, 5), 7, require_divisibility=True)
 
     def test_attains_bound_when_analytic_grid_integral(self):
         # cost + owned words equals the accessed-data optimum D exactly
@@ -276,6 +282,18 @@ class TestExhaustiveGrid:
             rep = lower_bound(shape, procs)
             assert cb.total + rep.owned == rep.accessed
             assert cb.total == rep.bound
+
+    def test_attained_iff_analytic_grid_integral_iff_cheapest(self):
+        # every ordered shape with dims <= 5 at every P <= 60: the bound is
+        # attained exactly when the analytic factors are integers, and then
+        # the analytic grid costs what the cheapest triple costs
+        for dims in itertools.product(range(1, 6), repeat=3):
+            shape = ProblemShape(*dims)
+            for procs in range(1, 61):
+                res, _, cb, _, attained = plan(shape, procs)
+                integral = res.grid is not None
+                cheapest = integral and comm_cost(shape, res.grid).total == cb.total
+                assert attained == integral == cheapest, (dims, procs)
 
     def test_constructed_integral_family(self):
         # shapes (c*p, c*q, c*r) with grid (p, q, r) attain the 3d bound
@@ -299,11 +317,9 @@ class TestExhaustiveGrid:
         for _ in range(40):
             dims = tuple(int(v) for v in rng.integers(1, 40, size=3))
             procs = int(rng.integers(1, 80))
-            _, base = exhaustive_grid(ProblemShape(*dims), procs)
+            _, _, base, _, _ = plan(ProblemShape(*dims), procs)
             for perm in ((2, 1, 0), (1, 0, 2)):
-                _, other = exhaustive_grid(
-                    ProblemShape(*(dims[i] for i in perm)), procs
-                )
+                _, _, other, _, _ = plan(ProblemShape(*(dims[i] for i in perm)), procs)
                 assert other.total == base.total
 
 
@@ -332,7 +348,7 @@ class TestEquivalenceWithReference:
     def test_fixed_range(self, shape):
         for procs in range(1, 251):
             for divisible in (False, True):
-                assert plan_or_error(exhaustive_grid, shape, procs, divisible) == (
+                assert plan_or_error(planned_grid, shape, procs, divisible) == (
                     plan_or_error(reference_grid, shape, procs, divisible)
                 ), (procs, divisible)
 
@@ -341,7 +357,7 @@ class TestEquivalenceWithReference:
            st.integers(1, 10**4), st.booleans())
     def test_random(self, dims, procs, divisible):
         shape = ProblemShape(*dims)
-        assert plan_or_error(exhaustive_grid, shape, procs, divisible) == (
+        assert plan_or_error(planned_grid, shape, procs, divisible) == (
             plan_or_error(reference_grid, shape, procs, divisible)
         )
 
