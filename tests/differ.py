@@ -1,0 +1,145 @@
+"""Differential run: a git revision's command line against the working tree's.
+
+    python tests/differ.py REV [--box D N]
+
+`git archive REV src` is extracted into a temporary directory, and one worker
+process starts per tree, each importing commbounds from its own src.  Both
+get the same argv lists, in order, run each in process through cli.main, and
+return its exit code, stdout and stderr, which must match byte for byte.  The
+output gives each source's request and difference counts, then the first 20
+differences with both answers.  The exit code is 1 when any request differs.
+
+Sources of argv, in this order:
+  always     every key of tests/golden_cli.json;
+  --box D N  every ordered shape with dims <= D at every P <= N in bound,
+             grid, simulate and verify, `sweep --procs 1:N` on every shape,
+             and `verify --tiny` on every shape with n1*n2*n3 at most
+             EXHAUSTIVE_LIMIT + 1, so the refusal just past the cap runs
+             too; each in the three formats.
+
+The script uses only the standard library; pytest does not collect it.
+"""
+
+import argparse
+import io
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FORMATS = ("human", "json", "csv")
+SHOWN = 20
+
+# Reads one JSON argv list a line and answers [exit code, stdout, stderr] as
+# one JSON line.  An exception that escapes cli.main is an answer too.
+WORKER = """
+import contextlib, io, json, sys
+import commbounds.cli as cli
+answer = sys.stdout
+for line in sys.stdin:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(json.loads(line))
+        except Exception as e:
+            code = f"raised {type(e).__name__}: {e}"
+    answer.write(json.dumps([code, out.getvalue(), err.getvalue()]) + "\\n")
+    answer.flush()
+"""
+
+
+def golden() -> list[list[str]]:
+    corpus = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+    return [key.split() for key in corpus]
+
+
+def box(most_dim: int, most_procs: int) -> list[list[str]]:
+    sys.path.insert(0, str(ROOT / "src"))
+    from commbounds.projections import EXHAUSTIVE_LIMIT
+
+    shapes = [[str(d) for d in dims]
+              for dims in itertools.product(range(1, most_dim + 1), repeat=3)]
+    requests = []
+    for fmt in FORMATS:
+        tail = ["--format", fmt]
+        for shape in shapes:
+            for command in ("bound", "grid", "simulate", "verify"):
+                requests += ([command, "--shape", *shape, "--procs", str(p), *tail]
+                             for p in range(1, most_procs + 1))
+            requests.append(["sweep", "--shape", *shape, "--procs", f"1:{most_procs}", *tail])
+            volume = int(shape[0]) * int(shape[1]) * int(shape[2])
+            if volume <= EXHAUSTIVE_LIMIT + 1:
+                requests += (["verify", "--shape", *shape, "--procs", str(p), "--tiny", *tail]
+                             for p in range(1, most_procs + 1))
+    return requests
+
+
+def start(src: Path) -> subprocess.Popen:
+    # argparse wraps its usage lines to the terminal width
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    return subprocess.Popen([sys.executable, "-c", WORKER], env=env, text=True,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+
+
+def ask(workers, argv: list[str]) -> list[str]:
+    """Both trees' answers to argv, as JSON lines; the trees run at once."""
+    line = json.dumps(argv) + "\n"
+    for w in workers:
+        w.stdin.write(line)
+        w.stdin.flush()
+    answers = [w.stdout.readline() for w in workers]
+    if not all(answers):
+        raise SystemExit(f"a worker exited on {argv}")
+    return answers
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="the git revision to compare with the working tree")
+    parser.add_argument("--box", nargs=2, type=int, metavar=("D", "N"),
+                        help="every shape with dims <= D at every P <= N")
+    args = parser.parse_args(argv)
+    sources = [("golden", golden())]
+    if args.box:
+        sources.append((f"box {args.box[0]} {args.box[1]}", box(*args.box)))
+
+    archive = subprocess.run(["git", "archive", args.rev, "src"], cwd=ROOT, capture_output=True)
+    if archive.returncode:
+        parser.error(archive.stderr.decode().strip())
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        workers = [start(Path(tmp) / "src"), start(ROOT / "src")]
+        differences, total = [], 0
+        try:
+            for name, requests in sources:
+                t0, differ = time.perf_counter(), 0
+                for request in requests:
+                    then, now = ask(workers, request)
+                    if then != now:
+                        differ += 1
+                        if len(differences) < SHOWN:
+                            differences.append((request, then, now))
+                total += differ
+                print(f"{name}: {len(requests)} requests, {differ} differ "
+                      f"({time.perf_counter() - t0:.1f} s)")
+        finally:
+            for w in workers:
+                w.stdin.close()
+                w.wait()
+
+    for request, then, now in differences:
+        print(f"\n$ commbounds {' '.join(request)}")
+        print(f"  {args.rev}: {then.rstrip()}")
+        print(f"  working tree: {now.rstrip()}")
+    return 1 if total else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
