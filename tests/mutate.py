@@ -29,8 +29,10 @@ SWAP = {
     ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
 }
 OPERATOR = re.compile(r"<=|>=|==|!=|<|>")
-# each suite run takes one core; the conftest alarm fails a single test
-# after 60 s, so this only catches a suite that hangs outside any test
+# each suite run takes one core.  The conftest alarm fails a test's call,
+# a hypothesis property's too, 60 s in, and -x then ends the run, so a
+# mutant that hangs a test counts as killed; SUITE_TIMEOUT catches a suite
+# that hangs outside any test's call, in collection or a fixture
 WORKERS = 2
 SUITE_TIMEOUT = 600
 
