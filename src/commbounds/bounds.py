@@ -18,22 +18,18 @@ form here, is computed exactly as an exact.Radical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .exact import RATIONAL, Radical, cut, decimal_str
 
 
-@dataclass(frozen=True)
 class ProblemShape:
     """Dimensions of C[n1 x n3] = A[n1 x n2] * B[n2 x n3]."""
 
-    n1: int
-    n2: int
-    n3: int
+    __slots__ = ("n1", "n2", "n3")
 
-    def __post_init__(self):
+    def __init__(self, n1: int, n2: int, n3: int):
+        self.n1, self.n2, self.n3 = n1, n2, n3
         for d in self.dims:
             if not isinstance(d, int) or isinstance(d, bool) or d < 1:
                 raise ValueError(f"dimensions must be positive integers, got {self.dims}")
@@ -111,19 +107,27 @@ def d_case(case: int, m: int, n: int, k: int, procs, b: Radical) -> Radical:
     return 3 * b
 
 
-@dataclass(frozen=True)
 class BoundReport:
-    case: int                  # 1, 2 or 3: the 1d, 2d or 3d regime, from case_of
-    on_boundary: bool          # P is also the first P of the next case
-    accessed: Radical          # D, words of matrix data touched per processor
-    owned: Fraction            # (mn + mk + nk)/P, words already resident
-    bound: Radical             # D - owned >= 0, words communicated
-    oversubscribed: bool       # P > mnk: fewer than one multiply per processor
-    memory: Optional[Fraction] = None
-    memory_dependent: Optional[Radical] = None  # 2mnk/(P sqrt(M)), in Q(sqrt(M))
-    binding: Optional[str] = None  # which accessed-data term is larger given M
-    in_window: Optional[bool] = None  # mn/k^2 < P <= (8/27) mnk / M^(3/2)
-    window_upper: Optional[Radical] = None  # (8/27) mnk / M^(3/2), in Q(sqrt(M))
+    __slots__ = (
+        "case",              # 1, 2 or 3: the 1d, 2d or 3d regime, from case_of
+        "on_boundary",       # P is also the first P of the next case
+        "accessed",          # D, a Radical: words of matrix data touched per processor
+        "owned",             # (mn + mk + nk)/P, a Fraction: words already resident
+        "bound",             # D - owned >= 0, a Radical: words communicated
+        "oversubscribed",    # P > mnk: fewer than one multiply per processor
+        "memory",            # M as a Fraction, or None; the rest are None without it
+        "memory_dependent",  # 2mnk/(P sqrt(M)), in Q(sqrt(M))
+        "binding",           # which accessed-data term is larger given M
+        "in_window",         # mn/k^2 < P <= (8/27) mnk / M^(3/2)
+        "window_upper",      # (8/27) mnk / M^(3/2), in Q(sqrt(M))
+    )
+
+    def __init__(self, case, on_boundary, accessed, owned, bound, oversubscribed, memory=None,
+                 memory_dependent=None, binding=None, in_window=None, window_upper=None):
+        self.case, self.on_boundary, self.oversubscribed = case, on_boundary, oversubscribed
+        self.accessed, self.owned, self.bound = accessed, owned, bound
+        self.memory, self.memory_dependent, self.binding = memory, memory_dependent, binding
+        self.in_window, self.window_upper = in_window, window_upper
 
 
 def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:

@@ -39,13 +39,11 @@ verification failure.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -64,19 +62,6 @@ EXIT_VERIFY = 4
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    shape: tuple[int, int, int] | None = None
-    procs: range | None = None
-    format: str = "human"
-    out: str | None = None
-    memory: Fraction | None = None
-    grid: tuple[int, int, int] | None = None
-    seed: int = 0
-    tiny: bool = False
-    table: str | None = None
 
 
 NUMBER_CAP = 1000
@@ -183,7 +168,7 @@ def build_parser():
     """The argparse parser, built on first use and shared by every call.
 
     Parsing keeps nothing on the parser: each parse returns a new
-    Namespace, and resolve_config turns it into a new RunConfig.
+    Namespace, and resolve_config turns it into a new SimpleNamespace.
     """
     import argparse
 
@@ -231,9 +216,10 @@ def parse(argv: list[str]):
     return build_parser().parse_args(argv)
 
 
-def resolve_config(args) -> RunConfig:
+def resolve_config(args) -> SimpleNamespace:
     """Each key from its flag, else from the config file, through the key's
-    converter; JSON null leaves a key unset."""
+    converter; JSON null leaves a key unset: None, or human for format, 0
+    for seed and false for tiny."""
     file_cfg = {}
     if args.config:
         try:
@@ -243,7 +229,8 @@ def resolve_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {e}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-    flags, values = vars(args), {}
+    flags = vars(args)
+    values = {**dict.fromkeys(_KEYS), "format": "human", "seed": 0, "tiny": False}
     for key, (_, _, convert) in _KEYS.items():
         v = flags.get(key)
         if v is None:
@@ -253,16 +240,16 @@ def resolve_config(args) -> RunConfig:
                 values[key] = convert(v)
             except ValueError as e:
                 raise ConfigError(f"--{key}: {e}")
-    return RunConfig(**values)
+    return SimpleNamespace(**values)
 
 
-def _require_shape(cfg: RunConfig) -> ProblemShape:
+def _require_shape(cfg: SimpleNamespace) -> ProblemShape:
     if cfg.shape is None:
         raise ConfigError("--shape is required")
     return ProblemShape(*cfg.shape)
 
 
-def _single_procs(cfg: RunConfig) -> int:
+def _single_procs(cfg: SimpleNamespace) -> int:
     if cfg.procs is None:
         raise ConfigError("--procs is required")
     if cfg.procs[0] != cfg.procs[-1]:
@@ -294,7 +281,7 @@ def _field_str(root) -> str:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_bound(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_bound(cfg: SimpleNamespace) -> tuple[dict, int]:
     shape = _require_shape(cfg)
     procs = _single_procs(cfg)
     rep = lower_bound(shape, procs, memory=cfg.memory)
@@ -320,7 +307,7 @@ def cmd_bound(cfg: RunConfig) -> tuple[dict, int]:
     return record, EXIT_OK
 
 
-def cmd_grid(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_grid(cfg: SimpleNamespace) -> tuple[dict, int]:
     shape = _require_shape(cfg)
     procs = _single_procs(cfg)
     res, ex_grid, ex_cb, rep, attained = plan(shape, procs)
@@ -351,7 +338,7 @@ def cmd_grid(cfg: RunConfig) -> tuple[dict, int]:
     return record, EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_simulate(cfg: SimpleNamespace) -> tuple[dict, int]:
     shape = _require_shape(cfg)
     if cfg.grid is not None:
         grid = ProcessorGrid(*cfg.grid)
@@ -394,7 +381,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
     return record, EXIT_OK if report.correctness else EXIT_CORRECTNESS
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_verify(cfg: SimpleNamespace) -> tuple[dict, int]:
     shape = _require_shape(cfg)
     procs = _single_procs(cfg)
     if cfg.tiny and shape.volume > EXHAUSTIVE_LIMIT:
@@ -484,7 +471,7 @@ def check_rows(rows: int) -> None:
         raise ValueError(f"sweep has {cut(str(rows))} rows, above the cap of {SWEEP_ROW_CAP}")
 
 
-def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_sweep(cfg: SimpleNamespace) -> tuple[dict, int]:
     if cfg.table == "constants":
         return _sweep_constants(), EXIT_OK
     shape = _require_shape(cfg)
@@ -747,6 +734,8 @@ def render(record: dict, fmt: str) -> str:
         return to_json(record) + "\n"
     table, human = _VIEWS[record.get("table", record["command"])]
     if fmt == "csv":
+        import csv
+
         header, rows = table(record)
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

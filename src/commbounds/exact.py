@@ -16,9 +16,6 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Union
-
-Value = Union[Fraction, float]  # a number as printed
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:
@@ -164,7 +161,7 @@ class Radical:
         """Display value: approximation() correctly rounded (_quotient)."""
         return _quotient(*self.approximation()[:2])
 
-    def to_value(self) -> Value:
+    def to_value(self) -> Fraction | float:
         """A Fraction for a rational element, else the display float."""
         if any(self.coeffs[1:]):
             return float(self)
@@ -233,7 +230,7 @@ def coefficient_rows(values) -> tuple[int, list[list[int]]]:
     return den // g, [[a * s // g for a in v.coeffs] for s, v in zip(scales, values)]
 
 
-def _display(v) -> Value:
+def _display(v) -> Fraction | float:
     """A Radical as its display value; a Fraction or float as it is."""
     return v.to_value() if type(v) is Radical else v
 

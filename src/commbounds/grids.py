@@ -20,9 +20,7 @@ p1 n2n3 + p2 n1n3 + p3 n1n2, however small the margin between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
 
 from .bounds import BoundReport, ProblemShape, _check_procs, case_field, case_of, lower_bound
 from .exact import Radical, cut
@@ -33,16 +31,14 @@ from .exact import Radical, cut
 TRIPLE_CAP = 2**22
 
 
-@dataclass(frozen=True)
 class ProcessorGrid:
     """Factor triple aligned to (n1, n2, n3): p1 splits rows of A/C, p2 the
     contraction dimension, p3 columns of B/C."""
 
-    p1: int
-    p2: int
-    p3: int
+    __slots__ = ("p1", "p2", "p3")
 
-    def __post_init__(self):
+    def __init__(self, p1: int, p2: int, p3: int):
+        self.p1, self.p2, self.p3 = p1, p2, p3
         for p in self.dims:
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError(f"grid factors must be positive integers, got {self.dims}")
@@ -56,12 +52,15 @@ class ProcessorGrid:
         return self.p1 * self.p2 * self.p3
 
 
-@dataclass(frozen=True)
 class CostBreakdown:
-    words_a: Fraction   # A all-gather over the p3 fiber
-    words_b: Fraction   # B all-gather over the p1 fiber
-    words_c: Fraction   # C reduce-scatter over the p2 fiber
-    total: Fraction
+    """Exact words per processor: words_a of the A all-gather over the p3
+    fiber, words_b of the B all-gather over the p1 fiber, words_c of the C
+    reduce-scatter over the p2 fiber, and their total."""
+
+    __slots__ = ("words_a", "words_b", "words_c", "total")
+
+    def __init__(self, words_a: Fraction, words_b: Fraction, words_c: Fraction, total: Fraction):
+        self.words_a, self.words_b, self.words_c, self.total = words_a, words_b, words_c, total
 
 
 def comm_cost(shape: ProblemShape, grid: ProcessorGrid) -> CostBreakdown:
@@ -75,15 +74,9 @@ def comm_cost(shape: ProblemShape, grid: ProcessorGrid) -> CostBreakdown:
     words_a = Fraction((p3 - 1) * n1 * n2, grid.size)
     words_b = Fraction((p1 - 1) * n2 * n3, grid.size)
     words_c = Fraction((p2 - 1) * n1 * n3, grid.size)
-    return CostBreakdown(
-        words_a=words_a,
-        words_b=words_b,
-        words_c=words_c,
-        total=words_a + words_b + words_c,
-    )
+    return CostBreakdown(words_a, words_b, words_c, words_a + words_b + words_c)
 
 
-@dataclass(frozen=True)
 class AnalyticGridResult:
     """Real-valued optimal factors, and the integral grid when they admit one.
 
@@ -93,10 +86,12 @@ class AnalyticGridResult:
     fallback.
     """
 
-    case: int
-    factors: tuple[Radical, Radical, Radical]
-    grid: Optional[ProcessorGrid]
-    non_integral_axes: tuple[int, ...]
+    __slots__ = ("case", "factors", "grid", "non_integral_axes")
+
+    def __init__(self, case: int, factors: tuple[Radical, Radical, Radical],
+                 grid: ProcessorGrid | None, non_integral_axes: tuple[int, ...]):
+        self.case, self.factors, self.grid, self.non_integral_axes = (
+            case, factors, grid, non_integral_axes)
 
 
 def analytic_grid(shape: ProblemShape, procs: int) -> AnalyticGridResult:
@@ -161,7 +156,7 @@ def _sorted_divisors(n: int, primes: dict[int, int]) -> list[int]:
     return divs
 
 
-def factor_triples(procs: int) -> Iterator[tuple[int, int, int]]:
+def factor_triples(procs: int):
     """All ordered triples (p1, p2, p3) with product P, no duplicates, in
     lexicographic order, produced lazily: highly composite P have millions.
     P is factorized once and every divisor list is built from its primes.

@@ -48,33 +48,28 @@ positive octant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bounds import case_field, case_of
 from .exact import RATIONAL, Radical, coefficient_rows, coefficient_sign, times
 
 
-@dataclass(frozen=True)
 class OptProblem:
     """Sorted dims plus processor count; callers pre-sort (m >= n >= k)."""
 
-    m: int
-    n: int
-    k: int
-    P: int
+    __slots__ = ("m", "n", "k", "P")
 
-    def __post_init__(self):
+    def __init__(self, m: int, n: int, k: int, P: int):
+        self.m, self.n, self.k, self.P = m, n, k, P
         if not (self.m >= self.n >= self.k >= 1):
             raise ValueError(f"need m >= n >= k >= 1, got ({self.m}, {self.n}, {self.k})")
         if self.P < 1:
             raise ValueError(f"need P >= 1, got {self.P}")
 
 
-@dataclass(frozen=True)
 class OptSolution:
-    x: tuple
-    mu: tuple
-    case_tag: int
+    __slots__ = ("x", "mu", "case_tag")
+
+    def __init__(self, x: tuple, mu: tuple, case_tag: int):
+        self.x, self.mu, self.case_tag = x, mu, case_tag
 
 
 def analytic_solution_for_case(prob: OptProblem, case: int, b: Radical) -> OptSolution:
@@ -117,15 +112,19 @@ def analytic_solution(prob: OptProblem) -> OptSolution:
 CONDITIONS = 15
 
 
-@dataclass(frozen=True)
 class KKTReport:
-    primal_feasible: bool
-    dual_feasible: bool
-    stationary: bool
-    complementary: bool
-    root: tuple              # the field the signs were decided in, as Radical.root
-    x: tuple                 # (den, coefficient rows) of x, the rows decided on
-    mu: tuple                # (den, coefficient rows) of mu
+    """The four verdicts; root is the field the signs were decided in, as
+    Radical.root, and x and mu are (den, coefficient rows), the rows decided
+    on."""
+
+    __slots__ = ("primal_feasible", "dual_feasible", "stationary", "complementary",
+                 "root", "x", "mu")
+
+    def __init__(self, primal_feasible: bool, dual_feasible: bool, stationary: bool,
+                 complementary: bool, root: tuple, x: tuple, mu: tuple):
+        self.primal_feasible, self.dual_feasible = primal_feasible, dual_feasible
+        self.stationary, self.complementary = stationary, complementary
+        self.root, self.x, self.mu = root, x, mu
 
     @property
     def failed(self) -> list[str]:

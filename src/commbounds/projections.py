@@ -21,7 +21,6 @@ enumerate once.  sweep never calls this engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .bounds import ProblemShape
@@ -92,10 +91,13 @@ def subset_stats(dims) -> SubsetStats:
     return stats
 
 
-@dataclass(frozen=True)
 class MinProjectionResult:
-    minimum: int
-    threshold: int      # smallest qualifying |F|, ceil(n1n2n3 / P)
+    """minimum over every F of at least threshold points, ceil(n1n2n3 / P)."""
+
+    __slots__ = ("minimum", "threshold")
+
+    def __init__(self, minimum: int, threshold: int):
+        self.minimum, self.threshold = minimum, threshold
 
 
 def min_projection_sum(shape: ProblemShape, procs: int) -> MinProjectionResult:

@@ -17,7 +17,6 @@ run counts its work in integers (work) before it allocates anything, and
 check_work refuses a run above WORD_CAP 8-byte words or MESSAGE_CAP messages.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import ProblemShape
@@ -54,14 +53,17 @@ def _ring_counts(sizes, shift):
     return sent, received
 
 
-@dataclass(frozen=True)
 class PhaseStats:
-    name: str
-    fiber_size: int          # p
-    block_words: int         # w, the words of the block each fiber moves
-    ideal: Fraction          # (1 - 1/p) w, the planner's even-split term
-    sent: tuple[int, ...]    # indexed by processor rank
-    received: tuple[int, ...]
+    """One phase: its fiber size p, the words w of the block each fiber
+    moves, the planner's even-split term ideal = (1 - 1/p) w, and the words
+    each rank sent and received, indexed by rank."""
+
+    __slots__ = ("name", "fiber_size", "block_words", "ideal", "sent", "received")
+
+    def __init__(self, name: str, fiber_size: int, block_words: int, ideal: Fraction,
+                 sent: tuple[int, ...], received: tuple[int, ...]):
+        self.name, self.fiber_size, self.block_words = name, fiber_size, block_words
+        self.ideal, self.sent, self.received = ideal, sent, received
 
     @property
     def even_split(self) -> bool:
@@ -78,16 +80,19 @@ class PhaseStats:
         return max(max(self.sent), max(self.received))
 
 
-@dataclass
 class SimReport:
-    shape: tuple[int, int, int]
-    grid: tuple[int, int, int]
-    seed: int
-    phases: list[PhaseStats]
-    critical_path_words: int
-    flops_per_proc: int           # local multiplies, identical on every rank
-    correctness: bool
-    predicted: CostBreakdown
+    """A run; flops_per_proc counts the local multiplies, identical on
+    every rank."""
+
+    __slots__ = ("shape", "grid", "seed", "phases", "critical_path_words", "flops_per_proc",
+                 "correctness", "predicted")
+
+    def __init__(self, shape: tuple, grid: tuple, seed: int, phases: list,
+                 critical_path_words: int, flops_per_proc: int, correctness: bool,
+                 predicted: CostBreakdown):
+        self.shape, self.grid, self.seed, self.phases = shape, grid, seed, phases
+        self.critical_path_words, self.flops_per_proc = critical_path_words, flops_per_proc
+        self.correctness, self.predicted = correctness, predicted
 
 
 def work(shape: ProblemShape, grid: ProcessorGrid) -> tuple[int, int]:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -718,7 +719,7 @@ argvs = st.one_of(
 
 
 def parsed_run(parse, argv):
-    """main's exit code, stdout, stderr and RunConfig with argv read by parse."""
+    """main's exit code, stdout, stderr and resolved config with argv read by parse."""
     configs = []
 
     def record(cfg):
@@ -775,11 +776,13 @@ def test_parse_reads_well_formed_argv_as_the_full_parser_without_it(argv):
     assert bool(built) == ("-5" in argv)
 
 
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
 @pytest.mark.parametrize(
     "argv, argparse_imported",
     [
         ("bound --shape 96 96 96 --procs 512 --memory 54", False),
         ("grid --shape 9600 2400 600 --procs 36", False),
+        ("simulate --shape 96 24 6 --procs 8", False),
         ("sweep --shape 96 24 6 --procs 1:70", False),
         ("sweep --table constants", False),
         ("verify --shape 9600 2400 600 --procs 36", False),
@@ -787,21 +790,28 @@ def test_parse_reads_well_formed_argv_as_the_full_parser_without_it(argv):
         ("verify --shape 9600 2400 600 --procs=37", True),
     ],
 )
-def test_command_does_not_import_numpy(argv, argparse_imported):
+def test_command_imports_only_what_it_needs(argv, argparse_imported, fmt):
     # numpy is imported only by the functions that compute with it, which
-    # only simulate calls; argparse only when parse hands argv over to it
+    # only simulate calls; argparse only when parse hands argv over to it;
+    # csv only to write csv; dataclasses never, and typing only by numpy.
+    # The child runs with -S: site can preload modules (a .pth file can
+    # import typing), which would hide an import of the package's own.
+    # numpy's directory goes on the path, as site would have put it there.
     src = str(Path(cli.__file__).resolve().parents[1])
+    numpy_dir = str(Path(importlib.util.find_spec("numpy").origin).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        filter(None, [src, os.environ.get("PYTHONPATH"), numpy_dir]))}
+    watched = ("numpy", "argparse", "csv", "dataclasses", "typing")
     script = (
         "import sys\n"
         "from commbounds.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(code, 'numpy' in sys.modules, 'argparse' in sys.modules)\n"
+        f"print(code, *[m in sys.modules for m in {watched}])\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script, *argv.split()],
+        [sys.executable, "-S", "-c", script, *argv.split(), "--format", fmt],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    want = f"0 False {argparse_imported}"
+    simulate = argv.startswith("simulate")
+    want = f"0 {simulate} {argparse_imported} {fmt == 'csv'} False {simulate}"
     assert proc.stdout.splitlines()[-1] == want, proc.stdout + proc.stderr

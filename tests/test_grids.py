@@ -85,10 +85,15 @@ def planned_grid(shape: ProblemShape, procs: int, require_divisibility: bool):
 
 
 def plan_or_error(planner, shape, procs, require_divisibility):
+    """The planner's grid and cost, each as its type and every field, or its
+    ValueError's text.  Records compare by identity, so the fields are what
+    two planners' answers compare by."""
     try:
-        return planner(shape, procs, require_divisibility)
+        grid, cost = planner(shape, procs, require_divisibility)
     except ValueError as e:
         return str(e)
+    return (type(grid), grid.dims,
+            type(cost), (cost.words_a, cost.words_b, cost.words_c, cost.total))
 
 
 class TestProcessorGrid:
