@@ -32,9 +32,8 @@ kkt_verify decided the KKT signs on, which tests/check_certificate.py
 checks without this package.
 
 Exit codes: 0 success, 2 bad configuration, a simulate run above its work
-caps, a sweep above its row cap, a planner scan above its triple cap or a
-printed value beyond float range, 3 simulation correctness failure, 4
-verification failure.
+caps, a sweep above its row cap or a planner scan above its triple cap, 3
+simulation correctness failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -681,15 +680,16 @@ def _cell(v, number_str, empty: str) -> str:
         return empty
     if isinstance(v, bool):
         return str(v).lower()
-    if isinstance(v, (Fraction, Radical, float)):
+    if isinstance(v, (Fraction, Radical)):
         return number_str(v)
     return str(v)
 
 
 def _csv_value(v) -> str:
-    # irrationals print as the repr of their float, which round-trips;
-    # rationals print exactly unless their expansion runs past 28 fractional
-    # digits, where they are rounded
+    # irrationals print as the repr of their double, which round-trips, or
+    # beyond double range as 17 significant digits; rationals print exactly
+    # unless their expansion runs past 28 fractional digits, where they are
+    # rounded
     return _cell(v, decimal_str, "")
 
 
@@ -698,9 +698,11 @@ def to_json(v, indent: str = "\n") -> str:
     dict, list or tuple that holds dicts with str keys, lists, tuples, str,
     int, bool, None, finite floats and exact values, none of them of a
     subclass; indent is the newline and indentation that v's own line
-    starts with.  A str or int is written in place in its container,
-    anything else by a call of its own.  Loops gather the items: in Python
-    3.11 a comprehension is a call of its own too."""
+    starts with.  An irrational beyond double range is the one exception:
+    value_to_json gives its number text, which is written as it is, where
+    json.dumps would quote it.  A str or int is written in place in its
+    container, anything else by a call of its own.  Loops gather the items:
+    in Python 3.11 a comprehension is a call of its own too."""
     t = type(v)
     if t is dict or t is list or t is tuple:
         if not v:
@@ -725,7 +727,8 @@ def to_json(v, indent: str = "\n") -> str:
         return "true" if v else "false"
     if t is float:
         return json.dumps(v)
-    return to_json(value_to_json(v), indent)
+    j = value_to_json(v)
+    return j if type(j) is str else to_json(j, indent)
 
 
 def render(record: dict, fmt: str) -> str:
@@ -763,8 +766,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         record, code = _DISPATCH[args.command](cfg)
         text = render(record, cfg.format)
-    except (ConfigError, ValueError, OverflowError) as e:
-        # OverflowError: a printed irrational value beyond float range
+    except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.out:

@@ -4,17 +4,17 @@ KKT certificate.
 Every closed-form quantity in this package is a rational number, or a rational
 combination of 1, b and b^2 for one square or cube root b.  Radical holds the
 values of one such field Q(b), b = r^(1/d), with integer coefficients; every
-decision is an exact sign or equality in it.  A value becomes a float only to
-be printed: Radical.to_value gives a Fraction for a rational element and a
-float for an irrational one, and decimal_str and value_to_json print through
-it.  human_str prints an irrational element's 12 significant digits rounded
-from the element itself (rounded12), not from its float.
+decision is an exact sign or equality in it.  A value becomes decimal digits
+only to be printed: digits() gives the n significant digits of a Fraction or a
+Radical, rounded once from the exact value, in integers, and decimal_str,
+human_str and value_to_json lay them out.  JSON and csv print an irrational
+inside double range as the repr of its double, which round-trips, and outside
+it as 17 digits of number text, so no printed value depends on float range.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
@@ -157,18 +157,8 @@ class Radical:
             if err << 64 < abs(num) or not err:
                 return num, self.den * U ** (d - 1), err
 
-    def __float__(self) -> float:
-        """Display value: approximation() correctly rounded (_quotient)."""
-        return _quotient(*self.approximation()[:2])
-
-    def to_value(self) -> Fraction | float:
-        """A Fraction for a rational element, else the display float."""
-        if any(self.coeffs[1:]):
-            return float(self)
-        return Fraction(self.coeffs[0], self.den)
-
     def __str__(self) -> str:
-        return str(self.to_value())
+        return decimal_str(self)
 
 
 def times(a, b, root: tuple[int, int, int]) -> list[int]:
@@ -208,18 +198,6 @@ def coefficient_sign(coeffs, root: tuple[int, int, int]) -> int:
     return (s > 0) - (s < 0)
 
 
-def _quotient(num: int, den: int) -> float:
-    """num/den correctly rounded; 0.0 where it underflows, and where it is
-    too large an OverflowError that gives its leading digits and decimal
-    exponent."""
-    try:
-        return num / den
-    except OverflowError:
-        digits = str(abs(num) // den)
-        about = f"{'-' if num < 0 else ''}{digits[0]}.{digits[1:4]}e{len(digits) - 1}"
-        raise OverflowError(f"a value of about {about} is beyond float range") from None
-
-
 def coefficient_rows(values) -> tuple[int, list[list[int]]]:
     """Same-field elements as integer coefficient lists over one positive
     denominator, in lowest terms."""
@@ -230,97 +208,114 @@ def coefficient_rows(values) -> tuple[int, list[list[int]]]:
     return den // g, [[a * s // g for a in v.coeffs] for s, v in zip(scales, values)]
 
 
-def _display(v) -> Fraction | float:
-    """A Radical as its display value; a Fraction or float as it is."""
-    return v.to_value() if type(v) is Radical else v
-
-
-def decimal_str(v, digits: int = 28) -> str:
-    """Decimal rendering that keeps every integer digit.
-
-    A rational is exact when its expansion terminates within `digits`
-    fractional digits (all attainment values do); otherwise it is rounded to
-    that many fractional digits (`digits` significant ones below 1) and still
-    shows its decimal point, so a number printed without one is exact.
-    """
-    v = _display(v)
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        whole = abs(v.numerator) // v.denominator
-        with localcontext() as ctx:
-            ctx.prec = digits + (Decimal(whole).adjusted() + 1 if whole else 0)
-            d = Decimal(v.numerator) / Decimal(v.denominator)
-        return format(d, "f")
-    return repr(float(v))
-
-
 def _decade(e: int) -> tuple[int, int]:
     """10^e as (numerator, denominator)."""
     return (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
 
 
-def rounded12(v: Radical) -> str:
-    """'%.12g' % v for an irrational v, with its 12 digits rounded from v
-    itself, not from the double nearest it; beyond float range the
-    OverflowError of float(v).
+def digits(v, n: int) -> tuple[int, int, int]:
+    """(sign, c, e): a nonzero Fraction or Radical v, rounded once, half to
+    even, to n significant digits, is sign c 10^(e - n + 1), with
+    10^(n - 1) <= c < 10^n; n <= 18 for an irrational v.
 
     Each comparison of |v| with a rational t is decided on the interval
-    v.approximation() gives, and by the exact sign of |v| - t where t lies
-    inside it; an irrational v is never t.  The interval is narrower than
-    2^-64 |v|, far below the 10^-12 |v| that the digits resolve.  Once the
-    digits c and the exponent e are decided, '%.12g' lays them out: the
-    double nearest a 12-digit decimal prints as those digits, as a normal
-    double carries 15.  Below 10^-307, where a double is subnormal or 0,
-    '%.12g' lays out c 10^-11 and the exponent is appended.
+    (num -+ err)/den that v.approximation() gives, and by the exact sign of
+    |v| - t where t lies inside it; an irrational v is never t.  A rational
+    has err = 0.  The interval is narrower than 2^-64 |v|, far below the
+    10^-18 |v| that 18 digits resolve, so its lower end rounds half up to c
+    or to c - 1, and to c - 1 only when |v| lies above the midpoint.
     """
-    num, den, err = v.approximation()
-    _quotient(num, den)  # refuses a value beyond float range, as every format does
+    num, den, err = v.approximation() if type(v) is Radical else (v.numerator, v.denominator, 0)
     # err < |num|, so num has v's sign
-    s, n = (1 if num > 0 else -1), abs(num)
+    a = abs(num)
+    sign = num // a
 
     def above(tn: int, td: int) -> bool:
-        """|v| > tn/td."""
-        if (n - err) * td >= tn * den:
+        """|v| > tn/td; |v| >= tn/td for a rational v."""
+        if (a - err) * td >= tn * den:
             return True
-        if (n + err) * td <= tn * den:
+        if (a + err) * td <= tn * den:
             return False
-        return (v * (s * td) - tn).sign() > 0
+        return (v * (sign * td) - tn).sign() == 1
 
-    # the decade of |v|, 10^e < |v| < 10^(e + 1), from a guess within a few
-    # decades
-    e = (n.bit_length() - den.bit_length()) * 3 // 10
-    while not above(*_decade(e)):
-        e -= 1
-    while above(*_decade(e + 1)):
-        e += 1
-    # c = |v| 10^(11 - e) rounded to the nearest integer, 12 digits: the
-    # interval's lower end rounds to c or to c - 1, and to c - 1 only when
-    # |v| lies above the midpoint between them
-    sn, sd = _decade(11 - e)
-    c = (2 * (n - err) * sn + den * sd) // (2 * den * sd)
-    c += above((2 * c + 1) * sd, 2 * sn)
-    if c == 10 ** 12:  # rounded up into the next decade
-        c, e = 10 ** 11, e + 1
-    sign = "-" if s < 0 else ""
-    if e < -307:
-        return f"{sign}{'%.12g' % float(f'{c}e-11')}e{e:+03d}"
-    return "%.12g" % float(f"{sign}{c}e{e - 11}")
+    # 10^e <= |v| < 10^(e + 1): 2^(t - 1) < |v| < 2^(t + 1.01) for
+    # t = bits(a - err) - bits(den), so e is this guess or the next.  For
+    # |t| <= 10^5, (t - 1) log10 2 is 3 10^-6 or more from any nonzero
+    # integer, and the float product is within 10^-11 of it.
+    e = math.floor(((a - err).bit_length() - den.bit_length() - 1) * math.log10(2))
+    e += above(*_decade(e + 1))
+    sn, sd = _decade(n - 1 - e)
+    c, r = divmod(2 * (a - err) * sn + den * sd, 2 * den * sd)
+    if err:
+        c += above((2 * c + 1) * sd, 2 * sn)
+    elif not r:  # a rational halfway between c - 1 and c rounds to even
+        c -= c & 1
+    if c == 10 ** n:  # rounded up into the next decade
+        c, e = 10 ** (n - 1), e + 1
+    return sign, c, e
+
+
+def _point(sign: int, text: str, e: int) -> str:
+    """The digits text of a value of sign and decimal exponent e, in fixed
+    point; e + 1 < len(text)."""
+    text = "0." + "0" * (-e - 1) + text if e < 0 else f"{text[:e + 1]}.{text[e + 1:]}"
+    return "-" + text if sign == -1 else text
+
+
+def _double(v: Radical) -> float | str:
+    """An irrational v as JSON and csv print it: the double nearest to
+    v.approximation()'s num/den where that is nonzero and finite, else its
+    17 digits as number text, such as 4.2426406871192851e-400."""
+    num, den, _ = v.approximation()
+    try:
+        if x := num / den:
+            return x
+    except OverflowError:
+        pass
+    sign, c, e = digits(v, 17)
+    return f"{'-' if sign == -1 else ''}{str(c)[0]}.{str(c)[1:]}e{e:+03d}"
+
+
+def decimal_str(v, places: int = 28) -> str:
+    """Decimal rendering that keeps every integer digit.
+
+    A rational is exact when its expansion terminates within `places`
+    fractional digits (all attainment values do); otherwise it is rounded to
+    that many fractional digits (`places` significant ones below 1) and still
+    shows its decimal point, so a number printed without one is exact.  An
+    irrational is shown as JSON shows it (_double).
+    """
+    if type(v) is Radical:
+        if any(v.coeffs[1:]):
+            return str(_double(v))
+        v = Fraction(v.coeffs[0], v.den)
+    num, den = v.numerator, v.denominator
+    if den == 1:
+        return str(num)
+    whole = abs(num) // den
+    n = places + len(str(whole)) if whole else places
+    sign, c, e = digits(v, n)
+    exact = c * den == abs(num) * 10 ** (n - 1 - e)
+    return _point(sign, str(c).rstrip("0") if exact else str(c), e)
 
 
 def human_str(v) -> str:
     """Compact rendering of an exact value for terminal output.
 
     A rational is shown as decimal_str shows it.  An irrational is shown to
-    12 significant digits rounded from its exact value (rounded12), unless
-    that drops both the point and the exponent (1803989696.9957 rounds to
-    1803989697); then it is shown as the repr of its float, so a number
-    printed without a decimal point is exact.
+    12 significant digits rounded once from its exact value, laid out as
+    '%.12g' lays them out, unless that drops both the point and the exponent
+    (1803989696.9957 rounds to 1803989697); then it is shown as decimal_str
+    shows it, so a number printed without a decimal point is exact.
     """
     if type(v) is not Radical or not any(v.coeffs[1:]):
         return decimal_str(v)
-    text = rounded12(v)
-    return text if "." in text or "e" in text else repr(float(v))
+    sign, c, e = digits(v, 12)
+    text = str(c).rstrip("0")
+    if -4 <= e < 12:
+        return _point(sign, text, e) if e + 1 < len(text) else decimal_str(v)
+    text = f"{text[0]}.{text[1:]}".rstrip(".")
+    return f"{'-' if sign == -1 else ''}{text}e{e:+03d}"
 
 
 QUOTE_CAP = 40
@@ -335,8 +330,9 @@ def cut(text: str, show=str) -> str:
 
 
 def value_to_json(v):
-    """JSON form: rationals as {decimal, num, den}, floats as plain numbers."""
-    v = _display(v)
-    if isinstance(v, Fraction):
-        return {"decimal": decimal_str(v), "num": v.numerator, "den": v.denominator}
-    return float(v)
+    """JSON form: a rational as {decimal, num, den}, an irrational as _double."""
+    if type(v) is Radical:
+        if any(v.coeffs[1:]):
+            return _double(v)
+        v = Fraction(v.coeffs[0], v.den)
+    return {"decimal": decimal_str(v), "num": v.numerator, "den": v.denominator}

@@ -1,13 +1,19 @@
 """Differential run: a git revision's command line against the working tree's.
 
-    python tests/differ.py REV [--box D N]
+    python tests/differ.py REV [--box D N] [--declared FILE]
 
 `git archive REV src` is extracted into a temporary directory, and one worker
 process starts per tree, each importing commbounds from its own src.  Both
 get the same argv lists, in order, run each in process through cli.main, and
 return its exit code, stdout and stderr, which must match byte for byte.  The
-output gives each source's request and difference counts, then the first 20
-differences with both answers.  The exit code is 1 when any request differs.
+output gives each source's request, difference and declared counts, then the
+first 20 undeclared differences and the first 20 declared ones, each with
+both answers, then each declared line that no request differed on, as
+unused.  The exit code is 1 when any undeclared request differs.
+
+--declared FILE lists the argv whose output a change declares changed, one a
+line, its words joined by single spaces as the golden corpus spells its keys;
+blank lines and lines that start with # are skipped.
 
 Sources of argv, in this order:
   always     every key of tests/golden_cli.json;
@@ -80,6 +86,11 @@ def box(most_dim: int, most_procs: int) -> list[list[str]]:
     return requests
 
 
+def declared_lines(path: str) -> list[str]:
+    lines = (line.strip() for line in Path(path).read_text().splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def start(src: Path) -> subprocess.Popen:
     # argparse wraps its usage lines to the terminal width
     env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
@@ -104,7 +115,10 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="the git revision to compare with the working tree")
     parser.add_argument("--box", nargs=2, type=int, metavar=("D", "N"),
                         help="every shape with dims <= D at every P <= N")
+    parser.add_argument("--declared", metavar="FILE",
+                        help="argv lines whose output is declared changed")
     args = parser.parse_args(argv)
+    declared = declared_lines(args.declared) if args.declared else []
     sources = [("golden", golden())]
     if args.box:
         sources.append((f"box {args.box[0]} {args.box[1]}", box(*args.box)))
@@ -116,28 +130,38 @@ def main(argv=None) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp, filter="data")
         workers = [start(Path(tmp) / "src"), start(ROOT / "src")]
-        differences, total = [], 0
+        # undeclared and declared differences: (request, then, now)
+        shown, total, used = ([], []), 0, set()
         try:
             for name, requests in sources:
-                t0, differ = time.perf_counter(), 0
+                t0, differ, expected = time.perf_counter(), 0, 0
                 for request in requests:
                     then, now = ask(workers, request)
                     if then != now:
+                        line = " ".join(request)
+                        is_declared = line in declared
                         differ += 1
-                        if len(differences) < SHOWN:
-                            differences.append((request, then, now))
-                total += differ
-                print(f"{name}: {len(requests)} requests, {differ} differ "
-                      f"({time.perf_counter() - t0:.1f} s)")
+                        expected += is_declared
+                        if is_declared:
+                            used.add(line)
+                        if len(shown[is_declared]) < SHOWN:
+                            shown[is_declared].append((request, then, now))
+                total += differ - expected
+                print(f"{name}: {len(requests)} requests, {differ} differ, {expected} of them "
+                      f"declared ({time.perf_counter() - t0:.1f} s)")
         finally:
             for w in workers:
                 w.stdin.close()
                 w.wait()
 
-    for request, then, now in differences:
-        print(f"\n$ commbounds {' '.join(request)}")
-        print(f"  {args.rev}: {then.rstrip()}")
-        print(f"  working tree: {now.rstrip()}")
+    for tag, differences in zip(("", " (declared)"), shown):
+        for request, then, now in differences:
+            print(f"\n$ commbounds {' '.join(request)}{tag}")
+            print(f"  {args.rev}: {then.rstrip()}")
+            print(f"  working tree: {now.rstrip()}")
+    for line in declared:
+        if line not in used:
+            print(f"\nunused: {line}")
     return 1 if total else 0
 
 

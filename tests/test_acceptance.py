@@ -30,6 +30,7 @@ from commbounds.kkt import (
 from commbounds.projections import min_projection_sum, subset_stats
 from commbounds.simulate import _ring_counts, run_algorithm, split_sizes
 from ring_reference import all_gather_hops, reduce_scatter_hops, tally
+from test_exact import to_float
 
 RUNNING = ProblemShape(9600, 2400, 600)
 
@@ -149,7 +150,7 @@ def test_c4_kkt_and_oracle_sweep():
                 other = kkt_verify(prob, solution_for(prob, case))
                 assert other.passed == in_range(prob, case), (m, n, k, P, case)
             val = full_scan_oracle(prob, budget=100_000)
-            assert val >= float(d) * (1 - 1e-9), (m, n, k, P, val, float(d))
+            assert val >= to_float(d) * (1 - 1e-9), (m, n, k, P, val, to_float(d))
             # boundary tuples: both adjacent closed forms coincide exactly
             if P * n == m or P * k * k == m * n:
                 ca, cb = (1, 2) if P * n == m else (2, 3)

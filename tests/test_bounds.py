@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from commbounds.bounds import PRIOR_CONSTANTS, ProblemShape, case_field, d_case, lower_bound
 from commbounds.exact import RATIONAL, Radical
+from test_exact import to_float, to_value
 
 RUNNING = ProblemShape(9600, 2400, 600)  # m/n = 4, mn/k^2 = 64
 
@@ -155,7 +156,7 @@ class TestContinuityMonotonicity:
             for procs in range(1, 40):
                 d = lower_bound(shape, procs).accessed
                 if prev is not None:
-                    assert float(d) <= float(prev)
+                    assert to_float(d) <= to_float(prev)
                 prev = d
 
     @settings(deadline=None, max_examples=200)
@@ -164,7 +165,7 @@ class TestContinuityMonotonicity:
     def test_accessed_data_non_increasing_drawn(self, dims, procs):
         shape = ProblemShape(*dims)
         d, after = lower_bound(shape, procs).accessed, lower_bound(shape, procs + 1).accessed
-        assert float(after) <= float(d)
+        assert to_float(after) <= to_float(d)
 
     @settings(deadline=None, max_examples=300)
     @given(st.tuples(st.integers(1, 10**4), st.integers(1, 10**4), st.integers(1, 10**4)),
@@ -177,7 +178,7 @@ class TestContinuityMonotonicity:
     def test_case_1_communication_increases_in_p(self):
         # (1 - 1/P) nk grows with P, the reason the bound is not monotone;
         # case 1 values are rational
-        vals = [lower_bound(RUNNING, p).bound.to_value() for p in (1, 2, 3, 4)]
+        vals = [to_value(lower_bound(RUNNING, p).bound) for p in (1, 2, 3, 4)]
         assert vals == sorted(vals)
         assert vals[0] == 0
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import commbounds.cli as cli
 from commbounds.bounds import ProblemShape, lower_bound
 from commbounds.exact import value_to_json
 from commbounds.simulate import MESSAGE_CAP, WORD_CAP
-from test_exact import json_to_value
+from test_exact import json_to_value, to_value
 
 
 NINES = "9" * 1000  # the longest integer an input key takes
@@ -575,17 +576,34 @@ class TestConfigAndIO:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
     @pytest.mark.parametrize("command", ["bound", "grid", "sweep"])
-    def test_huge_dimensions_exit_2_with_one_line(self, capsys, command):
-        # the irrational D at P = 7 is about 10^400, beyond float range
+    def test_huge_dimensions_print_the_digits_of_their_bound(self, capsys, command, fmt):
+        # the irrational bound at P = 7 is about 3.9 10^401, beyond float
+        # range: JSON and csv print its 17 significant digits, human text 12
         huge = str(10**200)
         procs = "7:8" if command == "sweep" else "7"
         code, out, err = run_cli(
-            capsys, command, "--shape", huge, huge, huge, "--procs", procs
+            capsys, command, "--shape", huge, huge, huge, "--procs", procs, "--format", fmt
         )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            doc = json.loads(out, parse_float=str)  # the number's text
+            text = (doc["rows"][0] if command == "sweep" else doc)["lower_bound"]
+        elif fmt == "csv":
+            text = next(csv.DictReader(io.StringIO(out)))["lower_bound"]
+        elif command == "sweep":
+            header, row = (line.split() for line in out.splitlines()[1:3])
+            text = row[header.index("lower_bound")]
+        else:
+            text = out.split("lower bound     : ")[1].split()[0]
+        with localcontext() as ctx:
+            ctx.prec = 80
+            # 3 (mnk/P)^(2/3) - (mn + mk + nk)/P
+            bound = 3 * (Decimal(10) ** 600 / 7) ** (Decimal(2) / 3) - 3 * Decimal(10) ** 400 / 7
+        n = 12 if fmt == "human" else 17
+        assert Decimal(text) == Context(prec=n).plus(bound)
+        assert len(text.split("e")[0].replace(".", "")) == n
 
     @pytest.mark.parametrize(
         "argv",
@@ -640,7 +658,7 @@ class TestConfigAndIO:
             procs = int(row[header.index("procs")])
             rep = lower_bound(ProblemShape(96, 24, 6), procs)
             got = row[header.index("lower_bound")]
-            expect = rep.bound.to_value()
+            expect = to_value(rep.bound)
             if isinstance(expect, Fraction):
                 assert Fraction(got) == expect
             else:
@@ -793,7 +811,9 @@ def test_parse_reads_well_formed_argv_as_the_full_parser_without_it(argv):
 def test_command_imports_only_what_it_needs(argv, argparse_imported, fmt):
     # numpy is imported only by the functions that compute with it, which
     # only simulate calls; argparse only when parse hands argv over to it;
-    # csv only to write csv; dataclasses never, and typing only by numpy.
+    # csv only to write csv; dataclasses never, typing only by numpy, and
+    # decimal never: fractions imports it for itself, so the child drops it
+    # from sys.modules first, and any later import of it shows.
     # The child runs with -S: site can preload modules (a .pth file can
     # import typing), which would hide an import of the package's own.
     # numpy's directory goes on the path, as site would have put it there.
@@ -801,9 +821,10 @@ def test_command_imports_only_what_it_needs(argv, argparse_imported, fmt):
     numpy_dir = str(Path(importlib.util.find_spec("numpy").origin).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH"), numpy_dir]))}
-    watched = ("numpy", "argparse", "csv", "dataclasses", "typing")
+    watched = ("numpy", "argparse", "csv", "dataclasses", "typing", "decimal")
     script = (
-        "import sys\n"
+        "import sys, fractions\n"
+        "del sys.modules['decimal']\n"
         "from commbounds.cli import main\n"
         "code = main(sys.argv[1:])\n"
         f"print(code, *[m in sys.modules for m in {watched}])\n"
@@ -813,5 +834,5 @@ def test_command_imports_only_what_it_needs(argv, argparse_imported, fmt):
         capture_output=True, text=True, env=env, timeout=60,
     )
     simulate = argv.startswith("simulate")
-    want = f"0 {simulate} {argparse_imported} {fmt == 'csv'} False {simulate}"
+    want = f"0 {simulate} {argparse_imported} {fmt == 'csv'} False {simulate} False"
     assert proc.stdout.splitlines()[-1] == want, proc.stdout + proc.stderr

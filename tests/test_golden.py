@@ -17,7 +17,12 @@ and by 2.8 10^-10, where they keep the exponent of 99, and at
 and non-integral analytic grids; `simulate`
 with even and uneven splits; `verify` plain, `--tiny`, with irrational optima
 and at huge dimensions and P; `bound`, `grid` and `sweep` at dimensions
-10^110, whose products are beyond float range; `sweep` across both boundaries
+10^110, whose products are beyond float range; `bound` at dimensions 10^201
+on P = 7, whose bound is above every double, and at P = 10^400 with
+`--memory 2`, whose memory term is below every double, and `verify` with all
+four numbers 10^300 + 7, each printing its digits; the owned data of
+32769 x 32769 x 2 on P = 2^29, which lies halfway between two 28-place
+decimals and rounds to the even one; `sweep` across both boundaries
 and the constants table; each in the human, json and csv formats; and the
 error paths, among them a flag short of its values and a dash-led value,
 which cli.parse hands to argparse. A change to any output shows here as a

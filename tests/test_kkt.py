@@ -19,6 +19,7 @@ from commbounds.kkt import (
     analytic_solution_for_case,
     kkt_verify,
 )
+from test_exact import to_float
 
 RUNNING = (9600, 2400, 600)
 
@@ -205,7 +206,7 @@ class TestKKTVerify:
         prob = OptProblem(64, 8, 4, 4)
         sol = analytic_solution(prob)
         assert sol.x == (32, 64, 128) and sol.mu == (Fraction(1, 8192), 0, 0.5, 0.75)
-        as_floats = OptSolution(tuple(map(float, sol.x)), tuple(map(float, sol.mu)), 1)
+        as_floats = OptSolution(tuple(map(to_float, sol.x)), tuple(map(to_float, sol.mu)), 1)
         as_mixed = OptSolution((32, Fraction(64), 128.0), (2.0**-13, 0, Fraction(1, 2), 0.75), 1)
         for s in (as_floats, as_mixed):
             rep = kkt_verify(prob, s)
@@ -335,7 +336,7 @@ class TestOracle:
 
     def test_never_below_analytic(self):
         for prob in random_problems(60, seed=12, hi=300, phi=600):
-            opt = float(sum(analytic_solution(prob).x))
+            opt = to_float(sum(analytic_solution(prob).x))
             val = full_scan_oracle(prob, budget=20_000)
             assert val >= opt * (1 - 1e-9)
 
@@ -356,7 +357,7 @@ class TestOracle:
     def test_case_1_corner_on_grid(self):
         prob = OptProblem(*RUNNING, 3)
         val = full_scan_oracle(prob, budget=50_000)
-        opt = float(sum(analytic_solution(prob).x))
+        opt = to_float(sum(analytic_solution(prob).x))
         assert val == pytest.approx(opt, rel=1e-12)
 
 
