@@ -25,7 +25,7 @@ exit code.  render() is the only place that knows the output formats: JSON
 through to_json, which writes what json.dumps(indent=2) with value_to_json
 as its hook would, byte for byte, without the standard library's
 pure-Python indenting encoder; CSV through one writer over the command's
-(header, rows) view; and human text through the command's template.
+rows as dicts; and human text through the command's template.
 
 `verify --format json` also prints its certificate: the integer rows that
 kkt_verify decided the KKT signs on, which tests/check_certificate.py
@@ -264,11 +264,6 @@ def _shape_str(dims) -> str:
     return " x ".join(str(d) for d in dims)
 
 
-def _regime(case: int) -> str:
-    """The regime's name for the bound's case: 1d, 2d or 3d."""
-    return f"{case}d"
-
-
 def _field_str(root) -> str:
     """The field Q(b) an exact.Radical.root names."""
     rn, rd, degree = root
@@ -288,7 +283,7 @@ def cmd_bound(cfg: SimpleNamespace) -> tuple[dict, int]:
         "command": "bound",
         "shape": shape.dims,
         "procs": procs,
-        "regime": _regime(rep.case),
+        "regime": f"{rep.case}d",
         "on_boundary": rep.on_boundary,
         "oversubscribed": rep.oversubscribed,
         "accessed": rep.accessed,
@@ -458,9 +453,9 @@ def cmd_verify(cfg: SimpleNamespace) -> tuple[dict, int]:
 
 # A row of 9600x2400x600 plans its grid in about 0.25 ms on a 2-core VM with
 # Python 3.11 when P is small, so 2^14 such rows take about 4 s.  Each row
-# factors its P alone, though: 200 rows near 10^12 took 3.7 s, so the 2^14
-# rows the cap admits there take minutes (ROADMAP item 3, factoring the
-# whole range once, is the fix).
+# factors its P alone, though: 200 rows near 10^12 took 3.1 s from a cold
+# start on the same VM, so the 2^14 rows the cap admits there take minutes
+# (ROADMAP item 3, factoring the whole range once, is the fix).
 SWEEP_ROW_CAP = 2**14
 
 
@@ -472,7 +467,12 @@ def check_rows(rows: int) -> None:
 
 def cmd_sweep(cfg: SimpleNamespace) -> tuple[dict, int]:
     if cfg.table == "constants":
-        return _sweep_constants(), EXIT_OK
+        leading = {3: "n^2/P^(2/3)", 2: "n^2/P^(1/2)", 1: "n^2"}
+        rows = [
+            {"regime": f"{case}d", "leading_term": term, **PRIOR_CONSTANTS[case]}
+            for case, term in leading.items()
+        ]
+        return {"command": "sweep", "table": "constants", "rows": rows}, EXIT_OK
     shape = _require_shape(cfg)
     if cfg.procs is None:
         raise ConfigError("--procs LO:HI is required")
@@ -485,7 +485,7 @@ def cmd_sweep(cfg: SimpleNamespace) -> tuple[dict, int]:
         rows.append(
             {
                 "procs": procs,
-                "regime": _regime(rep.case),
+                "regime": f"{rep.case}d",
                 "on_boundary": rep.on_boundary,
                 "accessed": rep.accessed,
                 "owned": rep.owned,
@@ -508,29 +508,18 @@ def cmd_sweep(cfg: SimpleNamespace) -> tuple[dict, int]:
     return record, EXIT_OK
 
 
-def _sweep_constants() -> dict:
-    leading = {3: "n^2/P^(2/3)", 2: "n^2/P^(1/2)", 1: "n^2"}
-    rows = [
-        {"regime": _regime(case), "leading_term": term, **PRIOR_CONSTANTS[case]}
-        for case, term in leading.items()
-    ]
-    return {"command": "sweep", "table": "constants", "rows": rows}
-
-
 # ---------------------------------------------------------------- views
-# A table view gives a record's (header, rows); a human view its text lines.
+# A table view gives a record's rows as dicts keyed by column; a human view its lines.
 
 
-def _bound_table(r: dict) -> tuple[list, list]:
-    header = [
-        "n1", "n2", "n3", "procs", "regime", "on_boundary",
-        "accessed", "owned", "lower_bound", "memory_dependent", "binding",
-    ]
-    row = [
-        *r["shape"], r["procs"], r["regime"], r["on_boundary"], r["accessed"],
-        r["owned"], r["lower_bound"], r.get("memory_dependent"), r.get("binding"),
-    ]
-    return header, [row]
+def _bound_table(r: dict) -> list[dict]:
+    n1, n2, n3 = r["shape"]
+    return [{
+        "n1": n1, "n2": n2, "n3": n3, "procs": r["procs"], "regime": r["regime"],
+        "on_boundary": r["on_boundary"], "accessed": r["accessed"], "owned": r["owned"],
+        "lower_bound": r["lower_bound"], "memory_dependent": r.get("memory_dependent"),
+        "binding": r.get("binding"),
+    }]
 
 
 def _bound_human(r: dict) -> list[str]:
@@ -553,20 +542,16 @@ def _bound_human(r: dict) -> list[str]:
     return lines
 
 
-def _grid_table(r: dict) -> tuple[list, list]:
+def _grid_table(r: dict) -> list[dict]:
     an, ex = r["analytic"], r["exhaustive"]
-    header = [
-        "n1", "n2", "n3", "procs", "case", "analytic_grid",
-        "non_integral_axes", "exhaustive_grid", "exhaustive_cost",
-        "lower_bound", "attained",
-    ]
-    row = [
-        *r["shape"], r["procs"], r["case"],
-        _grid_str(an["grid"]) if an["integral"] else "",
-        " ".join(f"p{a}" for a in an["non_integral_axes"]),
-        _grid_str(ex["grid"]), ex["cost"], r["lower_bound"], r["attained"],
-    ]
-    return header, [row]
+    n1, n2, n3 = r["shape"]
+    return [{
+        "n1": n1, "n2": n2, "n3": n3, "procs": r["procs"], "case": r["case"],
+        "analytic_grid": _grid_str(an["grid"]) if an["integral"] else "",
+        "non_integral_axes": " ".join(f"p{a}" for a in an["non_integral_axes"]),
+        "exhaustive_grid": _grid_str(ex["grid"]), "exhaustive_cost": ex["cost"],
+        "lower_bound": r["lower_bound"], "attained": r["attained"],
+    }]
 
 
 def _grid_human(r: dict) -> list[str]:
@@ -590,14 +575,14 @@ def _grid_human(r: dict) -> list[str]:
     return lines
 
 
-def _simulate_table(r: dict) -> tuple[list, list]:
-    header = ["phase", "measured_max", "closed_form", "ideal", "even_split"]
+def _simulate_table(r: dict) -> list[dict]:
     rows = [
-        [ph["phase"], ph["max_sent"], ph["closed_form"], ph["ideal"], ph["even_split"]]
+        {"phase": ph["phase"], "measured_max": ph["max_sent"], "closed_form": ph["closed_form"],
+         "ideal": ph["ideal"], "even_split": ph["even_split"]}
         for ph in r["per_phase"]
     ]
-    rows.append(["total", r["critical_path_words"], None, r["predicted_total"], None])
-    return header, rows
+    return [*rows, {"phase": "total", "measured_max": r["critical_path_words"],
+                    "closed_form": None, "ideal": r["predicted_total"], "even_split": None}]
 
 
 def _simulate_human(r: dict) -> list[str]:
@@ -623,11 +608,6 @@ def _simulate_human(r: dict) -> list[str]:
     return lines
 
 
-def _verify_table(r: dict) -> tuple[list, list]:
-    rows = [[c["name"], c["passed"], c["detail"]] for c in r["checks"]]
-    return ["check", "passed", "detail"], rows
-
-
 def _verify_human(r: dict) -> list[str]:
     m, n, k = sorted(r["shape"], reverse=True)
     lines = [f"problem m={m} n={n} k={k}  P={r['procs']}  case {r['case']}"]
@@ -639,17 +619,8 @@ def _verify_human(r: dict) -> list[str]:
     return lines
 
 
-def _rows_table(r: dict) -> tuple[list, list]:
-    """Both sweep tables: one column per key of the record's row dicts."""
-    return list(r["rows"][0]), [list(row.values()) for row in r["rows"]]
-
-
-def _human_table(r: dict, width: int) -> list[str]:
-    header, rows = _rows_table(r)
-    return [
-        "  ".join(f"{_cell(v, human_str, '-'):>{width}}" for v in row)
-        for row in [header, *rows]
-    ]
+def _human_table(rows: list[dict], width: int) -> list[str]:
+    return ["  ".join(f"{c:>{width}}" for c in line) for line in _cells(rows, human_str, "-")]
 
 
 def _sweep_human(r: dict) -> list[str]:
@@ -659,7 +630,7 @@ def _sweep_human(r: dict) -> list[str]:
         f"boundaries m/n = {human_str(b['one_two'])}, "
         f"mn/k^2 = {human_str(b['two_three'])}"
     )
-    return [title, *_human_table(r, 15)]
+    return [title, *_human_table(r["rows"], 15)]
 
 
 # ---------------------------------------------------------------- rendering
@@ -668,9 +639,10 @@ _VIEWS = {
     "bound": (_bound_table, _bound_human),
     "grid": (_grid_table, _grid_human),
     "simulate": (_simulate_table, _simulate_human),
-    "verify": (_verify_table, _verify_human),
-    "sweep": (_rows_table, _sweep_human),
-    "constants": (_rows_table, lambda r: _human_table(r, 12)),
+    "verify": (lambda r: [{"check": c["name"], "passed": c["passed"], "detail": c["detail"]}
+                          for c in r["checks"]], _verify_human),
+    "sweep": (lambda r: r["rows"], _sweep_human),
+    "constants": (lambda r: r["rows"], lambda r: _human_table(r["rows"], 12)),
 }
 
 
@@ -685,12 +657,10 @@ def _cell(v, number_str, empty: str) -> str:
     return str(v)
 
 
-def _csv_value(v) -> str:
-    # irrationals print as the repr of their double, which round-trips, or
-    # beyond double range as 17 significant digits; rationals print exactly
-    # unless their expansion runs past 28 fractional digits, where they are
-    # rounded
-    return _cell(v, decimal_str, "")
+def _cells(rows: list[dict], number_str, empty: str) -> list[list[str]]:
+    """The header, the first row's keys, then each row's cells in header order."""
+    return [list(rows[0]), *([_cell(row[key], number_str, empty) for key in rows[0]]
+                             for row in rows)]
 
 
 def to_json(v, indent: str = "\n") -> str:
@@ -739,11 +709,11 @@ def render(record: dict, fmt: str) -> str:
     if fmt == "csv":
         import csv
 
-        header, rows = table(record)
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        w.writerows([_csv_value(v) for v in row] for row in rows)
+        # a rational prints exactly unless its expansion runs past 28 fractional
+        # digits, where it is rounded; an irrational prints the repr of its double,
+        # which round-trips, or beyond double range its 17 significant digits
+        csv.writer(buf, lineterminator="\n").writerows(_cells(table(record), decimal_str, ""))
         return buf.getvalue()
     return "\n".join(human(record)) + "\n"
 

@@ -1,6 +1,6 @@
 """Differential run: a git revision's command line against the working tree's.
 
-    python tests/differ.py REV [--box D N] [--declared FILE]
+    python tests/differ.py REV [--box D N] [--ties D N] [--declared FILE]
 
 `git archive REV src` is extracted into a temporary directory, and one worker
 process starts per tree, each importing commbounds from its own src.  Both
@@ -22,6 +22,13 @@ Sources of argv, in this order:
              and `verify --tiny` on every shape with n1*n2*n3 at most
              EXHAUSTIVE_LIMIT + 1, so the refusal just past the cap runs
              too; each in the three formats.
+  --ties D N `bound --memory M` on every ordered shape with dims <= D at
+             every P <= N, in the three formats, M written as p/q: where
+             mnk/P is the cube of a rational a/b, at the dominance tie
+             M* = 4a^2/(9b^2), where 729 P^2 M*^3 = 64 (mnk)^2, and at
+             M* times 999/1000 and 1001/1000; and everywhere at the least
+             admitted M, the owned words (mn + mk + nk)/P, and at 999/1000
+             of it, which is refused.
 
 The script uses only the standard library; pytest does not collect it.
 """
@@ -36,6 +43,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,6 +94,30 @@ def box(most_dim: int, most_procs: int) -> list[list[str]]:
     return requests
 
 
+def cube_root(n: int):
+    """The integer whose cube is n, or None."""
+    c = round(n ** (1 / 3))
+    return next((r for r in (c - 1, c, c + 1) if r ** 3 == n), None)
+
+
+def ties(most_dim: int, most_procs: int) -> list[list[str]]:
+    requests = []
+    for fmt in FORMATS:
+        for n1, n2, n3 in itertools.product(range(1, most_dim + 1), repeat=3):
+            for p in range(1, most_procs + 1):
+                per_proc = Fraction(n1 * n2 * n3, p)
+                owned = Fraction(n1 * n2 + n1 * n3 + n2 * n3, p)
+                memories = [owned, owned * Fraction(999, 1000)]
+                a, b = cube_root(per_proc.numerator), cube_root(per_proc.denominator)
+                if a and b:
+                    tie = Fraction(4 * a * a, 9 * b * b)
+                    memories += [tie, tie * Fraction(999, 1000), tie * Fraction(1001, 1000)]
+                requests += (["bound", "--shape", str(n1), str(n2), str(n3), "--procs", str(p),
+                              "--memory", f"{m.numerator}/{m.denominator}", "--format", fmt]
+                             for m in memories)
+    return requests
+
+
 def declared_lines(path: str) -> list[str]:
     lines = (line.strip() for line in Path(path).read_text().splitlines())
     return [line for line in lines if line and not line.startswith("#")]
@@ -115,6 +147,9 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="the git revision to compare with the working tree")
     parser.add_argument("--box", nargs=2, type=int, metavar=("D", "N"),
                         help="every shape with dims <= D at every P <= N")
+    parser.add_argument("--ties", nargs=2, type=int, metavar=("D", "N"),
+                        help="bound --memory at the dominance ties and the least "
+                        "admitted memory, on the same box")
     parser.add_argument("--declared", metavar="FILE",
                         help="argv lines whose output is declared changed")
     args = parser.parse_args(argv)
@@ -122,6 +157,8 @@ def main(argv=None) -> int:
     sources = [("golden", golden())]
     if args.box:
         sources.append((f"box {args.box[0]} {args.box[1]}", box(*args.box)))
+    if args.ties:
+        sources.append((f"ties {args.ties[0]} {args.ties[1]}", ties(*args.ties)))
 
     archive = subprocess.run(["git", "archive", args.rev, "src"], cwd=ROOT, capture_output=True)
     if archive.returncode:

@@ -1,6 +1,7 @@
 """Comparison mutants of the package, each run against the test suite.
 
     python tests/mutate.py src/commbounds/bounds.py src/commbounds/kkt.py
+    python tests/mutate.py --since REV src/commbounds/cli.py
 
 For every comparison in the named files, one mutant swaps its operator:
 < with <=, > with >=, == with !=, and back.  The unmutated suite runs first,
@@ -12,7 +13,9 @@ runs past the timeout hangs, and so does one under which a test runs past
 the conftest time limit; any other failure kills it.  The output lists the
 survivors and hangs as file:line old -> new, then the counts.  Only the
 operator's characters change, so every other line keeps its text and its
-number.  pytest does not collect this file.
+number.  With --since REV, only the comparisons whose line lies in a hunk
+that `git diff REV -- FILE` adds or changes are mutated, and the output
+gives how many were skipped.  pytest does not collect this file.
 """
 
 import argparse
@@ -67,6 +70,19 @@ def mutants(source: str):
                    source[: found.start()] + new + source[found.end():])
 
 
+def changed_lines(rev: str, name: str) -> set[int]:
+    """The working tree's numbers of the lines of name that git diff rev adds
+    or changes."""
+    done = subprocess.run(["git", "diff", "-U0", rev, "--", name], cwd=ROOT,
+                          capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(done.stderr.strip())
+    lines = set()
+    for start, count in re.findall(r"^@@ -\S+ \+(\d+)(?:,(\d+))? @@", done.stdout, re.M):
+        lines.update(range(int(start), int(start) + int(count or 1)))
+    return lines
+
+
 def run_suite(root: Path, timeout) -> str:
     """How the suite in root fares, within timeout seconds (None: no limit):
     killed, survived or hangs."""
@@ -87,12 +103,23 @@ def run_suite(root: Path, timeout) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("files", nargs="+", help="source files, relative to the repository")
+    parser.add_argument("--since", metavar="REV",
+                        help="mutate only the lines that git diff REV adds or changes")
     args = parser.parse_args(argv)
 
-    jobs = []
+    jobs, total = [], 0
     for name in args.files:
-        source = (ROOT / name).read_text()
-        jobs += [(name, line, old, new, text) for line, old, new, text in mutants(source)]
+        found = [(name, *m) for m in mutants((ROOT / name).read_text())]
+        total += len(found)
+        if args.since:
+            changed = changed_lines(args.since, name)
+            found = [job for job in found if job[1] in changed]
+        jobs += found
+    if args.since:
+        print(f"--since {args.since}: {len(jobs)} comparisons on changed lines, "
+              f"{total - len(jobs)} skipped", flush=True)
+    if not jobs:
+        return 0
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", "out")
 
     def run(job, timeout=None):
