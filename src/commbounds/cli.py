@@ -728,6 +728,10 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    # an admitted 1000-digit input gives certificate integers of about 8000
+    # digits, beyond the int-to-text limit of 4300 that Python 3.10.7+ sets
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:

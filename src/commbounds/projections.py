@@ -14,9 +14,8 @@ a projection -- the compression step behind discrete Loomis-Whitney (Bollobas
 & Thomason, 1995) -- and compressing along each axis in turn ends at a
 down-set.  So per-size projection minima are attained on down-sets, and a
 subset violating Loomis-Whitney compresses to a down-set that violates it.
-Results are cached per shape, so repeated verify --tiny requests on one
-shape in one process (perfbench's certify stream sends such repeats)
-enumerate once.  sweep never calls this engine.
+Results are cached per dims as given, so a box that verify --tiny repeats in
+one process (perfbench's certify stream does) enumerates once.
 """
 
 from __future__ import annotations
@@ -55,40 +54,60 @@ _STATS_CACHE: dict[tuple[int, int, int], SubsetStats] = {}
 def subset_stats(dims) -> SubsetStats:
     """SubsetStats over all 2^(n1 n2 n3) subsets, read off the down-sets.
 
-    A down-set is an n1 x n2 matrix of heights in [0, n3], non-increasing along
-    rows and columns; it holds (i1, i2, i3) iff i3 <= h[i1][i2].  So |F| = sum h,
-    phi_A counts the nonzero heights, phi_B sums the first row and phi_C the
-    first column.  The module docstring says why down-sets decide every subset.
+    The longest axis is the height; the other two span u >= v rows and
+    columns.  A down-set is a u x v matrix of heights in [0, w], non-increasing
+    along rows and columns, so |F| = sum h, the (row, column) face counts the
+    nonzero heights, the (column, height) face sums the first row and the
+    (row, height) face the first column.  Permuting the axes maps down-sets to
+    down-sets and faces to faces, so these are a, b and c in another order.
+    Down-sets alike in size and projections are one leaf of a set.
     """
     dims = tuple(int(d) for d in dims)
     if dims in _STATS_CACHE:
         return _STATS_CACHE[dims]
-    n1, n2, n3 = dims
-    n_total = n1 * n2 * n3
-    min_sum = [3 * n_total] * (n_total + 1)
-    min_phi = {key: [n_total] * (n_total + 1) for key in ("a", "b", "c")}
-    lw_ok = True
-    heights = [[n3] * (n2 + 1) for _ in range(n1 + 1)]  # row/column 0: sentinels
+    height, rows, cols = sorted(range(3), key=dims.__getitem__, reverse=True)
+    u, v, w = dims[rows], dims[cols], dims[height]
+    heights = [[w] * (v + 1) for _ in range(u + 1)]  # row/column 0: sentinels
+    # per cell: the row above, its own row, its column, in row 0, in column 0
+    cells = [(heights[i], heights[i + 1], j, i == 0, j == 0) for i in range(u) for j in range(v)]
+    parent = len(cells) - 2  # its loop runs the last cell as well
+    above_z, row_z, z, _, first_col_z = cells[-1]  # the last cell, not in row 0 as u >= v
+    leaves = set()
 
     def extend(cell, size, phi_a, phi_b, phi_c):
-        nonlocal lw_ok
-        if cell == n1 * n2:
-            lw_ok = lw_ok and size <= phi_a * phi_b * phi_c
-            min_sum[size] = min(min_sum[size], phi_a + phi_b + phi_c)
-            for key, phi in (("a", phi_a), ("b", phi_b), ("c", phi_c)):
-                min_phi[key][size] = min(min_phi[key][size], phi)
-            return
-        i, j = divmod(cell, n2)
-        row = heights[i + 1]
-        for h in range(min(heights[i][j + 1], row[j]) + 1):
+        above, row, j, first_row, first_col = cells[cell]
+        for h in range((above[j + 1] if above[j + 1] < row[j] else row[j]) + 1):
             row[j + 1] = h
-            extend(cell + 1, size + h, phi_a + (h > 0),
-                   phi_b + (h if i == 0 else 0), phi_c + (h if j == 0 else 0))
+            s, a, b, c = size + h, phi_a + (h > 0), phi_b + h * first_row, phi_c + h * first_col
+            if cell < parent:
+                extend(cell + 1, s, a, b, c)
+                continue
+            leaves.add((s, a, b, c))  # the last cell at height 0, then above it
+            for g in range(1, (above_z[z + 1] if above_z[z + 1] < row_z[z] else row_z[z]) + 1):
+                leaves.add((s + g, a + 1, b, c + g * first_col_z))
 
-    extend(0, 0, 0, 0, 0)
-    stats = SubsetStats(dims, lw_ok, min_sum, min_phi)
-    _STATS_CACHE[dims] = stats
-    return stats
+    if parent < 0:  # a 1 x 1 grid: one column of height 0..w
+        leaves = {(h, min(h, 1), h, h) for h in range(w + 1)}
+    else:
+        extend(0, 0, 0, 0, 0)
+    n = u * v * w
+    min_sum, mins_a, mins_b, mins_c = ([k * n] * (n + 1) for k in (3, 1, 1, 1))
+    lw_ok = True
+    for size, a, b, c in leaves:  # one pass: the verdict and the per-size minima
+        lw_ok = lw_ok and size <= a * b * c
+        if a + b + c < min_sum[size]:
+            min_sum[size] = a + b + c
+        if a < mins_a[size]:
+            mins_a[size] = a
+        if b < mins_b[size]:
+            mins_b[size] = b
+        if c < mins_c[size]:
+            mins_c[size] = c
+    # the walk's a, b and c omit its height, rows and cols axes; the caller's
+    # face that omits axis 0, 1 or 2 is b, c or a
+    by_face = dict(zip(("bca"[height], "bca"[rows], "bca"[cols]), (mins_a, mins_b, mins_c)))
+    stats = SubsetStats(dims, lw_ok, min_sum, {key: by_face[key] for key in "abc"})
+    return _STATS_CACHE.setdefault(dims, stats)
 
 
 class MinProjectionResult:

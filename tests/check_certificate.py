@@ -87,6 +87,8 @@ def check(doc: dict) -> list:
 
 
 if __name__ == "__main__":
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # read certificates of 1000-digit inputs
     try:
         failed = check(json.load(sys.stdin))
     except (KeyError, TypeError, ValueError) as e:

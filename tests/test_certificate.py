@@ -4,6 +4,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -109,3 +112,27 @@ def test_malformed_rows_raise(part, row):
         rows[row].append(0)  # a row longer than the root index
     with pytest.raises(ValueError):
         check(doc)
+
+
+@pytest.mark.parametrize("number", [10**717 + 1, 10**1000 - 1], ids=["10^717+1", "10^1000-1"])
+def test_admitted_numbers_print_past_the_int_to_text_limit(number):
+    # at 10^717 + 1 the case-3 radicand's numerator has 4303 digits, past
+    # Python's default int-to-text limit of 4300; 10^1000 - 1 is the largest
+    # admitted input.  main lifts the limit, and so must the checker in its
+    # own interpreter.
+    argv = ["verify", "--shape", *[str(number)] * 3, "--procs", "2", "--format"]
+    limit, printed = sys.get_int_max_str_digits(), {}
+    for fmt in ("human", "json", "csv"):
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv + [fmt])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err.getvalue()) == (0, ""), fmt
+        printed[fmt] = out.getvalue()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    done = subprocess.run([sys.executable, str(Path(__file__).with_name("check_certificate.py"))],
+                          input=printed["json"], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (0, "certificate holds\n"), done.stderr

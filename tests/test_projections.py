@@ -2,7 +2,9 @@
 
 WorkSet, projections_of, verify_loomis_whitney and verify_projection_lb state
 the lemmas point by point on explicit sets: the brute-force form of what
-subset_stats decides from down-sets.
+subset_stats decides from down-sets.  Its two references are brute_force_stats,
+over every subset of a tiny cube, and walk_stats, over the down-sets in the
+box's own orientation.
 """
 
 import itertools
@@ -15,7 +17,7 @@ import pytest
 
 from commbounds.bounds import ProblemShape, lower_bound
 from commbounds.grids import analytic_grid, comm_cost
-from commbounds.projections import min_projection_sum, subset_stats
+from commbounds.projections import EXHAUSTIVE_LIMIT, min_projection_sum, subset_stats
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,36 @@ def brute_force_stats(dims):
         for key, phi in zip("abc", phis):
             if min_phi[key][s] is None or phi < min_phi[key][s]:
                 min_phi[key][s] = phi
+    return lw_ok, min_sum, min_phi
+
+
+def walk_stats(dims):
+    """Reference LW verdict and per-size minima read off the down-sets in one
+    fixed orientation: an n1 x n2 matrix of heights in [0, n3], one recursive
+    call per cell and one per down-set, with no axis chosen and no leaf set."""
+    n1, n2, n3 = dims
+    n_total = n1 * n2 * n3
+    min_sum = [3 * n_total] * (n_total + 1)
+    min_phi = {key: [n_total] * (n_total + 1) for key in "abc"}
+    lw_ok = True
+    heights = [[n3] * (n2 + 1) for _ in range(n1 + 1)]  # row/column 0: sentinels
+
+    def extend(cell, size, phi_a, phi_b, phi_c):
+        nonlocal lw_ok
+        if cell == n1 * n2:
+            lw_ok = lw_ok and size <= phi_a * phi_b * phi_c
+            min_sum[size] = min(min_sum[size], phi_a + phi_b + phi_c)
+            for key, phi in zip("abc", (phi_a, phi_b, phi_c)):
+                min_phi[key][size] = min(min_phi[key][size], phi)
+            return
+        i, j = divmod(cell, n2)
+        row = heights[i + 1]
+        for h in range(min(heights[i][j + 1], row[j]) + 1):
+            row[j + 1] = h
+            extend(cell + 1, size + h, phi_a + (h > 0),
+                   phi_b + (h if i == 0 else 0), phi_c + (h if j == 0 else 0))
+
+    extend(0, 0, 0, 0, 0)
     return lw_ok, min_sum, min_phi
 
 
@@ -261,6 +293,32 @@ class TestSubsetEngine:
             assert list(stats.min_sum_by_size) == min_sum_ref, dims
             for key in "abc":
                 assert list(stats.min_phi_by_size[key]) == min_phi_ref[key], (dims, key)
+
+    def test_matches_the_fixed_orientation_walk_on_every_box(self):
+        # every ordered box up to the cap, so each sorted box in all six axis
+        # orders: the engine stands each on its longest axis and renames the
+        # faces back, and every field must equal the unpermuted walk's
+        def suffix(values):
+            return [min(values[s:]) for s in range(len(values))]
+
+        sorted_boxes = [dims for dims in boxes_up_to(EXHAUSTIVE_LIMIT) if list(dims) == sorted(dims)]
+        assert len(sorted_boxes) == 51
+        checked = 0
+        for box in sorted_boxes:
+            for dims in set(itertools.permutations(box)):
+                lw_ref, min_sum_ref, min_phi_ref = walk_stats(dims)
+                stats = subset_stats(dims)
+                assert stats.dims == dims
+                assert stats.lw_ok is lw_ref, dims
+                assert stats.min_sum_by_size == min_sum_ref, dims
+                assert stats.min_sum_from_size == suffix(min_sum_ref), dims
+                assert stats.min_phi_by_size == min_phi_ref, dims
+                assert stats.min_phi_from_size == {
+                    key: suffix(values) for key, values in min_phi_ref.items()}, dims
+                assert all(type(m) is int for values in (stats.min_sum_by_size,
+                           *stats.min_phi_by_size.values()) for m in values), dims
+                checked += 1
+        assert checked == len(boxes_up_to(EXHAUSTIVE_LIMIT)) == 203
 
     def test_axis_permutations_consistent(self):
         # per-axis minima permute with the dims; the sum is invariant
