@@ -18,9 +18,7 @@ form here, is computed exactly as an exact.Radical.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exact import RATIONAL, Radical, cut, decimal_str
+from .exact import RATIONAL, Radical, cut, decimal_str, rational
 
 
 class ProblemShape:
@@ -84,9 +82,10 @@ def case_field(case: int, m: int, n: int, k: int, procs) -> Radical:
     case 1, (mnk^2/P)^(1/2) in case 2 and ((mnk/P)^2)^(1/3) in case 3."""
     if case == 1:
         return Radical((1,), 1, RATIONAL)
+    p, q = procs.as_integer_ratio()
     if case == 2:
-        return Radical.generator(Fraction(m * n * k * k, procs), 2)
-    return Radical.generator(Fraction(m * n * k, procs) ** 2, 3)
+        return Radical.generator(rational(m * n * k * k * q, p), 2)
+    return Radical.generator(rational((m * n * k * q) ** 2, p * p), 3)
 
 
 def d_case(case: int, m: int, n: int, k: int, procs, b: Radical) -> Radical:
@@ -112,10 +111,10 @@ class BoundReport:
         "case",              # 1, 2 or 3: the 1d, 2d or 3d regime, from case_of
         "on_boundary",       # P is also the first P of the next case
         "accessed",          # D, a Radical: words of matrix data touched per processor
-        "owned",             # (mn + mk + nk)/P, a Fraction: words already resident
+        "owned",             # (mn + mk + nk)/P, in Q: words already resident
         "bound",             # D - owned >= 0, a Radical: words communicated
         "oversubscribed",    # P > mnk: fewer than one multiply per processor
-        "memory",            # M as a Fraction, or None; the rest are None without it
+        "memory",            # M, in Q, or None; the rest are None without it
         "memory_dependent",  # 2mnk/(P sqrt(M)), in Q(sqrt(M))
         "binding",           # which accessed-data term is larger given M
         "in_window",         # mn/k^2 < P <= (8/27) mnk / M^(3/2)
@@ -139,14 +138,15 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
     mk/P + nk/P.  In 3d, P >= mn/k^2 gives D = 3 (mnk/P)^(2/3) >= 3mn/P, at
     least the owned words.
 
-    When memory is given, the classical memory-dependent leading term
-    2mnk/(P sqrt(M)) is evaluated and compared against D.  The comparison is
-    between the two accessed-data terms (not the owned-subtracted bound):
-    that is the form in which the first two regimes provably dominate for
-    every feasible M, so the window where the memory-dependent term can
-    dominate at all starts at mn/k^2 and in_window reports whether P lies in
-    it.  Both decisions are the sign of one integer, with M = p/q in lowest
-    terms,
+    When memory is given, as any rational with as_integer_ratio() (an int, a
+    Fraction, a float or an element of Q), the classical memory-dependent
+    leading term 2mnk/(P sqrt(M)) is evaluated and compared against D.  The
+    comparison is between the two accessed-data terms (not the
+    owned-subtracted bound): that is the form in which the first two regimes
+    provably dominate for every feasible M, so the window where the
+    memory-dependent term can dominate at all starts at mn/k^2 and in_window
+    reports whether P lies in it.  Both decisions are the sign of one integer,
+    with M = p/q in lowest terms,
 
         key = 729 P^2 p^3 - 64 (mnk)^2 q^3 = q^3 (729 P^2 M^3 - 64 (mnk)^2).
 
@@ -167,27 +167,26 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
     m, n, k = shape.sorted_dims
     case, on_boundary = case_of(m, n, k, procs)
     accessed = d_case(case, m, n, k, procs, case_field(case, m, n, k, procs))
-    owned = Fraction(shape.pair_sum, procs)
+    owned = rational(shape.pair_sum, procs)
 
     mem = mem_dep = binding = in_window = window_upper = None
     if memory is not None:
-        mem = Fraction(memory)
-        if mem <= 0:
+        p, q = memory.as_integer_ratio()
+        if p <= 0:
             raise ValueError("memory must be positive")
-        if mem < owned:
+        mem = rational(p, q)
+        if p * procs < shape.pair_sum * q:
             # a terminating expansion has fewer fractional digits than the
             # denominator has bits; any other M prints as p/q
-            digits = mem.denominator.bit_length()
-            typed = decimal_str(mem, digits) if 10**digits % mem.denominator == 0 else mem
-            raise ValueError(
-                f"memory {cut(str(typed))} below (mn+mk+nk)/P = {cut(str(owned))}; "
-                "inputs and output must fit"
-            )
+            digits = q.bit_length()
+            typed = decimal_str(mem, digits) if 10**digits % q == 0 else f"{p}/{q}"
+            a, b = owned.as_integer_ratio()
+            raise ValueError(f"memory {cut(typed)} below (mn+mk+nk)/P = "
+                             f"{cut(f'{a}/{b}' if b > 1 else str(a))}; inputs and output must fit")
         # 2mnk/(P sqrt(M)) = sqrt(M) 2mnk/(PM)
-        mem_dep = Radical.generator(mem, 2) * (Fraction(2 * m * n * k, procs) / mem)
-        window_upper = Radical.generator(mem, 2) * (Fraction(8 * m * n * k, 27) / mem ** 2)
-        key = (729 * procs ** 2 * mem.numerator ** 3
-               - 64 * (m * n * k) ** 2 * mem.denominator ** 3)
+        mem_dep = Radical.generator(mem, 2) * rational(2 * m * n * k * q, procs * p)
+        window_upper = Radical.generator(mem, 2) * rational(8 * m * n * k * q * q, 27 * p * p)
+        key = 729 * procs ** 2 * p ** 3 - 64 * (m * n * k) ** 2 * q ** 3
         binding = "memory_dependent" if key < 0 else "memory_independent"
         in_window = key <= 0
 
@@ -213,20 +212,20 @@ def lower_bound(shape: ProblemShape, procs: int, memory=None) -> BoundReport:
 PRIOR_CONSTANTS = {
     3: {
         "ACS90": Radical((0, 1, 0), 1, (1, 4, 3)),  # (1/4)^(1/3) = (1/2)^(2/3)
-        "ITT04": Fraction(1, 2),
-        "DE+13": Fraction(1),
-        "this_work": Fraction(3),
+        "ITT04": rational(1, 2),
+        "DE+13": rational(1),
+        "this_work": rational(3),
     },
     2: {
         "ACS90": None,
         "ITT04": None,
         "DE+13": Radical((0, 1), 1, (2, 3, 2)),  # (2/3)^(1/2)
-        "this_work": Fraction(2),
+        "this_work": rational(2),
     },
     1: {
         "ACS90": None,
         "ITT04": None,
-        "DE+13": Fraction(16, 25),
-        "this_work": Fraction(1),
+        "DE+13": rational(16, 25),
+        "this_work": rational(1),
     },
 }

@@ -17,15 +17,14 @@ values and none led by a dash.  Any other argv goes to argparse, imported
 and built only then, so every help text, error message and abbreviation is
 argparse's.  A config file is a JSON object keyed by flag name (flags win);
 it may hold any key, checked whichever command reads the file.  _KEYS reads
-every key.
+every key.  json is imported only to read a config file.
 
 Each cmd_* function computes its answer once, as a record: the JSON document
-with its values still typed (exact Radicals and Fractions, tuples), plus an
-exit code.  render() is the only place that knows the output formats: JSON
-through to_json, which writes what json.dumps(indent=2) with value_to_json
-as its hook would, byte for byte, without the standard library's
-pure-Python indenting encoder; CSV through one writer over the command's
-rows as dicts; and human text through the command's template.
+with its values still typed (exact Radicals, tuples), plus an exit code.
+render() is the only place that knows the output formats: JSON through
+to_json, which writes what json.dumps(indent=2) with value_to_json as its
+hook would, byte for byte, with no json module; CSV through one writer over
+the command's rows as dicts; and human text through the command's template.
 
 `verify --format json` also prints its certificate: the integer rows that
 kkt_verify decided the KKT signs on, which tests/check_certificate.py
@@ -40,14 +39,12 @@ from __future__ import annotations
 
 import functools
 import io
-import json
 import sys
-from json.encoder import encode_basestring_ascii
-from fractions import Fraction
+from _json import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .bounds import PRIOR_CONSTANTS, ProblemShape, case_field, case_of, d_case, lower_bound
-from .exact import Radical, coefficient_rows, cut, decimal_str, human_str, value_to_json
+from .exact import Radical, coefficient_rows, cut, decimal_str, human_str, rational, value_to_json
 from .grids import ProcessorGrid, comm_cost, plan
 from .kkt import CONDITIONS, OptProblem, analytic_solution_for_case, kkt_verify
 from .projections import EXHAUSTIVE_LIMIT, min_projection_sum, subset_stats
@@ -82,7 +79,7 @@ class _Literal(str):
     refuses one."""
 
 
-def _rational(v) -> Fraction:
+def _rational(v) -> Radical:
     """The exact rational a memory value means: a text that is an integer, a
     decimal with an optional exponent, or p/q, in ASCII digits, at most
     NUMBER_CAP characters long and with |exponent| <= NUMBER_CAP, so that
@@ -104,8 +101,9 @@ def _rational(v) -> Fraction:
         f"an integer, a decimal or p/q, in at most {NUMBER_CAP} characters "
         f"and with |exponent| <= {NUMBER_CAP}",
     )
-    scale = Fraction(10) ** (int(exponent or 0) - len(frac))
-    return Fraction(int(mantissa.replace(".", "")), int(den or 1)) * scale
+    scale = int(exponent or 0) - len(frac)
+    return rational(int(mantissa.replace(".", "")) * 10 ** max(scale, 0),
+                    int(den or 1) * 10 ** max(-scale, 0))
 
 
 def _integer(v, least: int = 1) -> int:
@@ -221,6 +219,8 @@ def resolve_config(args) -> SimpleNamespace:
     for seed and false for tiny."""
     file_cfg = {}
     if args.config:
+        import json
+
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh, parse_int=_Literal, parse_float=_Literal)
@@ -500,8 +500,8 @@ def cmd_sweep(cfg: SimpleNamespace) -> tuple[dict, int]:
         "command": "sweep",
         "shape": shape.dims,
         "boundaries": {
-            "one_two": Fraction(m, n),
-            "two_three": Fraction(m * n, k * k),
+            "one_two": rational(m, n),
+            "two_three": rational(m * n, k * k),
         },
         "rows": rows,
     }
@@ -648,12 +648,12 @@ _VIEWS = {
 
 def _cell(v, number_str, empty: str) -> str:
     """One table cell, csv or human; only numbers and empty cells differ."""
+    if type(v) is Radical:
+        return number_str(v)
     if v is None or v == "":
         return empty
     if isinstance(v, bool):
         return str(v).lower()
-    if isinstance(v, (Fraction, Radical)):
-        return number_str(v)
     return str(v)
 
 
@@ -696,7 +696,7 @@ def to_json(v, indent: str = "\n") -> str:
     if v is True or v is False:
         return "true" if v else "false"
     if t is float:
-        return json.dumps(v)
+        return float.__repr__(v)
     j = value_to_json(v)
     return j if type(j) is str else to_json(j, indent)
 

@@ -3,19 +3,18 @@ KKT certificate.
 
 Every closed-form quantity in this package is a rational number, or a rational
 combination of 1, b and b^2 for one square or cube root b.  Radical holds the
-values of one such field Q(b), b = r^(1/d), with integer coefficients; every
+values of one such field Q(b), b = r^(1/d), with integer coefficients, and a
+rational as an element of Q, the field of degree 1 (rational()); every
 decision is an exact sign or equality in it.  A value becomes decimal digits
-only to be printed: digits() gives the n significant digits of a Fraction or a
-Radical, rounded once from the exact value, in integers, and decimal_str,
-human_str and value_to_json lay them out.  JSON and csv print an irrational
-inside double range as the repr of its double, which round-trips, and outside
-it as 17 digits of number text, so no printed value depends on float range.
-"""
+only to be printed: digits() gives the n significant digits of a Radical,
+rounded once from the exact value, in integers, and decimal_str, human_str and
+value_to_json lay them out.  JSON and csv print an irrational inside double
+range as the repr of its double, which round-trips, and outside it as 17
+digits of number text, so no printed value depends on float range."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:
@@ -50,17 +49,6 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
     return r, r ** k == n
 
 
-def nth_root_exact(x: Fraction, k: int) -> Fraction | None:
-    """Exact k-th root of a nonnegative rational, or None if irrational."""
-    num, ok = iroot(x.numerator, k)
-    if not ok:
-        return None
-    den, ok = iroot(x.denominator, k)
-    if not ok:
-        return None
-    return Fraction(num, den)
-
-
 RATIONAL = (1, 1, 1)  # Radical.root of Q itself
 
 
@@ -71,8 +59,9 @@ class Radical:
     r.denominator, d); the d coefficients and den > 0 are ints, never reduced
     by a gcd, which would cost more than the arithmetic.  `generator` reduces
     a perfect d-th power to Q, so for d > 1 the numbers 1, b, b^2 are linearly
-    independent: an element is zero exactly when its coefficients are.  Ints,
-    Fractions and floats lift into the field exactly; fields do not mix.
+    independent: an element is zero exactly when its coefficients are.  Any
+    rational (as_integer_ratio()) lifts into any field exactly; two
+    irrational fields do not mix.
     """
 
     __slots__ = ("coeffs", "den", "root")
@@ -82,55 +71,66 @@ class Radical:
 
     @classmethod
     def generator(cls, radicand, d: int) -> Radical:
-        """b = radicand^(1/d) itself, for a positive radicand and d in 1..3;
-        in Q when it is rational."""
-        r = Fraction(radicand)
-        exact = nth_root_exact(r, d)
-        if exact is not None:
-            return cls((exact.numerator,), exact.denominator, RATIONAL)
-        return cls((0, 1, 0)[:d], 1, (r.numerator, r.denominator, d))
+        """b = radicand^(1/d) itself, for a positive rational radicand and d
+        in 1..3; in Q when both terms of the radicand are d-th powers."""
+        rn, rd = radicand.as_integer_ratio()
+        num, ok = iroot(rn, d)
+        if ok:
+            den, ok = iroot(rd, d)
+            if ok:
+                return cls((num,), den, RATIONAL)
+        return cls((0, 1, 0)[:d], 1, (rn, rd, d))
+
+    def as_integer_ratio(self) -> tuple[int, int]:
+        """A rational element as (numerator, denominator) in lowest terms."""
+        if any(self.coeffs[1:]):
+            raise ValueError(f"an irrational value, of the field {self.root}")
+        g = math.gcd(self.coeffs[0], self.den)
+        return self.coeffs[0] // g, self.den // g
 
     def lift(self, v) -> Radical:
-        """v as an element of this element's field."""
-        if type(v) is Radical:
-            if v.root is not self.root and v.root != self.root:
-                raise ValueError(f"values of two fields, {v.root} and {self.root}")
+        """v as an element of this element's field; an irrational v of another
+        field raises ValueError."""
+        if type(v) is Radical and (v.root is self.root or v.root == self.root):
             return v
-        q = v if type(v) in (int, Fraction) else Fraction(v)
-        return Radical((q.numerator, 0, 0)[: len(self.coeffs)], q.denominator, self.root)
+        num, den = v.as_integer_ratio()
+        return Radical((num, 0, 0)[: len(self.coeffs)], den, self.root)
 
-    def _plus(self, o: Radical, s: int) -> Radical:
-        """self + s * o for s = 1 or -1."""
-        da, db = self.den, o.den
+    def _both(self, other) -> tuple[Radical, Radical]:
+        """self and other in one field: an element of Q lifts into the other's."""
+        if len(self.coeffs) == 1 and type(other) is Radical:
+            return other.lift(self), other
+        return self, self.lift(other)
+
+    def _plus(self, other, s: int) -> Radical:
+        """self + s * other for s = 1 or -1."""
+        x, o = self._both(other)
+        da, db = x.den, o.den
         if da == db:
-            return Radical(tuple(a + s * b for a, b in zip(self.coeffs, o.coeffs)), da, self.root)
-        return Radical(tuple(a * db + s * b * da for a, b in zip(self.coeffs, o.coeffs)),
-                       da * db, self.root)
+            return Radical(tuple(a + s * b for a, b in zip(x.coeffs, o.coeffs)), da, x.root)
+        return Radical(tuple(a * db + s * b * da for a, b in zip(x.coeffs, o.coeffs)),
+                       da * db, x.root)
 
     def __add__(self, other) -> Radical:
-        return self._plus(self.lift(other), 1)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> Radical:
-        return self._plus(self.lift(other), -1)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> Radical:
         return self.lift(other)._plus(self, -1)
 
     def __mul__(self, other) -> Radical:
-        o = self.lift(other)
-        return Radical(tuple(times(self.coeffs, o.coeffs, self.root)),
-                       self.den * o.den * self.root[1], self.root)
+        x, o = self._both(other)
+        return Radical(tuple(times(x.coeffs, o.coeffs, x.root)), x.den * o.den * x.root[1], x.root)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        try:
-            o = self.lift(other)
-        except (TypeError, ValueError, OverflowError):
-            return NotImplemented
-        return all(a * o.den == b * self.den for a, b in zip(self.coeffs, o.coeffs))
+        x, o = self._both(other)
+        return all(a * o.den == b * x.den for a, b in zip(x.coeffs, o.coeffs))
 
     def sign(self) -> int:
         """-1, 0 or 1, in integers (coefficient_sign; den > 0)."""
@@ -159,6 +159,11 @@ class Radical:
 
     def __str__(self) -> str:
         return decimal_str(self)
+
+
+def rational(num: int, den: int = 1) -> Radical:
+    """num/den, for den > 0, as an element of Q, unreduced."""
+    return Radical((num,), den, RATIONAL)
 
 
 def times(a, b, root: tuple[int, int, int]) -> list[int]:
@@ -214,9 +219,9 @@ def _decade(e: int) -> tuple[int, int]:
 
 
 def digits(v, n: int) -> tuple[int, int, int]:
-    """(sign, c, e): a nonzero Fraction or Radical v, rounded once, half to
-    even, to n significant digits, is sign c 10^(e - n + 1), with
-    10^(n - 1) <= c < 10^n; n <= 18 for an irrational v.
+    """(sign, c, e): a nonzero Radical v, rounded once, half to even, to n
+    significant digits, is sign c 10^(e - n + 1), with 10^(n - 1) <= c <
+    10^n; n <= 18 for an irrational v.
 
     Each comparison of |v| with a rational t is decided on the interval
     (num -+ err)/den that v.approximation() gives, and by the exact sign of
@@ -225,7 +230,7 @@ def digits(v, n: int) -> tuple[int, int, int]:
     10^-18 |v| that 18 digits resolve, so its lower end rounds half up to c
     or to c - 1, and to c - 1 only when |v| lies above the midpoint.
     """
-    num, den, err = v.approximation() if type(v) is Radical else (v.numerator, v.denominator, 0)
+    num, den, err = v.approximation()
     # err < |num|, so num has v's sign
     a = abs(num)
     sign = num // a
@@ -285,11 +290,9 @@ def decimal_str(v, places: int = 28) -> str:
     shows its decimal point, so a number printed without one is exact.  An
     irrational is shown as JSON shows it (_double).
     """
-    if type(v) is Radical:
-        if any(v.coeffs[1:]):
-            return str(_double(v))
-        v = Fraction(v.coeffs[0], v.den)
-    num, den = v.numerator, v.denominator
+    if any(v.coeffs[1:]):
+        return str(_double(v))
+    num, den = v.as_integer_ratio()
     if den == 1:
         return str(num)
     whole = abs(num) // den
@@ -308,7 +311,7 @@ def human_str(v) -> str:
     (1803989696.9957 rounds to 1803989697); then it is shown as decimal_str
     shows it, so a number printed without a decimal point is exact.
     """
-    if type(v) is not Radical or not any(v.coeffs[1:]):
+    if not any(v.coeffs[1:]):
         return decimal_str(v)
     sign, c, e = digits(v, 12)
     text = str(c).rstrip("0")
@@ -331,8 +334,7 @@ def cut(text: str, show=str) -> str:
 
 def value_to_json(v):
     """JSON form: a rational as {decimal, num, den}, an irrational as _double."""
-    if type(v) is Radical:
-        if any(v.coeffs[1:]):
-            return _double(v)
-        v = Fraction(v.coeffs[0], v.den)
-    return {"decimal": decimal_str(v), "num": v.numerator, "den": v.denominator}
+    if any(v.coeffs[1:]):
+        return _double(v)
+    num, den = v.as_integer_ratio()
+    return {"decimal": decimal_str(v), "num": num, "den": den}

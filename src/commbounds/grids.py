@@ -20,10 +20,9 @@ p1 n2n3 + p2 n1n3 + p3 n1n2, however small the margin between them.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .bounds import BoundReport, ProblemShape, _check_procs, case_field, case_of, lower_bound
-from .exact import Radical, cut
+from .exact import Radical, cut, rational
 
 # A planner scan above this many factor triples is refused before it starts.
 # plan ranks the 1,837,080 of 963761198400 in about 1.0 s on a 2-core VM
@@ -53,13 +52,13 @@ class ProcessorGrid:
 
 
 class CostBreakdown:
-    """Exact words per processor: words_a of the A all-gather over the p3
-    fiber, words_b of the B all-gather over the p1 fiber, words_c of the C
-    reduce-scatter over the p2 fiber, and their total."""
+    """Exact words per processor, in Q: words_a of the A all-gather over the
+    p3 fiber, words_b of the B all-gather over the p1 fiber, words_c of the
+    C reduce-scatter over the p2 fiber, and their total."""
 
     __slots__ = ("words_a", "words_b", "words_c", "total")
 
-    def __init__(self, words_a: Fraction, words_b: Fraction, words_c: Fraction, total: Fraction):
+    def __init__(self, words_a: Radical, words_b: Radical, words_c: Radical, total: Radical):
         self.words_a, self.words_b, self.words_c, self.total = words_a, words_b, words_c, total
 
 
@@ -71,9 +70,9 @@ def comm_cost(shape: ProblemShape, grid: ProcessorGrid) -> CostBreakdown:
     """
     n1, n2, n3 = shape.dims
     p1, p2, p3 = grid.dims
-    words_a = Fraction((p3 - 1) * n1 * n2, grid.size)
-    words_b = Fraction((p1 - 1) * n2 * n3, grid.size)
-    words_c = Fraction((p2 - 1) * n1 * n3, grid.size)
+    words_a = rational((p3 - 1) * n1 * n2, grid.size)
+    words_b = rational((p1 - 1) * n2 * n3, grid.size)
+    words_c = rational((p2 - 1) * n1 * n3, grid.size)
     return CostBreakdown(words_a, words_b, words_c, words_a + words_b + words_c)
 
 
@@ -107,8 +106,8 @@ def analytic_grid(shape: ProblemShape, procs: int) -> AnalyticGridResult:
     else:
         # m/p = n/q (= k/r in case 3) and pqr = P give p = bP/(nk),
         # q = bP/(mk), and r = bP/(mn) in case 3 or 1 in case 2
-        p, q = b * Fraction(procs, n * k), b * Fraction(procs, m * k)
-        r = b * Fraction(procs, m * n) if case == 3 else b.lift(1)
+        p, q = b * rational(procs, n * k), b * rational(procs, m * k)
+        r = b * rational(procs, m * n) if case == 3 else b.lift(1)
 
     order = shape.axis_order
     factors = [None, None, None]

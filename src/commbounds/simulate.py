@@ -17,9 +17,8 @@ run counts its work in integers (work) before it allocates anything, and
 check_work refuses a run above WORD_CAP 8-byte words or MESSAGE_CAP messages.
 """
 
-from fractions import Fraction
-
 from .bounds import ProblemShape
+from .exact import Radical
 from .grids import CostBreakdown, ProcessorGrid, comm_cost
 
 # 2^26 8-byte words are 512 MiB.  2^18 messages bound the hops the ring
@@ -60,7 +59,7 @@ class PhaseStats:
 
     __slots__ = ("name", "fiber_size", "block_words", "ideal", "sent", "received")
 
-    def __init__(self, name: str, fiber_size: int, block_words: int, ideal: Fraction,
+    def __init__(self, name: str, fiber_size: int, block_words: int, ideal: Radical,
                  sent: tuple[int, ...], received: tuple[int, ...]):
         self.name, self.fiber_size, self.block_words = name, fiber_size, block_words
         self.ideal, self.sent, self.received = ideal, sent, received

@@ -23,7 +23,8 @@ Sources of argv, in this order:
              EXHAUSTIVE_LIMIT + 1, so the refusal just past the cap runs
              too; each in the three formats.
   --ties D N `bound --memory M` on every ordered shape with dims <= D at
-             every P <= N, in the three formats, M written as p/q: where
+             every P <= N, or at LO <= P <= HI for N written LO:HI, in the
+             three formats, M written as p/q: where
              mnk/P is the cube of a rational a/b, at the dominance tie
              M* = 4a^2/(9b^2), where 729 P^2 M*^3 = 64 (mnk)^2, and at
              M* times 999/1000 and 1001/1000; and everywhere at the least
@@ -100,11 +101,17 @@ def cube_root(n: int):
     return next((r for r in (c - 1, c, c + 1) if r ** 3 == n), None)
 
 
-def ties(most_dim: int, most_procs: int) -> list[list[str]]:
+def procs_range(text: str) -> range:
+    """N as the range 1..N, or LO:HI as LO..HI."""
+    lo, colon, hi = text.partition(":")
+    return range(int(lo), int(hi) + 1) if colon else range(1, int(text) + 1)
+
+
+def ties(most_dim: int, procs: range) -> list[list[str]]:
     requests = []
     for fmt in FORMATS:
         for n1, n2, n3 in itertools.product(range(1, most_dim + 1), repeat=3):
-            for p in range(1, most_procs + 1):
+            for p in procs:
                 per_proc = Fraction(n1 * n2 * n3, p)
                 owned = Fraction(n1 * n2 + n1 * n3 + n2 * n3, p)
                 memories = [owned, owned * Fraction(999, 1000)]
@@ -147,9 +154,9 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="the git revision to compare with the working tree")
     parser.add_argument("--box", nargs=2, type=int, metavar=("D", "N"),
                         help="every shape with dims <= D at every P <= N")
-    parser.add_argument("--ties", nargs=2, type=int, metavar=("D", "N"),
+    parser.add_argument("--ties", nargs=2, metavar=("D", "N"),
                         help="bound --memory at the dominance ties and the least "
-                        "admitted memory, on the same box")
+                        "admitted memory, on the same box; N may be LO:HI")
     parser.add_argument("--declared", metavar="FILE",
                         help="argv lines whose output is declared changed")
     args = parser.parse_args(argv)
@@ -158,7 +165,8 @@ def main(argv=None) -> int:
     if args.box:
         sources.append((f"box {args.box[0]} {args.box[1]}", box(*args.box)))
     if args.ties:
-        sources.append((f"ties {args.ties[0]} {args.ties[1]}", ties(*args.ties)))
+        sources.append((f"ties {args.ties[0]} {args.ties[1]}",
+                        ties(int(args.ties[0]), procs_range(args.ties[1]))))
 
     archive = subprocess.run(["git", "archive", args.rev, "src"], cwd=ROOT, capture_output=True)
     if archive.returncode:

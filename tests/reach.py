@@ -38,8 +38,9 @@ ALLOWED = {
         "OptProblem is exported; its constructor validates what a library caller passes",
     ("kkt.py", 'raise ValueError(f"need P >= 1, got {self.P}")'):
         "OptProblem is exported; its constructor validates what a library caller passes",
-    ("exact.py", 'raise ValueError(f"values of two fields, {v.root} and {self.root}")'):
-        "safety: mixing two fields would silently give wrong numbers",
+    ("exact.py", 'raise ValueError(f"an irrational value, of the field {self.root}")'):
+        "safety: reading an irrational as a rational, as mixing two fields would, "
+        "would silently give wrong numbers",
     ("cli.py", "sys.exit(main())"):
         "the console script's entry point, run(), as pyproject.toml names it",
     ("cli.py", "run()"):

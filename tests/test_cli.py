@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import commbounds.cli as cli
 from commbounds.bounds import ProblemShape, lower_bound
-from commbounds.exact import value_to_json
+from commbounds.exact import rational, value_to_json
 from commbounds.simulate import MESSAGE_CAP, WORD_CAP
 from test_exact import json_to_value, to_value
 
@@ -703,7 +703,7 @@ dims = st.integers(1, 10**6)
 json_scalars = st.one_of(
     st.text(), st.integers(), st.integers(2**64, 2**200), st.integers(-(2**200), -(2**64)),
     st.booleans(), st.none(), st.floats(allow_nan=False, allow_infinity=False),
-    st.just(-0.0), st.just(5e-324), st.fractions(),
+    st.just(-0.0), st.just(5e-324), st.builds(rational, st.integers(), st.integers(1)),
     st.builds(lambda shape, procs, part: getattr(lower_bound(ProblemShape(*shape), procs), part),
               st.tuples(dims, dims, dims), st.integers(1, 10**12),
               st.sampled_from(["accessed", "bound"])),
@@ -811,20 +811,20 @@ def test_parse_reads_well_formed_argv_as_the_full_parser_without_it(argv):
 def test_command_imports_only_what_it_needs(argv, argparse_imported, fmt):
     # numpy is imported only by the functions that compute with it, which
     # only simulate calls; argparse only when parse hands argv over to it;
-    # csv only to write csv; dataclasses never, typing only by numpy, and
-    # decimal never: fractions imports it for itself, so the child drops it
-    # from sys.modules first, and any later import of it shows.
+    # csv only to write csv; dataclasses never, typing only by numpy;
+    # decimal, fractions and json never; and re only by csv, argparse or
+    # numpy, each of which imports it.
     # The child runs with -S: site can preload modules (a .pth file can
-    # import typing), which would hide an import of the package's own.
+    # import typing or re), which would hide an import of the package's own.
     # numpy's directory goes on the path, as site would have put it there.
     src = str(Path(cli.__file__).resolve().parents[1])
     numpy_dir = str(Path(importlib.util.find_spec("numpy").origin).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH"), numpy_dir]))}
-    watched = ("numpy", "argparse", "csv", "dataclasses", "typing", "decimal")
+    watched = ("numpy", "argparse", "csv", "dataclasses", "typing", "decimal", "fractions",
+               "json", "re")
     script = (
-        "import sys, fractions\n"
-        "del sys.modules['decimal']\n"
+        "import sys\n"
         "from commbounds.cli import main\n"
         "code = main(sys.argv[1:])\n"
         f"print(code, *[m in sys.modules for m in {watched}])\n"
@@ -833,6 +833,8 @@ def test_command_imports_only_what_it_needs(argv, argparse_imported, fmt):
         [sys.executable, "-S", "-c", script, *argv.split(), "--format", fmt],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    simulate = argv.startswith("simulate")
-    want = f"0 {simulate} {argparse_imported} {fmt == 'csv'} False {simulate} False"
+    simulate, csv_format = argv.startswith("simulate"), fmt == "csv"
+    uses_re = simulate or argparse_imported or csv_format
+    want = (f"0 {simulate} {argparse_imported} {csv_format} False {simulate} False False False"
+            f" {uses_re}")
     assert proc.stdout.splitlines()[-1] == want, proc.stdout + proc.stderr

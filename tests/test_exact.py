@@ -18,7 +18,7 @@ from commbounds.exact import (
     digits,
     human_str,
     iroot,
-    nth_root_exact,
+    rational,
     value_to_json,
 )
 
@@ -115,35 +115,50 @@ def test_iroot_huge_exact():
     assert iroot(n, 3) == (base, True)
 
 
-def test_nth_root_exact():
-    assert nth_root_exact(Fraction(27, 8), 3) == Fraction(3, 2)
-    assert nth_root_exact(Fraction(2), 2) is None
-    assert nth_root_exact(Fraction(1, 4), 2) == Fraction(1, 2)
-    assert nth_root_exact(Fraction(0), 3) == 0
+def test_generator_takes_the_exact_root_of_a_rational():
+    for radicand in (Fraction(27, 8), rational(54, 16), 3.375):
+        b = Radical.generator(radicand, 3)
+        assert b.root == RATIONAL and b.as_integer_ratio() == (3, 2)
+    assert Radical.generator(rational(1, 4), 2).as_integer_ratio() == (1, 2)
+    assert Radical.generator(rational(2), 2).root == (2, 1, 2)
+
+
+def in_q(v: Fraction) -> Radical:
+    """A Fraction as the element of Q that the package computes with."""
+    return rational(v.numerator, v.denominator)
+
+
+def test_as_integer_ratio_is_in_lowest_terms():
+    assert rational(6, 4).as_integer_ratio() == (3, 2) == Fraction(6, 4).as_integer_ratio()
+    assert rational(-10, 5).as_integer_ratio() == (-2, 1)
+    assert rational(0, 7).as_integer_ratio() == (0, 1)
+    assert Radical.generator(2, 2).lift(rational(9, 6)).as_integer_ratio() == (3, 2)
+    with pytest.raises(ValueError):
+        Radical.generator(2, 2).as_integer_ratio()
 
 
 def test_decimal_str():
-    assert decimal_str(Fraction(76)) == "76"
-    assert decimal_str(Fraction(421875, 2)) == "210937.5"
-    assert decimal_str(Fraction(189, 16)) == "11.8125"
-    assert float(decimal_str(Fraction(1, 3))) == pytest.approx(1 / 3)
+    assert decimal_str(rational(76)) == "76"
+    assert decimal_str(rational(421875, 2)) == "210937.5"
+    assert decimal_str(rational(189, 16)) == "11.8125"
+    assert float(decimal_str(rational(1, 3))) == pytest.approx(1 / 3)
 
 
 def test_decimal_str_rounds_only_fractional_digits():
     # 28 significant digits used to round 10**30 / 7 inside its integer part
     # and print it with no decimal point, as if it were exact
     v = Fraction(10**30, 7)
-    text = decimal_str(v)
+    text = decimal_str(in_q(v))
     whole, frac = text.split(".")
     assert whole == str(10**30 // 7)
     assert len(frac) == 28
     assert abs(Fraction(text) - v) <= Fraction(1, 2 * 10**28)
-    assert decimal_str(-v) == "-" + text
-    assert decimal_str(Fraction(10**40 + 1, 2)) == str(10**40 // 2) + ".5"
+    assert decimal_str(in_q(-v)) == "-" + text
+    assert decimal_str(rational(10**40 + 1, 2)) == str(10**40 // 2) + ".5"
 
 
 def test_human_str():
-    assert human_str(Fraction(76)) == "76"
+    assert human_str(rational(76)) == "76"
     assert human_str(Radical.generator(32 ** 2, 3) * 3) == "30.2381051975"
     # 12 significant digits would print 1803989697, an integer it is not
     bound = lower_bound(ProblemShape(63868, 63868, 63868), 3).bound
@@ -153,7 +168,9 @@ def test_human_str():
 
 def test_json_round_trip():
     for v in (Fraction(421875, 2), Fraction(7, 3), Fraction(0)):
-        assert json_to_value(value_to_json(v)) == v
+        assert json_to_value(value_to_json(in_q(v))) == v
+    # an unreduced element prints in lowest terms
+    assert value_to_json(rational(14, 6)) == value_to_json(rational(7, 3))
     b = Radical.generator(2, 3)
     assert json_to_value(value_to_json(b)) == to_float(b) == 2 ** (1 / 3)
     assert json_to_value(value_to_json(b * b * b)) == 2
@@ -171,7 +188,7 @@ def test_a_radical_prints_as_its_decimal_or_its_double():
 
 
 def test_json_shape():
-    doc = value_to_json(Fraction(421875, 2))
+    doc = value_to_json(rational(421875, 2))
     assert doc == {"decimal": "210937.5", "num": 421875, "den": 2}
 
 
@@ -203,8 +220,14 @@ def test_signs_of_known_values():
 def test_fields_do_not_mix():
     with pytest.raises(ValueError):
         Radical.generator(2, 2) + Radical.generator(3, 2)
-    assert Radical.generator(2, 2) != Radical.generator(2, 3)
-    assert Radical.generator(2, 2) != float("nan")
+    with pytest.raises(ValueError):
+        Radical.generator(2, 2) != Radical.generator(2, 3)
+    with pytest.raises(ValueError):
+        Radical.generator(2, 2) != float("nan")
+    # an element of Q lifts into either field, from either side
+    s2 = Radical.generator(2, 2)
+    assert rational(1, 2) + s2 == s2 + Fraction(1, 2) and (rational(3) - s2).sign() == 1
+    assert rational(2) == s2 * s2 and rational(2) * s2 == s2 * 2
 
 
 def test_float_survives_where_the_radicand_underflows():
@@ -358,10 +381,9 @@ def test_digits_of_a_rational_match_a_decimal_division(case):
     v, n = case
     # one division at precision n rounds once, half to even
     expect = decimal_digits(Context(prec=n).divide(v.numerator, v.denominator), n)
-    assert digits(v, n) == expect
-    # as the rational element of a field, and of Q
+    # as the rational element of Q, and of an irrational field
+    assert digits(in_q(v), n) == expect
     assert digits(Radical.generator(2, 2).lift(v), n) == expect
-    assert digits(Radical((v.numerator,), v.denominator, RATIONAL), n) == expect
 
 
 def decimal_formula(v: Fraction, places: int = 28) -> str:
@@ -387,17 +409,17 @@ def decimal_formula(v: Fraction, places: int = 28) -> str:
 ), st.integers(-60, 60), st.integers(2, 40))
 def test_decimal_str_matches_the_decimal_formula(q, scale, places):
     v = q * Fraction(10) ** scale
-    assert decimal_str(v, places) == decimal_formula(v, places)
+    assert decimal_str(in_q(v), places) == decimal_formula(v, places)
     if places == 28:
-        assert decimal_str(v) == decimal_formula(v)
+        assert decimal_str(in_q(v)) == decimal_formula(v)
 
 
 def test_a_rounded_decimal_keeps_its_point():
     # at one place, 0.99 rounds up to 1 and 9.96 to 10, with no fractional
     # digit left: the formula printed them as integers, as if exact
     assert decimal_formula(Fraction(99, 100), 1) == "1"
-    assert decimal_str(Fraction(99, 100), 1) == "1."
-    assert decimal_str(Fraction(996, 100), 1) == "10."
+    assert decimal_str(rational(99, 100), 1) == "1."
+    assert decimal_str(rational(996, 100), 1) == "10."
 
 
 @pytest.mark.parametrize("scale", [-5, -4, 11, 12])

@@ -261,7 +261,7 @@ class TestExhaustiveGrid:
             procs = int(rng.integers(1, 120))
             _, _, best, _, _ = plan(shape, procs)
             for t in factor_triples(procs):
-                assert best.total <= comm_cost(shape, ProcessorGrid(*t)).total
+                assert (comm_cost(shape, ProcessorGrid(*t)).total - best.total).sign() >= 0
 
     def test_divisibility_filter(self):
         _, grid, _, _, _ = plan(ProblemShape(96, 24, 6), 36, require_divisibility=True)
