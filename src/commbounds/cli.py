@@ -37,7 +37,6 @@ simulation correctness failure, 4 verification failure.
 
 from __future__ import annotations
 
-import functools
 import io
 import sys
 from _json import encode_basestring_ascii
@@ -47,7 +46,7 @@ from .bounds import PRIOR_CONSTANTS, ProblemShape, case_field, case_of, d_case, 
 from .exact import Radical, coefficient_rows, cut, decimal_str, human_str, rational, value_to_json
 from .grids import ProcessorGrid, comm_cost, plan
 from .kkt import CONDITIONS, OptProblem, analytic_solution_for_case, kkt_verify
-from .projections import EXHAUSTIVE_LIMIT, min_projection_sum, subset_stats
+from .projections import EXHAUSTIVE_LIMIT, min_projection_sum
 from .simulate import run_algorithm
 
 EXIT_OK = 0
@@ -160,13 +159,18 @@ _FLAGS = {c: {"--config": ("config", 1), **{
     for key, (spec, commands, _) in _KEYS.items() if c in commands}} for c in _ALL}
 
 
-@functools.cache
+_parser = None
+
+
 def build_parser():
     """The argparse parser, built on first use and shared by every call.
 
     Parsing keeps nothing on the parser: each parse returns a new
     Namespace, and resolve_config turns it into a new SimpleNamespace.
     """
+    global _parser
+    if _parser is not None:
+        return _parser
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -186,6 +190,7 @@ def build_parser():
         for key, (spec, commands, _) in _KEYS.items():
             if command in commands:
                 p.add_argument(f"--{key}", **spec)
+    _parser = parser
     return parser
 
 
@@ -392,6 +397,7 @@ def cmd_verify(cfg: SimpleNamespace) -> tuple[dict, int]:
     # (d row) dx, with dx and dd the two denominators
     (dx, x), (dd, (d_row,)) = krep.x, coefficient_rows([d])
     rn, rd, root = krep.root
+    d_str = human_str(d)
 
     failed = krep.failed
     checks = [
@@ -404,7 +410,7 @@ def cmd_verify(cfg: SimpleNamespace) -> tuple[dict, int]:
         (
             "certificate",
             d.root == krep.root and [sum(c) * dd for c in zip(*x)] == [c * dx for c in d_row],
-            f"x1 + x2 + x3 = D = {human_str(d)}, exact in {_field_str(d.root)}",
+            f"x1 + x2 + x3 = D = {d_str}, exact in {_field_str(d.root)}",
         ),
     ]
     certificate = {
@@ -418,20 +424,13 @@ def cmd_verify(cfg: SimpleNamespace) -> tuple[dict, int]:
     if cfg.tiny:
         mp = min_projection_sum(shape, procs)
         proj_ok = (mp.minimum - d).sign() >= 0
-        stats = subset_stats(shape.dims)
-        t = mp.threshold
-        plb_ok = (
-            stats.min_phi_from_size["a"][t] * procs >= shape.n1 * shape.n2
-            and stats.min_phi_from_size["b"][t] * procs >= shape.n2 * shape.n3
-            and stats.min_phi_from_size["c"][t] * procs >= shape.n1 * shape.n3
-        )
+        phi, t = mp.stats.min_phi_from_size, mp.threshold
+        plb_ok = (phi["a"][t] * procs >= shape.n1 * shape.n2
+                  and phi["b"][t] * procs >= shape.n2 * shape.n3
+                  and phi["c"][t] * procs >= shape.n1 * shape.n3)
         checks += [
-            (
-                "min_projection_sum",
-                proj_ok,
-                f"minimum {mp.minimum} vs D {human_str(d)}",
-            ),
-            ("loomis_whitney", stats.lw_ok, f"all subsets of {shape.dims}"),
+            ("min_projection_sum", proj_ok, f"minimum {mp.minimum} vs D {d_str}"),
+            ("loomis_whitney", mp.stats.lw_ok, f"all subsets of {shape.dims}"),
             ("projection_lb", plb_ok, f"threshold {t}"),
         ]
 

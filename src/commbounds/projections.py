@@ -14,8 +14,9 @@ a projection -- the compression step behind discrete Loomis-Whitney (Bollobas
 & Thomason, 1995) -- and compressing along each axis in turn ends at a
 down-set.  So per-size projection minima are attained on down-sets, and a
 subset violating Loomis-Whitney compresses to a down-set that violates it.
-Results are cached per dims as given, so a box that verify --tiny repeats in
-one process (perfbench's certify stream does) enumerates once.
+Results are cached per dims as given, and the walk per sorted box, so a
+process walks each box once up to axis order, however often and in whichever
+orders verify --tiny asks for it (perfbench's certify stream repeats boxes).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ class SubsetStats:
 
 
 _STATS_CACHE: dict[tuple[int, int, int], SubsetStats] = {}
+_WALK_CACHE: dict[tuple[int, int, int], tuple] = {}  # by the sorted box (w, u, v)
 
 
 def subset_stats(dims) -> SubsetStats:
@@ -59,14 +61,29 @@ def subset_stats(dims) -> SubsetStats:
     along rows and columns, so |F| = sum h, the (row, column) face counts the
     nonzero heights, the (column, height) face sums the first row and the
     (row, height) face the first column.  Permuting the axes maps down-sets to
-    down-sets and faces to faces, so these are a, b and c in another order.
-    Down-sets alike in size and projections are one leaf of a set.
+    down-sets and faces to faces, so these are a, b and c in another order,
+    and the walk of the sorted box (w, u, v) serves all its axis orders.
     """
     dims = tuple(int(d) for d in dims)
     if dims in _STATS_CACHE:
         return _STATS_CACHE[dims]
     height, rows, cols = sorted(range(3), key=dims.__getitem__, reverse=True)
-    u, v, w = dims[rows], dims[cols], dims[height]
+    box = dims[height], dims[rows], dims[cols]
+    if box not in _WALK_CACHE:
+        _WALK_CACHE[box] = _walk(*box)
+    lw_ok, min_sum, mins = _WALK_CACHE[box]
+    # the walk's a, b and c omit its height, rows and cols axes; the caller's
+    # face that omits axis 0, 1 or 2 is b, c or a
+    by_face = dict(zip(("bca"[height], "bca"[rows], "bca"[cols]), mins))
+    stats = SubsetStats(dims, lw_ok, min_sum, {key: by_face[key] for key in "abc"})
+    return _STATS_CACHE.setdefault(dims, stats)
+
+
+def _walk(w, u, v):
+    """The LW verdict, and per-size minima of the sum and of the faces a, b and
+    c that omit the height, rows and cols axes, over the down-sets of u x v
+    heights in [0, w], w >= u >= v.  Down-sets alike in size and projections
+    are one leaf of a set."""
     heights = [[w] * (v + 1) for _ in range(u + 1)]  # row/column 0: sentinels
     # per cell: the row above, its own row, its column, in row 0, in column 0
     cells = [(heights[i], heights[i + 1], j, i == 0, j == 0) for i in range(u) for j in range(v)]
@@ -103,20 +120,17 @@ def subset_stats(dims) -> SubsetStats:
             mins_b[size] = b
         if c < mins_c[size]:
             mins_c[size] = c
-    # the walk's a, b and c omit its height, rows and cols axes; the caller's
-    # face that omits axis 0, 1 or 2 is b, c or a
-    by_face = dict(zip(("bca"[height], "bca"[rows], "bca"[cols]), (mins_a, mins_b, mins_c)))
-    stats = SubsetStats(dims, lw_ok, min_sum, {key: by_face[key] for key in "abc"})
-    return _STATS_CACHE.setdefault(dims, stats)
+    return lw_ok, min_sum, (mins_a, mins_b, mins_c)
 
 
 class MinProjectionResult:
-    """minimum over every F of at least threshold points, ceil(n1n2n3 / P)."""
+    """minimum over every F of at least threshold points, ceil(n1n2n3 / P),
+    read off stats."""
 
-    __slots__ = ("minimum", "threshold")
+    __slots__ = ("minimum", "threshold", "stats")
 
-    def __init__(self, minimum: int, threshold: int):
-        self.minimum, self.threshold = minimum, threshold
+    def __init__(self, minimum: int, threshold: int, stats: SubsetStats):
+        self.minimum, self.threshold, self.stats = minimum, threshold, stats
 
 
 def min_projection_sum(shape: ProblemShape, procs: int) -> MinProjectionResult:
@@ -127,4 +141,4 @@ def min_projection_sum(shape: ProblemShape, procs: int) -> MinProjectionResult:
     """
     t = -(-shape.volume // procs)
     stats = subset_stats(shape.dims)
-    return MinProjectionResult(minimum=stats.min_sum_from_size[t], threshold=t)
+    return MinProjectionResult(stats.min_sum_from_size[t], t, stats)

@@ -19,9 +19,10 @@ Sources of argv, in this order:
   always     every key of tests/golden_cli.json;
   --box D N  every ordered shape with dims <= D at every P <= N in bound,
              grid, simulate and verify, `sweep --procs 1:N` on every shape,
-             and `verify --tiny` on every shape with n1*n2*n3 at most
-             EXHAUSTIVE_LIMIT + 1, so the refusal just past the cap runs
-             too; each in the three formats.
+             and `verify --tiny` at every P <= N on every ordered shape, of
+             any dims, with n1*n2*n3 at most EXHAUSTIVE_LIMIT + 1, so each
+             box in all its axis orders and the refusal just past the cap;
+             each in the three formats.
   --ties D N `bound --memory M` on every ordered shape with dims <= D at
              every P <= N, or at LO <= P <= HI for N written LO:HI, in the
              three formats, M written as p/q: where
@@ -80,6 +81,9 @@ def box(most_dim: int, most_procs: int) -> list[list[str]]:
 
     shapes = [[str(d) for d in dims]
               for dims in itertools.product(range(1, most_dim + 1), repeat=3)]
+    most = EXHAUSTIVE_LIMIT + 1
+    tiny = [[str(a), str(b), str(c)] for a in range(1, most + 1)
+            for b in range(1, most // a + 1) for c in range(1, most // (a * b) + 1)]
     requests = []
     for fmt in FORMATS:
         tail = ["--format", fmt]
@@ -88,10 +92,9 @@ def box(most_dim: int, most_procs: int) -> list[list[str]]:
                 requests += ([command, "--shape", *shape, "--procs", str(p), *tail]
                              for p in range(1, most_procs + 1))
             requests.append(["sweep", "--shape", *shape, "--procs", f"1:{most_procs}", *tail])
-            volume = int(shape[0]) * int(shape[1]) * int(shape[2])
-            if volume <= EXHAUSTIVE_LIMIT + 1:
-                requests += (["verify", "--shape", *shape, "--procs", str(p), "--tiny", *tail]
-                             for p in range(1, most_procs + 1))
+        for shape in tiny:
+            requests += (["verify", "--shape", *shape, "--procs", str(p), "--tiny", *tail]
+                         for p in range(1, most_procs + 1))
     return requests
 
 

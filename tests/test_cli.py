@@ -691,7 +691,14 @@ class TestParserReuse:
 
         shared = results()
         assert cli.build_parser() is cli.build_parser()
-        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        build = cli.build_parser
+
+        def fresh_parser():
+            cli._parser = None
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", fresh_parser)
         fresh = results()
         assert [r[0] for r in shared] == [0, 0, 2, 0, 0, 0]
         assert shared[3][1].startswith("usage: commbounds")
@@ -812,8 +819,8 @@ def test_command_imports_only_what_it_needs(argv, argparse_imported, fmt):
     # numpy is imported only by the functions that compute with it, which
     # only simulate calls; argparse only when parse hands argv over to it;
     # csv only to write csv; dataclasses never, typing only by numpy;
-    # decimal, fractions and json never; and re only by csv, argparse or
-    # numpy, each of which imports it.
+    # decimal, fractions and json never; and re, functools and collections
+    # only by csv, argparse or numpy, each of which imports all three.
     # The child runs with -S: site can preload modules (a .pth file can
     # import typing or re), which would hide an import of the package's own.
     # numpy's directory goes on the path, as site would have put it there.
@@ -822,7 +829,7 @@ def test_command_imports_only_what_it_needs(argv, argparse_imported, fmt):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH"), numpy_dir]))}
     watched = ("numpy", "argparse", "csv", "dataclasses", "typing", "decimal", "fractions",
-               "json", "re")
+               "json", "re", "functools", "collections")
     script = (
         "import sys\n"
         "from commbounds.cli import main\n"
@@ -836,5 +843,5 @@ def test_command_imports_only_what_it_needs(argv, argparse_imported, fmt):
     simulate, csv_format = argv.startswith("simulate"), fmt == "csv"
     uses_re = simulate or argparse_imported or csv_format
     want = (f"0 {simulate} {argparse_imported} {csv_format} False {simulate} False False False"
-            f" {uses_re}")
+            f" {uses_re} {uses_re} {uses_re}")
     assert proc.stdout.splitlines()[-1] == want, proc.stdout + proc.stderr

@@ -7,6 +7,7 @@ over every subset of a tiny cube, and walk_stats, over the down-sets in the
 box's own orientation.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,7 +15,9 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from commbounds import projections
 from commbounds.bounds import ProblemShape, lower_bound
 from commbounds.grids import analytic_grid, comm_cost
 from commbounds.projections import EXHAUSTIVE_LIMIT, min_projection_sum, subset_stats
@@ -177,6 +180,33 @@ def boxes_up_to(volume):
     ]
 
 
+ORDERED_BOXES = boxes_up_to(EXHAUSTIVE_LIMIT)
+
+
+@functools.cache
+def reference(dims):
+    lw_ok, min_sum, min_phi = walk_stats(dims)
+
+    def suffix(values):
+        return [min(values[s:]) for s in range(len(values))]
+
+    return lw_ok, min_sum, suffix(min_sum), min_phi, {
+        key: suffix(values) for key, values in min_phi.items()}
+
+
+def assert_matches_walk(dims, stats):
+    """Every field of stats equals the fixed-orientation walk's on dims."""
+    lw_ok, min_sum, min_sum_from, min_phi, min_phi_from = reference(dims)
+    assert stats.dims == dims
+    assert stats.lw_ok is lw_ok, dims
+    assert stats.min_sum_by_size == min_sum, dims
+    assert stats.min_sum_from_size == min_sum_from, dims
+    assert stats.min_phi_by_size == min_phi, dims
+    assert stats.min_phi_from_size == min_phi_from, dims
+    assert all(type(m) is int for values in (stats.min_sum_by_size,
+               *stats.min_phi_by_size.values()) for m in values), dims
+
+
 class TestProjections:
     def test_plane_example(self):
         ws = WorkSet.from_points(
@@ -298,27 +328,37 @@ class TestSubsetEngine:
         # every ordered box up to the cap, so each sorted box in all six axis
         # orders: the engine stands each on its longest axis and renames the
         # faces back, and every field must equal the unpermuted walk's
-        def suffix(values):
-            return [min(values[s:]) for s in range(len(values))]
-
-        sorted_boxes = [dims for dims in boxes_up_to(EXHAUSTIVE_LIMIT) if list(dims) == sorted(dims)]
+        sorted_boxes = [dims for dims in ORDERED_BOXES if list(dims) == sorted(dims)]
         assert len(sorted_boxes) == 51
         checked = 0
         for box in sorted_boxes:
             for dims in set(itertools.permutations(box)):
-                lw_ref, min_sum_ref, min_phi_ref = walk_stats(dims)
-                stats = subset_stats(dims)
-                assert stats.dims == dims
-                assert stats.lw_ok is lw_ref, dims
-                assert stats.min_sum_by_size == min_sum_ref, dims
-                assert stats.min_sum_from_size == suffix(min_sum_ref), dims
-                assert stats.min_phi_by_size == min_phi_ref, dims
-                assert stats.min_phi_from_size == {
-                    key: suffix(values) for key, values in min_phi_ref.items()}, dims
-                assert all(type(m) is int for values in (stats.min_sum_by_size,
-                           *stats.min_phi_by_size.values()) for m in values), dims
+                assert_matches_walk(dims, subset_stats(dims))
                 checked += 1
-        assert checked == len(boxes_up_to(EXHAUSTIVE_LIMIT)) == 203
+        assert checked == len(ORDERED_BOXES) == 203
+
+    def test_walks_each_sorted_box_once(self, monkeypatch):
+        # with both memos empty, one process asks for all 203 ordered boxes
+        walked, walk = [], projections._walk
+        monkeypatch.setattr(projections, "_STATS_CACHE", {})
+        monkeypatch.setattr(projections, "_WALK_CACHE", {})
+        monkeypatch.setattr(projections, "_walk", lambda *box: walked.append(box) or walk(*box))
+        for dims in ORDERED_BOXES:
+            subset_stats(dims)
+        assert sorted(walked) == sorted({tuple(sorted(dims, reverse=True))
+                                          for dims in ORDERED_BOXES})
+        assert len(walked) == 51
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.permutations(ORDERED_BOXES))
+    def test_any_order_of_asking_gives_the_walk_of_each_box(self, order):
+        # whichever axis order of a box walks first, every other order reads
+        # the same walk, renamed to its own faces
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(projections, "_STATS_CACHE", {})
+            mp.setattr(projections, "_WALK_CACHE", {})
+            for dims in order:
+                assert_matches_walk(dims, subset_stats(dims))
 
     def test_axis_permutations_consistent(self):
         # per-axis minima permute with the dims; the sum is invariant
