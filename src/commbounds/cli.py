@@ -424,13 +424,13 @@ def cmd_verify(cfg: SimpleNamespace) -> tuple[dict, int]:
     if cfg.tiny:
         mp = min_projection_sum(shape, procs)
         proj_ok = (mp.minimum - d).sign() >= 0
-        phi, t = mp.stats.min_phi_from_size, mp.threshold
-        plb_ok = (phi["a"][t] * procs >= shape.n1 * shape.n2
-                  and phi["b"][t] * procs >= shape.n2 * shape.n3
-                  and phi["c"][t] * procs >= shape.n1 * shape.n3)
+        stats, t = mp.stats, mp.threshold
+        plb_ok = (stats.x1[t] * procs >= n * k
+                  and stats.x2[t] * procs >= m * k
+                  and stats.x3[t] * procs >= m * n)
         checks += [
             ("min_projection_sum", proj_ok, f"minimum {mp.minimum} vs D {d_str}"),
-            ("loomis_whitney", mp.stats.lw_ok, f"all subsets of {shape.dims}"),
+            ("loomis_whitney", stats.lw_ok, f"all subsets of {shape.dims}"),
             ("projection_lb", plb_ok, f"threshold {t}"),
         ]
 

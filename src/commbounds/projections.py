@@ -1,27 +1,30 @@
 """Exact oracles for the geometry under the bound.
 
-A processor's work is a set F of lattice points (i1, i2, i3) in the
-n1 x n2 x n3 iteration cube; it needs the A entries phi_A(F) = {(i1, i2)},
-the B entries phi_B(F) = {(i2, i3)}, and touches the C entries
-phi_C(F) = {(i1, i3)}.  Loomis-Whitney caps |F| by the product of the three
-projection sizes, which is exactly the product constraint of the optimization
-problem behind D.
+A processor's work is a set F of lattice points in the m x n x k iteration
+box, m >= n >= k.  It touches x1 points of the n x k face, x2 of the m x k
+face and x3 of the m x n face, its three projections, named as in the
+optimization problem behind D (kkt.py).  Loomis-Whitney (1949) caps |F|^2 by
+x1 x2 x3, which at |F| = mnk/P is exactly that problem's product constraint.
+Permuting the axes maps subsets to subsets and faces to faces, so every axis
+order of a box has the answers of its sorted box, and the oracle gives them
+in the bound's sorted coordinates.
 
-The exhaustive engine decides statements about every subset of a small cube
+The exhaustive engine decides statements about every subset of a small box
 from its down-sets alone.  Compressing F along an axis (moving the points of
 each line parallel to it to the lowest positions) keeps |F| and never enlarges
 a projection -- the compression step behind discrete Loomis-Whitney (Bollobas
 & Thomason, 1995) -- and compressing along each axis in turn ends at a
 down-set.  So per-size projection minima are attained on down-sets, and a
 subset violating Loomis-Whitney compresses to a down-set that violates it.
-Results are cached per dims as given, and the walk per sorted box, so a
-process walks each box once up to axis order, however often and in whichever
-orders verify --tiny asks for it (perfbench's certify stream repeats boxes).
+The minima never decrease with size, as a down-set of s + 1 points contains
+one of s and a projection only grows under inclusion, so the minimum at size
+t is also the minimum over every F of at least t points.  Results are cached
+per sorted box, so a process walks each box once, however often and in
+whichever axis orders verify --tiny asks for it (perfbench's certify stream
+repeats boxes).
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
 
 from .bounds import ProblemShape
 
@@ -29,61 +32,44 @@ EXHAUSTIVE_LIMIT = 24
 
 
 class SubsetStats:
-    """Per-size minima over every subset of a small cube.
+    """Per-size minima over every subset of the sorted box dims = (m, n, k).
 
-    For each subset size s in 0..N the engine records the minimum of
-    phi_A + phi_B + phi_C and of each projection alone, plus whether
-    Loomis-Whitney held for all 2^N subsets.  min_*_from_size are suffix
-    minima (over sizes >= s), which is what threshold queries need.
+    For each subset size s in 0..mnk the engine records the minimum of
+    x1 + x2 + x3 and of each projection alone (x1 on the n x k face, x2 on
+    m x k, x3 on m x n), plus whether Loomis-Whitney held for all 2^(mnk)
+    subsets.  Each list is non-decreasing in s.
     """
 
-    def __init__(self, dims, lw_ok, min_sum_by_size, min_phi_by_size):
-        self.dims = dims
-        self.lw_ok = lw_ok
-        self.min_sum_by_size = min_sum_by_size
-        self.min_phi_by_size = min_phi_by_size
-        self.min_sum_from_size = list(accumulate(min_sum_by_size[::-1], min))[::-1]
-        self.min_phi_from_size = {
-            key: list(accumulate(values[::-1], min))[::-1]
-            for key, values in min_phi_by_size.items()
-        }
+    __slots__ = ("dims", "lw_ok", "min_sum_by_size", "x1", "x2", "x3")
+
+    def __init__(self, dims, lw_ok, min_sum_by_size, x1, x2, x3):
+        self.dims, self.lw_ok, self.min_sum_by_size = dims, lw_ok, min_sum_by_size
+        self.x1, self.x2, self.x3 = x1, x2, x3
 
 
-_STATS_CACHE: dict[tuple[int, int, int], SubsetStats] = {}
-_WALK_CACHE: dict[tuple[int, int, int], tuple] = {}  # by the sorted box (w, u, v)
+_CACHE: dict[tuple[int, int, int], SubsetStats] = {}  # by the sorted box (m, n, k)
 
 
 def subset_stats(dims) -> SubsetStats:
-    """SubsetStats over all 2^(n1 n2 n3) subsets, read off the down-sets.
+    """SubsetStats of the sorted box of dims, three positive ints, over all
+    its 2^(mnk) subsets, read off the down-sets.
 
-    The longest axis is the height; the other two span u >= v rows and
-    columns.  A down-set is a u x v matrix of heights in [0, w], non-increasing
-    along rows and columns, so |F| = sum h, the (row, column) face counts the
-    nonzero heights, the (column, height) face sums the first row and the
-    (row, height) face the first column.  Permuting the axes maps down-sets to
-    down-sets and faces to faces, so these are a, b and c in another order,
-    and the walk of the sorted box (w, u, v) serves all its axis orders.
+    The longest axis m is the height; n >= k span the rows and columns.  A
+    down-set is an n x k matrix of heights in [0, m], non-increasing along
+    rows and columns, so |F| = sum h, x1 counts the nonzero heights, x2 sums
+    the first row and x3 the first column.
     """
-    dims = tuple(int(d) for d in dims)
-    if dims in _STATS_CACHE:
-        return _STATS_CACHE[dims]
-    height, rows, cols = sorted(range(3), key=dims.__getitem__, reverse=True)
-    box = dims[height], dims[rows], dims[cols]
-    if box not in _WALK_CACHE:
-        _WALK_CACHE[box] = _walk(*box)
-    lw_ok, min_sum, mins = _WALK_CACHE[box]
-    # the walk's a, b and c omit its height, rows and cols axes; the caller's
-    # face that omits axis 0, 1 or 2 is b, c or a
-    by_face = dict(zip(("bca"[height], "bca"[rows], "bca"[cols]), mins))
-    stats = SubsetStats(dims, lw_ok, min_sum, {key: by_face[key] for key in "abc"})
-    return _STATS_CACHE.setdefault(dims, stats)
+    box = tuple(sorted(dims, reverse=True))
+    stats = _CACHE.get(box)
+    if stats is None:
+        stats = _CACHE[box] = _walk(*box)
+    return stats
 
 
 def _walk(w, u, v):
-    """The LW verdict, and per-size minima of the sum and of the faces a, b and
-    c that omit the height, rows and cols axes, over the down-sets of u x v
-    heights in [0, w], w >= u >= v.  Down-sets alike in size and projections
-    are one leaf of a set."""
+    """SubsetStats of the sorted box (w, u, v) = (m, n, k), over the down-sets
+    of u x v heights in [0, w]: a, b and c are x1, x2 and x3.  Down-sets
+    alike in size and projections are one leaf of a set."""
     heights = [[w] * (v + 1) for _ in range(u + 1)]  # row/column 0: sentinels
     # per cell: the row above, its own row, its column, in row 0, in column 0
     cells = [(heights[i], heights[i + 1], j, i == 0, j == 0) for i in range(u) for j in range(v)]
@@ -111,7 +97,7 @@ def _walk(w, u, v):
     min_sum, mins_a, mins_b, mins_c = ([k * n] * (n + 1) for k in (3, 1, 1, 1))
     lw_ok = True
     for size, a, b, c in leaves:  # one pass: the verdict and the per-size minima
-        lw_ok = lw_ok and size <= a * b * c
+        lw_ok = lw_ok and size * size <= a * b * c
         if a + b + c < min_sum[size]:
             min_sum[size] = a + b + c
         if a < mins_a[size]:
@@ -120,11 +106,11 @@ def _walk(w, u, v):
             mins_b[size] = b
         if c < mins_c[size]:
             mins_c[size] = c
-    return lw_ok, min_sum, (mins_a, mins_b, mins_c)
+    return SubsetStats((w, u, v), lw_ok, min_sum, mins_a, mins_b, mins_c)
 
 
 class MinProjectionResult:
-    """minimum over every F of at least threshold points, ceil(n1n2n3 / P),
+    """minimum over every F of at least threshold points, ceil(mnk / P),
     read off stats."""
 
     __slots__ = ("minimum", "threshold", "stats")
@@ -134,11 +120,11 @@ class MinProjectionResult:
 
 
 def min_projection_sum(shape: ProblemShape, procs: int) -> MinProjectionResult:
-    """Minimum of phi_A + phi_B + phi_C over all F with |F| >= n1n2n3/P.
+    """Minimum of x1 + x2 + x3 over all F with |F| >= mnk/P.
 
-    Certified by exhaustive enumeration, so callers keep the cube volume at
+    Certified by exhaustive enumeration, so callers keep the box volume at
     most EXHAUSTIVE_LIMIT.  The lower bound says the result is >= D.
     """
     t = -(-shape.volume // procs)
     stats = subset_stats(shape.dims)
-    return MinProjectionResult(stats.min_sum_from_size[t], t, stats)
+    return MinProjectionResult(stats.min_sum_by_size[t], t, stats)

@@ -160,12 +160,6 @@ def test_c4_kkt_and_oracle_sweep():
         assert time.time() - t0 < 120.0
 
 
-def _phi_key_for_dropped_position(pos):
-    # stats on descending dims: key "b" drops the largest axis, "c" the
-    # middle, "a" the smallest
-    return {0: "b", 1: "c", 2: "a"}[pos]
-
-
 def _ordered_shapes(volume_cap):
     for a in range(1, volume_cap + 1):
         for b in range(1, volume_cap // a + 1):
@@ -184,25 +178,18 @@ def test_c5_exhaustive_projection_oracle():
         checked = 0
         for dims in _ordered_shapes(24):
             shape = ProblemShape(*dims)
-            canon = tuple(sorted(dims, reverse=True))
-            stats = subset_stats(canon)
-            assert stats.lw_ok, canon
-            order = sorted(range(3), key=lambda i: -dims[i])
-            # input axis j sits at descending position order.index(j)
-            key_a = _phi_key_for_dropped_position(order.index(2))
-            key_b = _phi_key_for_dropped_position(order.index(0))
-            key_c = _phi_key_for_dropped_position(order.index(1))
-            n1, n2, n3 = dims
+            m, n, k = shape.sorted_dims
+            stats = subset_stats(dims)
+            assert stats.lw_ok, dims
             volume = shape.volume
             for procs in range(1, volume + 1):
                 t = -(-volume // procs)
-                min_sum = int(stats.min_sum_from_size[t])
                 d = lower_bound(shape, procs).accessed
-                assert (min_sum - d).sign() >= 0, (dims, procs)
-                # per-matrix floors: phi * P covers each face
-                assert int(stats.min_phi_from_size[key_a][t]) * procs >= n1 * n2
-                assert int(stats.min_phi_from_size[key_b][t]) * procs >= n2 * n3
-                assert int(stats.min_phi_from_size[key_c][t]) * procs >= n1 * n3
+                assert (stats.min_sum_by_size[t] - d).sign() >= 0, (dims, procs)
+                # per-matrix floors: each face minimum times P covers its face
+                assert stats.x1[t] * procs >= n * k
+                assert stats.x2[t] * procs >= m * k
+                assert stats.x3[t] * procs >= m * n
                 checked += 1
         assert checked > 1000
         assert time.time() - t0 < 120.0

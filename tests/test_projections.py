@@ -4,7 +4,8 @@ WorkSet, projections_of, verify_loomis_whitney and verify_projection_lb state
 the lemmas point by point on explicit sets: the brute-force form of what
 subset_stats decides from down-sets.  Its two references are brute_force_stats,
 over every subset of a tiny cube, and walk_stats, over the down-sets in the
-box's own orientation.
+box's own orientation.  subset_stats answers in the sorted box's coordinates,
+so each reference's faces are put in that order (in_sorted_coordinates).
 """
 
 import functools
@@ -76,9 +77,9 @@ def projections_of(ws: WorkSet) -> ProjectionCounts:
 
 
 def verify_loomis_whitney(ws: WorkSet) -> bool:
-    """|F| <= phi_A * phi_B * phi_C."""
+    """|F|^2 <= phi_A * phi_B * phi_C."""
     p = projections_of(ws)
-    return len(ws) <= p.phi_a * p.phi_b * p.phi_c
+    return len(ws) ** 2 <= p.phi_a * p.phi_b * p.phi_c
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def brute_force_stats(dims):
         proj[bits] = tuple(r | c for r, c in zip(rest, cell))
         phis = [m.bit_count() for m in proj[bits]]
         s = bits.bit_count()
-        lw_ok = lw_ok and s <= phis[0] * phis[1] * phis[2]
+        lw_ok = lw_ok and s * s <= phis[0] * phis[1] * phis[2]
         if min_sum[s] is None or sum(phis) < min_sum[s]:
             min_sum[s] = sum(phis)
         for key, phi in zip("abc", phis):
@@ -155,7 +156,7 @@ def walk_stats(dims):
     def extend(cell, size, phi_a, phi_b, phi_c):
         nonlocal lw_ok
         if cell == n1 * n2:
-            lw_ok = lw_ok and size <= phi_a * phi_b * phi_c
+            lw_ok = lw_ok and size * size <= phi_a * phi_b * phi_c
             min_sum[size] = min(min_sum[size], phi_a + phi_b + phi_c)
             for key, phi in zip("abc", (phi_a, phi_b, phi_c)):
                 min_phi[key][size] = min(min_phi[key][size], phi)
@@ -183,28 +184,40 @@ def boxes_up_to(volume):
 ORDERED_BOXES = boxes_up_to(EXHAUSTIVE_LIMIT)
 
 
-@functools.cache
-def reference(dims):
-    lw_ok, min_sum, min_phi = walk_stats(dims)
+reference = functools.cache(walk_stats)
 
-    def suffix(values):
-        return [min(values[s:]) for s in range(len(values))]
 
-    return lw_ok, min_sum, suffix(min_sum), min_phi, {
-        key: suffix(values) for key, values in min_phi.items()}
+def sorted_box(dims):
+    return tuple(sorted(dims, reverse=True))
+
+
+def in_sorted_coordinates(dims, min_phi):
+    """A reference's face minima on dims as [x1, x2, x3]: the faces that omit
+    the longest, the middle and the shortest axis.  Face a omits axis 2, b
+    axis 0 and c axis 1."""
+    by_omitted_axis = (min_phi["b"], min_phi["c"], min_phi["a"])
+    return [by_omitted_axis[i] for i in sorted(range(3), key=lambda i: -dims[i])]
+
+
+def assert_matches(dims, stats, ref):
+    """stats, the sorted box's, equals a reference computed on dims in its
+    own axis order."""
+    lw_ok, min_sum, min_phi = ref
+    assert stats.dims == sorted_box(dims)
+    assert stats.lw_ok is lw_ok, dims
+    assert stats.min_sum_by_size == min_sum, dims
+    assert [stats.x1, stats.x2, stats.x3] == in_sorted_coordinates(dims, min_phi), dims
 
 
 def assert_matches_walk(dims, stats):
-    """Every field of stats equals the fixed-orientation walk's on dims."""
-    lw_ok, min_sum, min_sum_from, min_phi, min_phi_from = reference(dims)
-    assert stats.dims == dims
-    assert stats.lw_ok is lw_ok, dims
-    assert stats.min_sum_by_size == min_sum, dims
-    assert stats.min_sum_from_size == min_sum_from, dims
-    assert stats.min_phi_by_size == min_phi, dims
-    assert stats.min_phi_from_size == min_phi_from, dims
-    assert all(type(m) is int for values in (stats.min_sum_by_size,
-               *stats.min_phi_by_size.values()) for m in values), dims
+    """Every field of stats equals the fixed-orientation walk's on the sorted
+    box, and the walk on dims itself has the same verdict and sums, and the
+    same face minima permuted with the axes."""
+    box = sorted_box(dims)
+    assert_matches(box, stats, reference(box))
+    assert_matches(dims, stats, reference(dims))
+    assert all(type(m) is int for values in (stats.min_sum_by_size, stats.x1,
+               stats.x2, stats.x3) for m in values), dims
 
 
 class TestProjections:
@@ -261,6 +274,45 @@ class TestLoomisWhitney:
         assert len(ws) ** 2 == p.phi_a * p.phi_b * p.phi_c
 
 
+def compress(ws: WorkSet, axis: int) -> WorkSet:
+    """ws with the points of each line parallel to axis moved to its lowest
+    positions."""
+    counts = {}
+    for p in ws.points:
+        line = p[:axis] + p[axis + 1:]
+        counts[line] = counts.get(line, 0) + 1
+    return WorkSet.from_points(ws.dims, [line[:axis] + (z,) + line[axis:]
+                                         for line, count in counts.items()
+                                         for z in range(1, count + 1)])
+
+
+@st.composite
+def subsets_of_small_boxes(draw):
+    dims = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    cells = list(itertools.product(*(range(1, d + 1) for d in dims)))
+    bits = draw(st.integers(0, (1 << len(cells)) - 1))
+    return WorkSet.from_points(dims, [cell for t, cell in enumerate(cells) if bits >> t & 1])
+
+
+class TestCompression:
+    @settings(deadline=None, max_examples=200)
+    @given(subsets_of_small_boxes())
+    def test_keeps_size_grows_no_projection_and_ends_at_a_down_set(self, ws):
+        # the step that lets subset_stats read every subset off the down-sets
+        for axis in range(3):
+            before, compressed = projections_of(ws), compress(ws, axis)
+            after = projections_of(compressed)
+            assert len(compressed) == len(ws)
+            assert after.phi_a <= before.phi_a
+            assert after.phi_b <= before.phi_b
+            assert after.phi_c <= before.phi_c
+            ws = compressed
+        for p in ws.points:
+            for axis in range(3):
+                if p[axis] > 1:
+                    assert p[:axis] + (p[axis] - 1,) + p[axis + 1:] in ws.points, p
+
+
 class TestProjectionLB:
     def test_applicable_brick(self):
         # half of a 2x2x2 cube at P = 2 touches enough of every matrix
@@ -304,12 +356,7 @@ class TestProjectionLB:
 class TestSubsetEngine:
     @pytest.mark.parametrize("dims", [(2, 2, 1), (3, 2, 1), (2, 2, 2), (1, 1, 1)])
     def test_matches_direct_enumeration(self, dims):
-        lw_ref, min_sum_ref, min_phi_ref = brute_force_stats(dims)
-        stats = subset_stats(dims)
-        assert stats.lw_ok == lw_ref
-        assert list(stats.min_sum_by_size) == min_sum_ref
-        for key in "abc":
-            assert list(stats.min_phi_by_size[key]) == min_phi_ref[key]
+        assert_matches(dims, subset_stats(dims), brute_force_stats(dims))
 
     def test_down_sets_decide_every_subset_up_to_volume_12(self):
         # the compression lemma in action: minima and the LW verdict read off
@@ -317,17 +364,12 @@ class TestSubsetEngine:
         boxes = boxes_up_to(12)
         assert len(boxes) == 74
         for dims in boxes:
-            lw_ref, min_sum_ref, min_phi_ref = brute_force_stats(dims)
-            stats = subset_stats(dims)
-            assert stats.lw_ok == lw_ref, dims
-            assert list(stats.min_sum_by_size) == min_sum_ref, dims
-            for key in "abc":
-                assert list(stats.min_phi_by_size[key]) == min_phi_ref[key], (dims, key)
+            assert_matches(dims, subset_stats(dims), brute_force_stats(dims))
 
     def test_matches_the_fixed_orientation_walk_on_every_box(self):
         # every ordered box up to the cap, so each sorted box in all six axis
-        # orders: the engine stands each on its longest axis and renames the
-        # faces back, and every field must equal the unpermuted walk's
+        # orders: every order answers with its sorted box's walk, and the
+        # walk on the order itself must give the same minima, face by face
         sorted_boxes = [dims for dims in ORDERED_BOXES if list(dims) == sorted(dims)]
         assert len(sorted_boxes) == 51
         checked = 0
@@ -338,10 +380,9 @@ class TestSubsetEngine:
         assert checked == len(ORDERED_BOXES) == 203
 
     def test_walks_each_sorted_box_once(self, monkeypatch):
-        # with both memos empty, one process asks for all 203 ordered boxes
+        # with the memo empty, one process asks for all 203 ordered boxes
         walked, walk = [], projections._walk
-        monkeypatch.setattr(projections, "_STATS_CACHE", {})
-        monkeypatch.setattr(projections, "_WALK_CACHE", {})
+        monkeypatch.setattr(projections, "_CACHE", {})
         monkeypatch.setattr(projections, "_walk", lambda *box: walked.append(box) or walk(*box))
         for dims in ORDERED_BOXES:
             subset_stats(dims)
@@ -353,24 +394,31 @@ class TestSubsetEngine:
     @given(st.permutations(ORDERED_BOXES))
     def test_any_order_of_asking_gives_the_walk_of_each_box(self, order):
         # whichever axis order of a box walks first, every other order reads
-        # the same walk, renamed to its own faces
+        # the same walk
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(projections, "_STATS_CACHE", {})
-            mp.setattr(projections, "_WALK_CACHE", {})
+            mp.setattr(projections, "_CACHE", {})
             for dims in order:
                 assert_matches_walk(dims, subset_stats(dims))
 
     def test_axis_permutations_consistent(self):
-        # per-axis minima permute with the dims; the sum is invariant
+        # every axis order of a box answers with its sorted box's stats
         a = subset_stats((3, 2, 2))
-        b = subset_stats((2, 2, 3))
-        assert list(a.min_sum_by_size) == list(b.min_sum_by_size)
-        assert a.lw_ok and b.lw_ok
+        assert a is subset_stats((2, 2, 3)) is subset_stats((2, 3, 2))
+        assert a.dims == (3, 2, 2) and a.lw_ok
 
-    def test_suffix_minima(self):
-        stats = subset_stats((2, 2, 2))
-        for s in range(8):
-            assert stats.min_sum_from_size[s] == min(stats.min_sum_by_size[s:])
+    def test_per_size_minima_never_decrease(self):
+        # a subset of s + 1 points contains one of s, with no larger
+        # projection, so the minimum at size t is the minimum at sizes >= t,
+        # which min_projection_sum reads off min_sum_by_size[t]
+        def assert_non_decreasing(dims, ref):
+            _, min_sum, min_phi = ref
+            for values in (min_sum, *min_phi.values()):
+                assert all(x <= y for x, y in zip(values, values[1:])), dims
+
+        for dims in boxes_up_to(12):
+            assert_non_decreasing(dims, brute_force_stats(dims))
+        for dims in ORDERED_BOXES:
+            assert_non_decreasing(dims, reference(dims))
 
     def test_cache_returns_same_object(self):
         assert subset_stats((2, 2, 2)) is subset_stats((2, 2, 2))
